@@ -6,6 +6,7 @@ import configparser
 import hashlib
 import json
 import os
+import typing
 import zlib
 from dataclasses import asdict, dataclass, replace
 
@@ -123,64 +124,62 @@ def _parse_list(raw: str, convert):
     return tuple(convert(tok) for tok in items)
 
 
+def _same_names(names: str) -> dict[str, str]:
+    return {name: name for name in names.split()}
+
+
+# INI section -> {key: ExperimentConfig field}
+_CONFIG_KEYS = {
+    "grid": _same_names("nx ny nz x_min x_max y_min y_max z_min z_max"),
+    "phantom": _same_names(
+        "base scale_height_1 scale_height_2 gradient_x gradient_y "
+        "amplitude_sin amplitude_cos cycles_x cycles_y"
+    ),
+    "network": _same_names("stations emitters seed samples_per_ray"),
+    "regularization": _same_names("beta alpha_tv alpha_quadratic"),
+    "sweep": _same_names("ray_counts noise_fractions solvers penalties"),
+    "solver": _same_names(
+        "lbfgs_memory lbfgs_max_iterations lbfgs_grad_tol "
+        "ldfp_outer_iterations ldfp_inner_tol ldfp_inner_max_iterations"
+    ),
+    "benchmark": {
+        key: f"benchmark_{key}" for key in ("rays", "noise", "lbfgs_iterations", "ldfp_iterations")
+    },
+    "output": {"directory": "output_dir"},
+}
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _convert(raw: str, hint):
+    if hint == int | None:
+        raw = raw.strip()
+        return None if raw == "auto" else int(raw)
+    if typing.get_origin(hint) is tuple:
+        return _parse_list(raw, typing.get_args(hint)[0])
+    return hint(raw)
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read an INI-style config; every missing key keeps its default."""
+    """Read an INI-style config; every missing key keeps its default.
+
+    An unknown section or key raises ValueError, so a misspelling cannot
+    silently fall back to the default.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise OSError(f"config file {path} not found or unreadable")
-    base = default_config()
     kw = {}
-
-    def grab(section, key, convert, field=None):
-        if parser.has_option(section, key):
-            kw[field or key] = convert(parser.get(section, key))
-
-    for key in ("nx", "ny", "nz"):
-        grab("grid", key, int)
-    for key in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
-        grab("grid", key, float)
-    for key in (
-        "base",
-        "scale_height_1",
-        "scale_height_2",
-        "gradient_x",
-        "gradient_y",
-        "amplitude_sin",
-        "amplitude_cos",
-        "cycles_x",
-        "cycles_y",
-    ):
-        grab("phantom", key, float)
-    grab("network", "stations", int)
-    grab("network", "emitters", int)
-    grab("network", "seed", int)
-    if parser.has_option("network", "samples_per_ray"):
-        raw = parser.get("network", "samples_per_ray").strip()
-        kw["samples_per_ray"] = None if raw == "auto" else int(raw)
-    grab("regularization", "beta", float)
-    grab("regularization", "alpha_tv", float)
-    grab("regularization", "alpha_quadratic", float)
-    if parser.has_option("sweep", "ray_counts"):
-        kw["ray_counts"] = _parse_list(parser.get("sweep", "ray_counts"), int)
-    if parser.has_option("sweep", "noise_fractions"):
-        kw["noise_fractions"] = _parse_list(parser.get("sweep", "noise_fractions"), float)
-    if parser.has_option("sweep", "solvers"):
-        kw["solvers"] = _parse_list(parser.get("sweep", "solvers"), str)
-    if parser.has_option("sweep", "penalties"):
-        kw["penalties"] = _parse_list(parser.get("sweep", "penalties"), str)
-    grab("solver", "lbfgs_memory", int)
-    grab("solver", "lbfgs_max_iterations", int)
-    grab("solver", "lbfgs_grad_tol", float)
-    grab("solver", "ldfp_outer_iterations", int)
-    grab("solver", "ldfp_inner_tol", float)
-    grab("solver", "ldfp_inner_max_iterations", int)
-    grab("benchmark", "rays", int, "benchmark_rays")
-    grab("benchmark", "noise", float, "benchmark_noise")
-    grab("benchmark", "lbfgs_iterations", int, "benchmark_lbfgs_iterations")
-    grab("benchmark", "ldfp_iterations", int, "benchmark_ldfp_iterations")
-    grab("output", "directory", str, "output_dir")
-    return replace(base, **kw)
+    for section in parser.sections():
+        keys = _CONFIG_KEYS.get(section)
+        if keys is None:
+            raise ValueError(f"{path}: unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+            kw[keys[key]] = _convert(raw, _FIELD_TYPES[keys[key]])
+    return replace(default_config(), **kw)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -12,30 +12,18 @@ OUTSIDE = -1
 
 
 def nearest_node(point, grid: Grid3) -> int:
-    """Linear index of the grid node closest to the point, or OUTSIDE.
-
-    Per axis the nearest index is ceil(t - 0.5) with t the fractional node
-    coordinate, so exact midpoints round toward the lower index.  Points
-    farther than half a spacing beyond the boundary nodes get OUTSIDE.
-    """
-    p = np.asarray(point, dtype=float)
-    idx = np.empty(3, dtype=np.int64)
-    for a, (lo, d, n) in enumerate(
-        (
-            (grid.x_min, grid.dx, grid.nx),
-            (grid.y_min, grid.dy, grid.ny),
-            (grid.z_min, grid.dz, grid.nz),
-        )
-    ):
-        i = int(np.ceil((p[a] - lo) / d - 0.5))
-        if i < 0 or i > n - 1:
-            return OUTSIDE
-        idx[a] = i
-    return grid.linear_index(int(idx[0]), int(idx[1]), int(idx[2]))
+    """Linear index of the grid node closest to one point, or OUTSIDE."""
+    linear, inside = _nearest_nodes(np.asarray(point, dtype=float).reshape(1, 3), grid)
+    return int(linear[0]) if inside[0] else OUTSIDE
 
 
 def _nearest_nodes(points: np.ndarray, grid: Grid3):
-    """Vectorized nearest_node: (linear indices, inside mask)."""
+    """Nearest node of each (x, y, z) row: (linear indices, inside mask).
+
+    Per axis the nearest index is ceil(t - 0.5) with t the fractional node
+    coordinate, so exact midpoints round toward the lower index.  Points
+    farther than half a spacing beyond the boundary nodes are not inside.
+    """
     ix = np.ceil((points[:, 0] - grid.x_min) / grid.dx - 0.5).astype(np.int64)
     iy = np.ceil((points[:, 1] - grid.y_min) / grid.dy - 0.5).astype(np.int64)
     iz = np.ceil((points[:, 2] - grid.z_min) / grid.dz - 0.5).astype(np.int64)

@@ -9,7 +9,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .diagnostics import ConvergenceRecord
+from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
 from .tv import apply_weights, smoothing_weights
 
@@ -113,11 +113,6 @@ class SolveResult:
     seconds: float = 0.0
 
 
-def _values(x) -> np.ndarray:
-    v = x.values if hasattr(x, "values") else x
-    return np.asarray(v, dtype=float)
-
-
 def _wrap_solution(objective, phi: np.ndarray):
     grid = getattr(objective, "grid", None)
     if grid is not None:
@@ -131,7 +126,7 @@ class _Recorder:
         self.callback = callback
         self.t0 = t0
         self.records = []
-        self.truth = None if truth is None else _values(truth)
+        self.truth = None if truth is None else _values_of(truth)
         if self.truth is not None:
             self.truth_norm = float(np.linalg.norm(self.truth))
             if self.truth_norm == 0.0:
@@ -174,7 +169,7 @@ def lbfgs_trust_region(
     iteration appends one convergence record.
     """
     opts = options if options is not None else LbfgsOptions()
-    phi = _values(phi0).copy()
+    phi = _values_of(phi0).copy()
     t0 = perf_counter()
     recorder = _Recorder(objective, truth, callback, t0)
 
@@ -325,7 +320,7 @@ def ldfp(
     alpha = objective.alpha
     beta = objective.beta
 
-    phi = _values(phi0).copy()
+    phi = _values_of(phi0).copy()
     t0 = perf_counter()
     recorder = _Recorder(objective, truth, callback, t0)
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import Grid3
 from .phantom import Field
-
-# numpy axis for each spatial axis in the (z, y, x) view
-_AXIS = {"x": 2, "y": 1, "z": 0}
 
 
 def _check_beta(beta: float) -> float:
@@ -18,89 +18,71 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _spacing(grid: Grid3, axis: str) -> float:
-    return {"x": grid.dx, "y": grid.dy, "z": grid.dz}[axis]
+@functools.lru_cache(maxsize=8)
+def difference_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Central differences (Dx, Dy, Dz) on flat x-fastest vectors, cached per grid.
 
-
-def _diff(arr: np.ndarray, spacing: float, np_axis: int) -> np.ndarray:
-    """Central difference with replicate padding along one numpy axis."""
-    a = np.moveaxis(arr, np_axis, 0)
-    out = np.empty_like(a)
-    # replicate padding: the ghost value equals the boundary value, so the
-    # one-sided stencils keep the 1/(2*spacing) scale
-    out[0] = (a[1] - a[0]) / (2.0 * spacing)
-    out[-1] = (a[-1] - a[-2]) / (2.0 * spacing)
-    if a.shape[0] > 2:
-        out[1:-1] = (a[2:] - a[:-2]) / (2.0 * spacing)
-    return np.moveaxis(out, 0, np_axis)
-
-
-def _diff_adjoint(arr: np.ndarray, spacing: float, np_axis: int) -> np.ndarray:
-    """Exact transpose of _diff on flat vectors."""
-    v = np.moveaxis(arr, np_axis, 0)
-    out = np.empty_like(v)
-    out[0] = -(v[0] + v[1]) / (2.0 * spacing)
-    out[-1] = (v[-2] + v[-1]) / (2.0 * spacing)
-    if v.shape[0] > 2:
-        out[1:-1] = (v[:-2] - v[2:]) / (2.0 * spacing)
-    return np.moveaxis(out, 0, np_axis)
+    Each block is n_nodes x n_nodes with two entries per row, -1/(2h) and
+    +1/(2h).  Replicate padding clips the neighbor index at the boundary
+    nodes, so the one-sided stencils keep the 1/(2h) scale.  The blocks are
+    shared between callers and must not be modified.
+    """
+    n = grid.n_nodes
+    node = np.arange(n)
+    indptr = np.arange(0, 2 * n + 1, 2)
+    blocks = []
+    for count, stride, h in (
+        (grid.nx, 1, grid.dx),
+        (grid.ny, grid.nx, grid.dy),
+        (grid.nz, grid.nx * grid.ny, grid.dz),
+    ):
+        position = (node // stride) % count
+        lower = np.where(position > 0, node - stride, node)
+        upper = np.where(position < count - 1, node + stride, node)
+        w = 1.0 / (2.0 * h)
+        data = np.tile([-w, w], n)
+        indices = np.column_stack([lower, upper]).ravel()
+        blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return tuple(blocks)
 
 
 def diff_axis(field: Field, axis: str) -> Field:
     """Nodal derivative of the field along 'x', 'y' or 'z'."""
-    if axis not in _AXIS:
+    blocks = dict(zip("xyz", difference_blocks(field.grid)))
+    if axis not in blocks:
         raise ValueError(f"unknown axis {axis!r}")
-    arr = field.as_3d()
-    out = _diff(arr, _spacing(field.grid, axis), _AXIS[axis])
-    return Field(grid=field.grid, values=out.ravel())
-
-
-def _grad_squared(arr: np.ndarray, grid: Grid3) -> np.ndarray:
-    g2 = np.zeros_like(arr)
-    for axis in ("x", "y", "z"):
-        d = _diff(arr, _spacing(grid, axis), _AXIS[axis])
-        g2 += d * d
-    return g2
+    return Field(grid=field.grid, values=blocks[axis] @ field.values)
 
 
 def smoothing_weights(field: Field, beta: float = 1e-2) -> np.ndarray:
     """Diffusion weights 1/sqrt(|grad|^2 + beta) evaluated at the field, (z,y,x)."""
     beta = _check_beta(beta)
-    g2 = _grad_squared(field.as_3d(), field.grid)
-    return 1.0 / np.sqrt(g2 + beta)
+    g2 = sum(np.square(d @ field.values) for d in difference_blocks(field.grid))
+    return (1.0 / np.sqrt(g2 + beta)).reshape(field.grid.nz, field.grid.ny, field.grid.nx)
 
 
 def tv_value(field: Field, beta: float = 1e-2) -> float:
     """Cell-volume weighted sum of sqrt(|grad|^2 + beta) over all nodes."""
     beta = _check_beta(beta)
-    g2 = _grad_squared(field.as_3d(), field.grid)
+    g2 = sum(np.square(d @ field.values) for d in difference_blocks(field.grid))
     return float(np.sqrt(g2 + beta).sum() * field.grid.cell_volume)
 
 
 def tv_value_and_gradient(field: Field, beta: float = 1e-2):
-    """Value and gradient in one stencil pass; the gradient is L(field) @ field."""
+    """Value and gradient from one set of differences; the gradient is L(field) @ field."""
     beta = _check_beta(beta)
     grid = field.grid
-    arr = field.as_3d()
-    g2 = _grad_squared(arr, grid)
-    root = np.sqrt(g2 + beta)
+    blocks = difference_blocks(grid)
+    parts = [d @ field.values for d in blocks]
+    root = np.sqrt(sum(np.square(p) for p in parts) + beta)
     value = float(root.sum() * grid.cell_volume)
     gamma = 1.0 / root
-    grad = _apply_weighted_diffusion(gamma, grid, arr)
-    return value, grad.ravel()
+    grad = sum(d.T @ (gamma * p) for d, p in zip(blocks, parts)) * grid.cell_volume
+    return value, grad
 
 
 def tv_gradient(field: Field, beta: float = 1e-2) -> np.ndarray:
     return tv_value_and_gradient(field, beta)[1]
-
-
-def _apply_weighted_diffusion(gamma: np.ndarray, grid: Grid3, arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    for axis in ("x", "y", "z"):
-        h = _spacing(grid, axis)
-        a = _AXIS[axis]
-        out += _diff_adjoint(gamma * _diff(arr, h, a), h, a)
-    return out * grid.cell_volume
 
 
 def apply_L(field_at: Field, vector: np.ndarray, beta: float = 1e-2) -> np.ndarray:
@@ -120,5 +102,6 @@ def apply_weights(gamma: np.ndarray, grid: Grid3, vector: np.ndarray) -> np.ndar
         raise ValueError(
             f"vector length {vector.shape} does not match grid nodes {grid.n_nodes}"
         )
-    arr = vector.reshape(grid.nz, grid.ny, grid.nx)
-    return _apply_weighted_diffusion(gamma, grid, arr).ravel()
+    gamma = gamma.ravel()
+    blocks = difference_blocks(grid)
+    return sum(d.T @ (gamma * (d @ vector)) for d in blocks) * grid.cell_volume

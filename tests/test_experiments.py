@@ -133,6 +133,23 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
+def test_load_config_rejects_misspelled_key(tmp_path):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[grid]\nnx = 5\nnxx = 40\n")
+    with pytest.raises(ValueError, match=r"'nxx'.*\[grid\]"):
+        load_config(ini)
+
+
+def test_load_config_rejects_misspelled_section(tmp_path, capsys):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[sweeep]\nray_counts = 5\n")
+    with pytest.raises(ValueError, match=r"\[sweeep\]"):
+        load_config(ini)
+    assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert "sweeep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_tracks_every_field():
     base = default_config()
     assert config_hash(base) == config_hash(default_config())

@@ -7,7 +7,13 @@ import pytest
 
 import helpers
 from atmtomo import Field, diff_axis, make_grid, true_profile, tv_gradient, tv_value
-from atmtomo.tv import apply_L, apply_weights, smoothing_weights, tv_value_and_gradient
+from atmtomo.tv import (
+    apply_L,
+    apply_weights,
+    difference_blocks,
+    smoothing_weights,
+    tv_value_and_gradient,
+)
 
 
 def random_field(nx, ny, nz, bounds, seed):
@@ -21,6 +27,19 @@ def test_beta_validation():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             tv_value(f, bad)
+
+
+def test_difference_blocks_match_dense_kronecker_oracle():
+    # anisotropic spacing and a 2-node axis, where both rows are one-sided
+    grid = make_grid(2, 3, 5, (0, 1, 0, 2, 0, 3))
+    blocks = difference_blocks(grid)
+    for block, dense in zip(blocks, helpers.dense_diff_matrices(grid)):
+        assert block.shape == dense.shape
+        np.testing.assert_array_equal(block.toarray(), dense)
+        assert np.all(np.diff(block.indptr) == 2)
+    # an equal but distinct Grid3 hits the cache
+    again = difference_blocks(make_grid(2, 3, 5, (0, 1, 0, 2, 0, 3)))
+    assert all(a is b for a, b in zip(again, blocks))
 
 
 def test_diff_axis_constant_and_linear():
