@@ -23,6 +23,8 @@ def main():
         emitters=10,
         seed=1,
         ray_counts=(5, 20, 40, 60, 80),
+        # unused by the sweep, but a config must fit the 80-ray network
+        benchmark_rays=80,
         noise_fractions=(0.001,),
         lbfgs_max_iterations=150,
         output_dir=args.out,

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 import os
 import typing
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -82,16 +83,33 @@ class ExperimentConfig:
         for p in self.noise_fractions:
             if p < 0.0:
                 raise ValueError(f"noise fraction must be >= 0, got {p}")
+        if self.benchmark_noise < 0.0:
+            raise ValueError(f"benchmark noise must be >= 0, got {self.benchmark_noise}")
         limit = self.stations * self.emitters
         for s in self.ray_counts:
             if not 1 <= s <= limit:
                 raise ValueError(f"ray count {s} outside [1, {limit}]")
+        if not 1 <= self.benchmark_rays <= limit:
+            raise ValueError(f"benchmark ray count {self.benchmark_rays} outside [1, {limit}]")
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}, expected one of {SOLVERS}")
         for pen in self.penalties:
             if pen not in ("tv", "quadratic"):
                 raise ValueError(f"unknown penalty {pen!r}")
+        # each combination writes files named after it: equal names would
+        # overwrite each other's results
+        names = set()
+        for rays, noise, solver, penalty in itertools.product(
+            self.ray_counts, self.noise_fractions, self.solvers, self.penalties
+        ):
+            name = _combo_name(solver, penalty, rays, noise)
+            if name in names:
+                raise ValueError(
+                    f"combination ({solver}, {penalty}, {rays} rays, noise {noise!r}) "
+                    f"reuses the output name {name!r}"
+                )
+            names.add(name)
 
     def make_grid(self):
         return make_grid(
@@ -102,17 +120,7 @@ class ExperimentConfig:
         )
 
     def make_phantom_params(self) -> PhantomParams:
-        return PhantomParams(
-            base=self.base,
-            scale_height_1=self.scale_height_1,
-            scale_height_2=self.scale_height_2,
-            gradient_x=self.gradient_x,
-            gradient_y=self.gradient_y,
-            amplitude_sin=self.amplitude_sin,
-            amplitude_cos=self.amplitude_cos,
-            cycles_x=self.cycles_x,
-            cycles_y=self.cycles_y,
-        )
+        return PhantomParams(**{f.name: getattr(self, f.name) for f in fields(PhantomParams)})
 
 
 def default_config() -> ExperimentConfig:
@@ -131,10 +139,7 @@ def _same_names(names: str) -> dict[str, str]:
 # INI section -> {key: ExperimentConfig field}
 _CONFIG_KEYS = {
     "grid": _same_names("nx ny nz x_min x_max y_min y_max z_min z_max"),
-    "phantom": _same_names(
-        "base scale_height_1 scale_height_2 gradient_x gradient_y "
-        "amplitude_sin amplitude_cos cycles_x cycles_y"
-    ),
+    "phantom": {f.name: f.name for f in fields(PhantomParams)},
     "network": _same_names("stations emitters seed samples_per_ray"),
     "regularization": _same_names("beta alpha_tv alpha_quadratic"),
     "sweep": _same_names("ray_counts noise_fractions solvers penalties"),
@@ -202,6 +207,20 @@ def _say(progress, message):
         progress(message)
 
 
+def _build_scene(config: ExperimentConfig):
+    """Create the output directory; return the grid, true field and network."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    grid = config.make_grid()
+    truth = true_profile(grid, config.make_phantom_params())
+    network = place_network(grid, config.stations, config.emitters, config.seed)
+    return grid, truth, network
+
+
+def _noisy_data(config: ExperimentConfig, f_true, rays: int, noise: float):
+    """Data and noise level of one (ray count, noise) combination."""
+    return add_noise(f_true, noise, derive_noise_seed(config.seed, rays, noise))
+
+
 def run_sweep(
     config: ExperimentConfig,
     dump_network: bool = False,
@@ -215,11 +234,7 @@ def run_sweep(
     combination is logged and skipped, never aborts the sweep.
     """
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    grid = config.make_grid()
-    params = config.make_phantom_params()
-    truth = true_profile(grid, params)
-    network = place_network(grid, config.stations, config.emitters, config.seed)
+    grid, truth, network = _build_scene(config)
     _say(progress, f"network: {len(network.rays)} admissible rays")
     if dump_network:
         with open(os.path.join(out, "network.txt"), "w") as fh:
@@ -228,15 +243,12 @@ def run_sweep(
     outputs = []
     failures = 0
     for rays in config.ray_counts:
-        sub = take_rays(network, rays)
-        op = assemble_operator(sub, config.samples_per_ray)
+        op = assemble_operator(take_rays(network, rays), config.samples_per_ray)
         if dump_operator:
             write_operator_dump(op, os.path.join(out, f"operator_{rays}rays.txt"))
         f_true = op.apply(truth.values)
         for noise in config.noise_fractions:
-            f_delta, delta = add_noise(
-                f_true, noise, derive_noise_seed(config.seed, rays, noise)
-            )
+            f_delta, delta = _noisy_data(config, f_true, rays, noise)
             for solver in config.solvers:
                 for penalty in config.penalties:
                     name = _combo_name(solver, penalty, rays, noise)
@@ -316,96 +328,55 @@ def _solve_combo(config, grid, op, f_delta, truth, solver, penalty):
 
 
 def run_benchmark(config: ExperimentConfig, progress=None) -> dict:
-    """Time LDFP against trust-region L-BFGS on one identical problem instance."""
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    grid = config.make_grid()
-    params = config.make_phantom_params()
-    truth = true_profile(grid, params)
-    network = place_network(grid, config.stations, config.emitters, config.seed)
-    sub = take_rays(network, config.benchmark_rays)
-    op = assemble_operator(sub, config.samples_per_ray)
-    f_true = op.apply(truth.values)
-    f_delta, delta = add_noise(
-        f_true,
-        config.benchmark_noise,
-        derive_noise_seed(config.seed, config.benchmark_rays, config.benchmark_noise),
+    """Time LDFP against trust-region L-BFGS on one identical problem instance.
+
+    Each solver runs as the sweep's TV combination at the benchmark's ray
+    count and noise, under the benchmark's iteration budget.
+    """
+    rays, noise = config.benchmark_rays, config.benchmark_noise
+    grid, truth, network = _build_scene(config)
+    op = assemble_operator(take_rays(network, rays), config.samples_per_ray)
+    f_delta, delta = _noisy_data(config, op.apply(truth.values), rays, noise)
+    budgets = replace(
+        config,
+        lbfgs_max_iterations=config.benchmark_lbfgs_iterations,
+        lbfgs_grad_tol=0.0,
+        ldfp_outer_iterations=config.benchmark_ldfp_iterations,
     )
-
-    def fresh_objective():
-        return Objective(
-            operator=op,
-            data=f_delta,
-            alpha=config.alpha_tv,
-            grid=grid,
-            penalty="tv",
-            beta=config.beta,
-        )
-
-    phi0 = np.zeros(grid.n_nodes)
-    _say(progress, f"benchmark: lbfgs for {config.benchmark_lbfgs_iterations} iterations")
-    lbfgs_result = lbfgs_trust_region(
-        fresh_objective(),
-        phi0,
-        LbfgsOptions(
-            memory=config.lbfgs_memory,
-            max_iterations=config.benchmark_lbfgs_iterations,
-            grad_tol=0.0,
-        ),
-        truth=truth,
-    )
-    _say(progress, f"benchmark: ldfp for {config.benchmark_ldfp_iterations} iterations")
-    ldfp_result = ldfp(
-        fresh_objective(),
-        phi0,
-        inner_tol=config.ldfp_inner_tol,
-        inner_max_iterations=config.ldfp_inner_max_iterations,
-        max_iterations=config.benchmark_ldfp_iterations,
-        truth=truth,
-    )
-
-    write_csv(lbfgs_result.records, os.path.join(out, "benchmark_lbfgs.csv"))
-    write_csv(ldfp_result.records, os.path.join(out, "benchmark_ldfp.csv"))
-
-    def summary(result):
-        per_iter = result.seconds / max(1, result.iterations)
-        return {
+    report = {
+        "mode": "benchmark",
+        "config_hash": config_hash(config),
+        "rays": rays,
+        "noise": noise,
+        "delta": delta,
+    }
+    for solver, iterations in (
+        ("lbfgs", config.benchmark_lbfgs_iterations),
+        ("ldfp", config.benchmark_ldfp_iterations),
+    ):
+        _say(progress, f"benchmark: {solver} for {iterations} iterations")
+        result = _solve_combo(budgets, grid, op, f_delta, truth, solver, "tv")
+        write_csv(result.records, os.path.join(config.output_dir, f"benchmark_{solver}.csv"))
+        report[solver] = {
             "iterations": result.iterations,
             "termination": result.termination,
             "total_seconds": result.seconds,
-            "seconds_per_iteration": per_iter,
+            "seconds_per_iteration": result.seconds / max(1, result.iterations),
             "final_relative_error": result.records[-1].relative_error,
             "final_discrepancy": result.records[-1].discrepancy,
         }
 
-    lbfgs_summary = summary(lbfgs_result)
-    ldfp_summary = summary(ldfp_result)
-    equal_iters = ldfp_summary["iterations"]
-    report = {
-        "mode": "benchmark",
-        "config_hash": config_hash(config),
-        "rays": config.benchmark_rays,
-        "noise": config.benchmark_noise,
-        "delta": delta,
-        "lbfgs": lbfgs_summary,
-        "ldfp": ldfp_summary,
-        # cost of running lbfgs for as many iterations as ldfp took,
-        # extrapolated from its measured per-iteration time
-        "lbfgs_seconds_for_equal_iterations": lbfgs_summary["seconds_per_iteration"]
-        * equal_iters,
-        "speed_ratio_equal_iterations": (
-            ldfp_summary["seconds_per_iteration"]
-            / lbfgs_summary["seconds_per_iteration"]
-        ),
-    }
-    with open(os.path.join(out, "benchmark.json"), "w") as fh:
+    lbfgs_per_iter = report["lbfgs"]["seconds_per_iteration"]
+    ldfp_per_iter = report["ldfp"]["seconds_per_iteration"]
+    # cost of running lbfgs for as many iterations as ldfp took,
+    # extrapolated from its measured per-iteration time
+    report["lbfgs_seconds_for_equal_iterations"] = lbfgs_per_iter * report["ldfp"]["iterations"]
+    report["speed_ratio_equal_iterations"] = ldfp_per_iter / lbfgs_per_iter
+    with open(os.path.join(config.output_dir, "benchmark.json"), "w") as fh:
         json.dump(report, fh, indent=2)
     _say(
         progress,
-        "benchmark: lbfgs {0:.4g}s/iter, ldfp {1:.4g}s/iter, ratio {2:.2f}".format(
-            lbfgs_summary["seconds_per_iteration"],
-            ldfp_summary["seconds_per_iteration"],
-            report["speed_ratio_equal_iterations"],
-        ),
+        f"benchmark: lbfgs {lbfgs_per_iter:.4g}s/iter, ldfp {ldfp_per_iter:.4g}s/iter, "
+        f"ratio {report['speed_ratio_equal_iterations']:.2f}",
     )
     return report

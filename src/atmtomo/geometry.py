@@ -94,8 +94,6 @@ class Station:
     """Ground receiver.  Position sits on the surface, z = height(x, y)."""
 
     position: tuple[float, float, float]
-    polar: float = 0.0
-    azimuthal: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -262,21 +260,23 @@ def build_network(
     )
 
 
+_LATERAL_EXTENSION = 1.5
+
+
 def place_network(
     grid: Grid3,
     n_stations: int,
     n_emitters: int,
     seed: int,
     height_map: np.ndarray | None = None,
-    lateral_extension: float = 1.5,
 ) -> Network:
     """Randomly place stations on the surface and emitters on the top plane.
 
     Stations are uniform over the lateral bounds with z = surface height
     (flat zero by default, or bilinear in an optional (ny, nx) node height
-    map).  Emitters sit at z = z_max, uniform over the lateral bounds scaled
-    by lateral_extension about their midpoint, so slant paths can enter from
-    outside the box.  Same seed, same network.
+    map).  Emitters sit at z = z_max, uniform over the lateral bounds widened
+    _LATERAL_EXTENSION = 1.5 times about their midpoint, so slant paths can
+    enter from outside the box.  Same seed, same network.
     """
     if n_stations < 1 or n_emitters < 1:
         raise ValueError("need at least one station and one emitter")
@@ -300,8 +300,8 @@ def place_network(
         z = 0.0 if height_map is None else _bilinear(height_map, grid, x, y)
         stations.append(Station(position=(float(x), float(y), float(z))))
 
-    half_x = 0.5 * lateral_extension * (grid.x_max - grid.x_min)
-    half_y = 0.5 * lateral_extension * (grid.y_max - grid.y_min)
+    half_x = 0.5 * _LATERAL_EXTENSION * (grid.x_max - grid.x_min)
+    half_y = 0.5 * _LATERAL_EXTENSION * (grid.y_max - grid.y_min)
     mid_x = 0.5 * (grid.x_min + grid.x_max)
     mid_y = 0.5 * (grid.y_min + grid.y_max)
     emitters = []

@@ -113,24 +113,34 @@ class SolveResult:
     seconds: float = 0.0
 
 
-def _wrap_solution(objective, phi: np.ndarray):
-    grid = getattr(objective, "grid", None)
-    if grid is not None:
-        return Field(grid=grid, values=phi)
-    return phi
+def _checked_eval(objective, phi: np.ndarray, where: str):
+    value, grad = objective.eval(phi)
+    if not math.isfinite(value):
+        raise ValueError(f"objective value is not finite {where}")
+    return value, grad
 
 
 class _Recorder:
-    def __init__(self, objective, truth, callback, t0):
+    """The start and finish every solver shares, and one record per iteration."""
+
+    def __init__(self, objective, truth, callback):
         self.objective = objective
         self.callback = callback
-        self.t0 = t0
         self.records = []
         self.truth = None if truth is None else _values_of(truth)
         if self.truth is not None:
             self.truth_norm = float(np.linalg.norm(self.truth))
             if self.truth_norm == 0.0:
                 raise ValueError("reference field has zero norm")
+        self.t0 = perf_counter()
+
+    def start(self, phi0):
+        """Evaluate a copy of the starting point and record it as iteration 0."""
+        phi = _values_of(phi0).copy()
+        value, grad = _checked_eval(self.objective, phi, "at the starting point")
+        grad_norm = float(np.linalg.norm(grad))
+        self.push(0, phi, value, grad_norm, 0.0)
+        return phi, value, grad, grad_norm
 
     def push(self, iteration, phi, value, grad_norm, step_norm):
         rel = None
@@ -152,6 +162,17 @@ class _Recorder:
         if self.callback is not None:
             self.callback(rec)
 
+    def finish(self, phi, iterations: int, termination: str) -> SolveResult:
+        """The result: phi as a Field when the objective has a grid."""
+        grid = getattr(self.objective, "grid", None)
+        return SolveResult(
+            field=phi if grid is None else Field(grid=grid, values=phi),
+            iterations=iterations,
+            termination=termination,
+            records=self.records,
+            seconds=perf_counter() - self.t0,
+        )
+
 
 def lbfgs_trust_region(
     objective,
@@ -169,16 +190,8 @@ def lbfgs_trust_region(
     iteration appends one convergence record.
     """
     opts = options if options is not None else LbfgsOptions()
-    phi = _values_of(phi0).copy()
-    t0 = perf_counter()
-    recorder = _Recorder(objective, truth, callback, t0)
-
-    value, grad = objective.eval(phi)
-    if not math.isfinite(value):
-        raise ValueError("objective value is not finite at the starting point")
-    grad_norm = float(np.linalg.norm(grad))
-    recorder.push(0, phi, value, grad_norm, 0.0)
-
+    recorder = _Recorder(objective, truth, callback)
+    phi, value, grad, grad_norm = recorder.start(phi0)
     history = LbfgsHistory(opts.memory, opts.curvature_threshold)
     radius = opts.initial_radius
     stagnant = 0
@@ -216,9 +229,7 @@ def lbfgs_trust_region(
             predicted = tau * grad_norm**2 - 0.5 * curvature * (tau * grad_norm) ** 2
 
         trial = phi + p
-        trial_value, trial_grad = objective.eval(trial)
-        if not math.isfinite(trial_value):
-            raise ValueError(f"objective value is not finite at iteration {iteration}")
+        trial_value, trial_grad = _checked_eval(objective, trial, f"at iteration {iteration}")
         actual = value - trial_value
         ratio = actual / predicted if predicted > 0.0 else -math.inf
 
@@ -245,13 +256,7 @@ def lbfgs_trust_region(
                 termination = "radius-collapse"
                 break
 
-    return SolveResult(
-        field=_wrap_solution(objective, phi),
-        iterations=iteration,
-        termination=termination,
-        records=recorder.records,
-        seconds=perf_counter() - t0,
-    )
+    return recorder.finish(phi, iteration, termination)
 
 
 def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callback=None):
@@ -320,16 +325,8 @@ def ldfp(
     alpha = objective.alpha
     beta = objective.beta
 
-    phi = _values_of(phi0).copy()
-    t0 = perf_counter()
-    recorder = _Recorder(objective, truth, callback, t0)
-
-    value, grad = objective.eval(phi)
-    if not math.isfinite(value):
-        raise ValueError("objective value is not finite at the starting point")
-    grad_norm = float(np.linalg.norm(grad))
-    recorder.push(0, phi, value, grad_norm, 0.0)
-
+    recorder = _Recorder(objective, truth, callback)
+    phi, value, grad, grad_norm = recorder.start(phi0)
     iteration = 0
     termination = "max-iter"
     while True:
@@ -348,16 +345,8 @@ def ldfp(
 
         step = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
         phi = phi + step
-        value, grad = objective.eval(phi)
-        if not math.isfinite(value):
-            raise ValueError(f"objective value is not finite at outer iteration {iteration}")
+        value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
         grad_norm = float(np.linalg.norm(grad))
         recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
 
-    return SolveResult(
-        field=_wrap_solution(objective, phi),
-        iterations=iteration,
-        termination=termination,
-        records=recorder.records,
-        seconds=perf_counter() - t0,
-    )
+    return recorder.finish(phi, iteration, termination)

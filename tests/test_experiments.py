@@ -104,6 +104,19 @@ def test_config_validation():
         ExperimentConfig(solvers=())
     with pytest.raises(ValueError):
         ExperimentConfig(noise_fractions=(-0.01,))
+    with pytest.raises(ValueError, match="benchmark ray count 451"):
+        ExperimentConfig(benchmark_rays=451)
+    with pytest.raises(ValueError, match="benchmark ray count 0"):
+        ExperimentConfig(benchmark_rays=0)
+    with pytest.raises(ValueError, match="benchmark noise"):
+        ExperimentConfig(benchmark_noise=-0.01)
+    # combinations whose output names clash would overwrite each other's files
+    with pytest.raises(ValueError, match="'lbfgs_5rays_0.001'"):
+        ExperimentConfig(ray_counts=(5, 5))
+    with pytest.raises(ValueError, match="'lbfgs_50rays_0.01'"):
+        ExperimentConfig(ray_counts=(50,), noise_fractions=(0.01, 0.0100000001))
+    with pytest.raises(ValueError, match="'ldfp_50rays_0.001'"):
+        ExperimentConfig(ray_counts=(50,), solvers=("ldfp", "ldfp"))
 
 
 def test_load_config_round_trip(tmp_path):
@@ -280,6 +293,27 @@ def test_run_benchmark_report(tmp_path):
     assert on_disk == report
 
 
+def test_run_benchmark_matches_sweep_combination(tmp_path):
+    # with equal budgets, each benchmark solve is the sweep's tv combination
+    # at the benchmark's ray count and noise
+    config = replace(
+        tiny_config(tmp_path / "out"),
+        penalties=("tv",),
+        lbfgs_max_iterations=4,
+        ldfp_outer_iterations=2,
+    )
+    assert (config.benchmark_rays, config.benchmark_noise) == (10, 0.01)
+    run_sweep(config)
+    run_benchmark(config)
+    for solver in ("lbfgs", "ldfp"):
+        bench = read_csv(tmp_path / "out" / f"benchmark_{solver}.csv")
+        sweep = read_csv(tmp_path / "out" / f"{solver}_10rays_0.01.csv")
+        assert len(bench) > 1
+        assert [replace(r, seconds=0.0) for r in bench] == [
+            replace(r, seconds=0.0) for r in sweep
+        ]
+
+
 def test_benchmark_single_iteration_ratio(tmp_path):
     # one iteration each: the ratio degenerates to the raw cost ratio
     config = replace(
@@ -384,3 +418,6 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
     ini.write_text("[sweep]\nsolvers = newton\n")
     assert main(["--config", str(ini)]) == 1
     assert "newton" in capsys.readouterr().err
+    ini.write_text("[sweep]\nray_counts = 5, 5\n")
+    assert main(["--config", str(ini)]) == 1
+    assert "lbfgs_5rays_0.001" in capsys.readouterr().err
