@@ -3,12 +3,18 @@
 Builds a small scene, shows how slant paths are sampled and snapped to grid
 nodes, and checks the two identities the reconstruction relies on: row sums
 equal chord lengths for interior rays, and the adjoint matches the transpose.
+Writes the ray listing (network.txt) and the operator entries (operator.txt)
+to the chosen output directory.
 """
+
+import argparse
+import os
 
 import numpy as np
 
 from atmtomo import (
     assemble_operator,
+    dump_operator,
     make_grid,
     network_listing,
     place_network,
@@ -18,6 +24,11 @@ from atmtomo import (
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="out", help="output directory")
+    args = parser.parse_args()
+    os.makedirs(args.out, exist_ok=True)
+
     grid = make_grid(12, 12, 12, (0, 1, 0, 1, 0, 15))
     print(f"grid: {grid.nx}x{grid.ny}x{grid.nz} nodes, "
           f"spacings dx={grid.dx:.3f} dy={grid.dy:.3f} dz={grid.dz:.3f}")
@@ -60,6 +71,11 @@ def main():
     integrals = op.apply(truth.values)
     print(f"\nsynthetic data: min {integrals.min():.1f}, max {integrals.max():.1f} "
           f"(all positive: {bool((integrals > 0).all())})")
+
+    with open(os.path.join(args.out, "network.txt"), "w") as fh:
+        fh.write(network_listing(network))
+    dump_operator(op, os.path.join(args.out, "operator.txt"))
+    print(f"wrote network.txt and operator.txt to {args.out}")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .geometry import (
     place_network,
     ray_from_pair,
     sample_ray,
+    sample_rays,
     take_rays,
 )
 from .objective import Objective
@@ -59,6 +60,7 @@ from .phantom import (
     write_field,
 )
 from .solvers import (
+    InnerSolveStats,
     LbfgsHistory,
     LbfgsOptions,
     SolveResult,
@@ -77,6 +79,7 @@ __all__ = [
     "ExperimentConfig",
     "Field",
     "Grid3",
+    "InnerSolveStats",
     "LbfgsHistory",
     "LbfgsOptions",
     "Network",
@@ -115,6 +118,7 @@ __all__ = [
     "run_benchmark",
     "run_sweep",
     "sample_ray",
+    "sample_rays",
     "smoothing_weights",
     "take_rays",
     "total_error",

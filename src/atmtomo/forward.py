@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Grid3, Network, sample_ray
+from .geometry import Grid3, Network, sample_rays
 
 # Marker returned by nearest_node for points outside the inflated domain.
 OUTSIDE = -1
@@ -92,23 +92,24 @@ def assemble_operator(network: Network, n_samples: int | None = None) -> SparseO
     grid = network.grid
     if n_samples is None:
         n_samples = 2 * grid.nz
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples per ray, got {n_samples}")
-    rows, cols, weights = [], [], []
-    for j, ray in enumerate(network.rays):
-        points, increment = sample_ray(ray, grid, n_samples)
-        w = np.full(n_samples, increment)
-        w[0] = 0.5 * increment
-        w[-1] = 0.5 * increment
-        linear, inside = _nearest_nodes(points, grid)
-        if not inside.any():
-            raise ValueError(f"ray {j} has no sample points inside the domain")
-        rows.append(np.full(int(inside.sum()), j, dtype=np.int64))
-        cols.append(linear[inside])
-        weights.append(w[inside])
+    n_rays = len(network.rays)
+    points, increments = sample_rays(network.rays, grid, n_samples)
+    linear, inside = _nearest_nodes(points.reshape(-1, 3), grid)
+    del points
+    inside = inside.reshape(n_rays, n_samples)
+    counts = inside.sum(axis=1)
+    if not counts.all():
+        raise ValueError(
+            f"ray {int(np.argmin(counts))} has no sample points inside the domain"
+        )
+    weights = np.repeat(increments, n_samples).reshape(n_rays, n_samples)
+    weights[:, [0, -1]] *= 0.5
+    # ray-major, samples in ladder order: duplicates of a node sum in the
+    # order a per-ray assembly would sum them
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     matrix = sp.csr_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(network.rays), grid.n_nodes),
+        (weights[inside], linear[inside.ravel()], indptr),
+        shape=(n_rays, grid.n_nodes),
     )
     return SparseOperator(matrix)
 

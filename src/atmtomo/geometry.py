@@ -209,28 +209,47 @@ def is_admissible(ray: Ray, grid: Grid3, surface_lipschitz: float = 0.0) -> bool
     return _segment_intersects_box(ray.origin, ray.direction, t_top, grid)
 
 
+def sample_rays(rays, grid: Grid3, n_samples: int):
+    """Equispaced-in-altitude sample points along every ray at once.
+
+    Returns (points, increments): points has shape (len(rays), n_samples, 3),
+    each row running from its station altitude up to z_max; increments[r] is
+    the arc length between consecutive samples of ray r, d_eps / sin(elevation).
+    """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples per ray, got {n_samples}")
+    sin_e = np.array([math.sin(ray.elevation) for ray in rays], dtype=float)
+    if (sin_e <= 0.0).any():
+        raise ValueError("horizontal ray has no altitude parameterization")
+    origins = np.array([ray.origin for ray in rays], dtype=float).reshape(-1, 3)
+    z0 = origins[:, 2]
+    above = np.flatnonzero(grid.z_max <= z0)
+    if above.size:
+        raise ValueError(
+            f"station altitude {float(z0[above[0]])!r} is not below the top plane {grid.z_max!r}"
+        )
+    # the scalar ladder's operations in its order, so each ray samples bit for
+    # bit as it would alone
+    t = np.linspace(z0, grid.z_max, n_samples, axis=1)
+    t -= z0[:, None]
+    t /= sin_e[:, None]
+    directions = np.array([ray.direction for ray in rays], dtype=float).reshape(-1, 3)
+    points = t[:, :, None] * directions[:, None, :]
+    del t
+    points += origins[:, None, :]
+    increments = (grid.z_max - z0) / (n_samples - 1) / sin_e
+    return points, increments
+
+
 def sample_ray(ray: Ray, grid: Grid3, n_samples: int):
-    """Equispaced-in-altitude sample points along the ray.
+    """Equispaced-in-altitude sample points along one ray.
 
     Returns (points, increment): points has shape (n_samples, 3) running from
     the station altitude up to z_max, increment is the arc length between
     consecutive samples, d_eps / sin(elevation).
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples per ray, got {n_samples}")
-    sin_e = math.sin(ray.elevation)
-    if sin_e <= 0.0:
-        raise ValueError("horizontal ray has no altitude parameterization")
-    z0 = ray.origin[2]
-    if grid.z_max <= z0:
-        raise ValueError(f"station altitude {z0!r} is not below the top plane {grid.z_max!r}")
-    eps = np.linspace(z0, grid.z_max, n_samples)
-    t = (eps - z0) / sin_e
-    origin = np.asarray(ray.origin, dtype=float)
-    direction = np.asarray(ray.direction, dtype=float)
-    points = origin[None, :] + t[:, None] * direction[None, :]
-    increment = (grid.z_max - z0) / (n_samples - 1) / sin_e
-    return points, increment
+    points, increments = sample_rays((ray,), grid, n_samples)
+    return points[0], float(increments[0])
 
 
 def build_network(

@@ -104,6 +104,20 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
     return -r
 
 
+@dataclass(frozen=True)
+class InnerSolveStats:
+    """How one LDFP outer step's inner conjugate-gradient solve ended.
+
+    iterations counts CG steps taken, residual is the last recursive residual
+    norm ||H s - rhs|| (||rhs|| when no step was taken), and hit_cap says the
+    solve used all inner_max_iterations without reaching its tolerance.
+    """
+
+    iterations: int
+    residual: float
+    hit_cap: bool
+
+
 @dataclass
 class SolveResult:
     field: object
@@ -111,6 +125,7 @@ class SolveResult:
     termination: str
     records: list = field(default_factory=list)
     seconds: float = 0.0
+    inner_solves: list = field(default_factory=list)
 
 
 def _checked_eval(objective, phi: np.ndarray, where: str):
@@ -162,7 +177,7 @@ class _Recorder:
         if self.callback is not None:
             self.callback(rec)
 
-    def finish(self, phi, iterations: int, termination: str) -> SolveResult:
+    def finish(self, phi, iterations: int, termination: str, inner_solves=()) -> SolveResult:
         """The result: phi as a Field when the objective has a grid."""
         grid = getattr(self.objective, "grid", None)
         return SolveResult(
@@ -171,6 +186,7 @@ class _Recorder:
             termination=termination,
             records=self.records,
             seconds=perf_counter() - self.t0,
+            inner_solves=list(inner_solves),
         )
 
 
@@ -316,7 +332,8 @@ def ldfp(
     Each outer step freezes the diffusion weights at the current iterate,
     solves (T^T T + alpha L) s = -gradient with conjugate gradients, and takes
     the full step.  The default zero gradient tolerance runs the fixed number
-    of outer iterations.
+    of outer iterations.  The result's inner_solves holds one InnerSolveStats
+    per outer step.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -327,6 +344,7 @@ def ldfp(
 
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
+    inner_solves = []
     iteration = 0
     termination = "max-iter"
     while True:
@@ -343,10 +361,25 @@ def ldfp(
         def apply_h(v, gamma=gamma):
             return op.apply_adjoint(op.apply(v)) + alpha * apply_weights(gamma, grid, v)
 
-        step = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
+        residuals = [grad_norm]
+        step = cgne(
+            apply_h,
+            -grad,
+            tol=inner_tol,
+            max_iterations=inner_max_iterations,
+            callback=residuals.append,
+        )
+        inner = len(residuals) - 1
+        inner_solves.append(
+            InnerSolveStats(
+                iterations=inner,
+                residual=residuals[-1],
+                hit_cap=inner == inner_max_iterations and residuals[-1] > inner_tol * grad_norm,
+            )
+        )
         phi = phi + step
         value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
         grad_norm = float(np.linalg.norm(grad))
         recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
 
-    return recorder.finish(phi, iteration, termination)
+    return recorder.finish(phi, iteration, termination, inner_solves)

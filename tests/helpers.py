@@ -7,8 +7,10 @@ slow, obvious code that the fast vectorized library is checked against.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
-from atmtomo import Emitter, Station, build_network, make_grid, take_rays
+from atmtomo import Emitter, Station, SparseOperator, build_network, make_grid, take_rays
+from atmtomo.forward import _nearest_nodes
 
 _criteria_lines = []
 
@@ -100,6 +102,39 @@ def walk_ray_matrix(network, n_samples):
             w = inc if 0 < m < n_samples - 1 else 0.5 * inc
             dense[r, i + grid.nx * (j + grid.ny * k)] += w
     return dense
+
+
+def assemble_per_ray(network, n_samples):
+    """The ray operator assembled one ray at a time, with per-ray sampling.
+
+    Same arithmetic as the library's one-pass assembly, written as a loop over
+    rays with a scalar altitude ladder each, so the two must agree bit for bit.
+    """
+    grid = network.grid
+    rows, cols, weights = [], [], []
+    for j, ray in enumerate(network.rays):
+        sin_e = math.sin(ray.elevation)
+        z0 = ray.origin[2]
+        eps = np.linspace(z0, grid.z_max, n_samples)
+        t = (eps - z0) / sin_e
+        origin = np.asarray(ray.origin, dtype=float)
+        direction = np.asarray(ray.direction, dtype=float)
+        points = origin[None, :] + t[:, None] * direction[None, :]
+        increment = (grid.z_max - z0) / (n_samples - 1) / sin_e
+        w = np.full(n_samples, increment)
+        w[0] = 0.5 * increment
+        w[-1] = 0.5 * increment
+        linear, inside = _nearest_nodes(points, grid)
+        if not inside.any():
+            raise ValueError(f"ray {j} has no sample points inside the domain")
+        rows.append(np.full(int(inside.sum()), j, dtype=np.int64))
+        cols.append(linear[inside])
+        weights.append(w[inside])
+    matrix = sp.csr_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(network.rays), grid.n_nodes),
+    )
+    return SparseOperator(matrix)
 
 
 def stencil_1d(line, idx, spacing):

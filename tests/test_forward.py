@@ -15,6 +15,7 @@ from atmtomo import (
     make_grid,
     nearest_node,
     operator_listing,
+    place_network,
     take_rays,
     true_profile,
 )
@@ -50,16 +51,40 @@ def test_assembly_matches_reference_walker(desk):
     np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-14)
 
 
-def test_assembly_matches_walker_on_random_network():
+def _random_network():
     g = make_grid(5, 4, 6, (0, 1, 0, 2, 0, 12))
     stations = [Station((0.1 + 0.2 * i, 0.3 + 0.3 * i, 0.0)) for i in range(4)]
     emitters = [Emitter((0.4 * j - 0.3, 0.5 * j, 12.0)) for j in range(5)]
-    net = build_network(g, stations, emitters)
+    return build_network(g, stations, emitters)
+
+
+def test_assembly_matches_walker_on_random_network():
+    net = _random_network()
     assert len(net.rays) >= 15
     op = assemble_operator(net, 13)
     np.testing.assert_allclose(
         op.matrix.toarray(), helpers.walk_ray_matrix(net, 13), rtol=1e-12, atol=1e-14
     )
+
+
+def _bitwise_cases(desk):
+    hilly = make_grid(7, 6, 8, (0, 1, 0, 1, 0, 15))
+    xs, ys = np.meshgrid(hilly.axis_nodes("x"), hilly.axis_nodes("y"))
+    heights = 0.05 * (1.0 + np.sin(3.0 * xs) * np.cos(2.0 * ys))
+    return {
+        "desk": (desk.network, 8),
+        "random": (_random_network(), 13),
+        "height-map": (place_network(hilly, 6, 9, seed=4, height_map=heights), 16),
+        "one-ray": (take_rays(desk.network, 1), 8),
+    }
+
+
+def test_assembly_is_bitwise_per_ray(desk):
+    for name, (net, n_samples) in _bitwise_cases(desk).items():
+        got = assemble_operator(net, n_samples).matrix
+        want = helpers.assemble_per_ray(net, n_samples).matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
 
 
 def test_vertical_aligned_ray_row():
@@ -114,7 +139,16 @@ def test_empty_row_raises():
     g = make_grid(4, 4, 4, (0, 1, 0, 1, 0, 15))
     net = build_network(g, [Station((-0.3, 0.5, 0.0))], [Emitter((1.3, 0.5, 15.0))])
     assert len(net.rays) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ray 0 has no sample points"):
+        assemble_operator(net, 2)
+    # the error names the first empty ray: here ray 0 ends inside the box
+    net = build_network(
+        g,
+        [Station((-0.3, 0.5, 0.0))],
+        [Emitter((0.5, 0.5, 15.0)), Emitter((1.3, 0.5, 15.0))],
+    )
+    assert len(net.rays) == 2
+    with pytest.raises(ValueError, match="ray 1 has no sample points"):
         assemble_operator(net, 2)
 
 

@@ -266,6 +266,27 @@ def test_ldfp_outer_steps_solve_lagged_system(desk):
         assert ratio <= inner_tol * 1.05
 
 
+def test_ldfp_records_inner_solve_stats(desk):
+    data, _ = add_noise(desk.f_true, 0.02, seed=11)
+    obj = Objective(desk.op, data, 1e-6, desk.grid)
+    phi0 = np.zeros(desk.grid.n_nodes)
+    inner_tol = 1e-8
+    capped = ldfp(obj, phi0, inner_tol=inner_tol, inner_max_iterations=3, max_iterations=4)
+    assert len(capped.inner_solves) == capped.iterations == 4
+    for stats, record in zip(capped.inner_solves, capped.records):
+        assert stats.iterations == 3
+        assert stats.hit_cap
+        assert stats.residual > inner_tol * record.gradient_norm
+    solved = ldfp(obj, phi0, inner_tol=inner_tol, inner_max_iterations=200, max_iterations=4)
+    assert len(solved.inner_solves) == solved.iterations == 4
+    for stats, record in zip(solved.inner_solves, solved.records):
+        assert 1 <= stats.iterations < 200
+        assert not stats.hit_cap
+        assert stats.residual <= inner_tol * record.gradient_norm
+    lbfgs = lbfgs_trust_region(obj, phi0, LbfgsOptions(max_iterations=3))
+    assert lbfgs.inner_solves == []
+
+
 def test_ldfp_gradient_tolerance_stops_immediately(desk):
     obj = Objective(desk.op, desk.f_true, 1e-6, desk.grid)
     seen = []
