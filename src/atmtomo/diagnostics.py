@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CSV_HEADER = ["iter", "F", "step_norm", "rel_error", "grad_norm", "discrepancy", "seconds"]
-
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
@@ -19,6 +17,19 @@ class ConvergenceRecord:
     gradient_norm: float
     discrepancy: float
     seconds: float
+
+
+# (CSV header, ConvergenceRecord field), in column order
+_COLUMNS = (
+    ("iter", "iteration"),
+    ("F", "objective"),
+    ("step_norm", "step_norm"),
+    ("rel_error", "relative_error"),
+    ("grad_norm", "gradient_norm"),
+    ("discrepancy", "discrepancy"),
+    ("seconds", "seconds"),
+)
+CSV_HEADER = [header for header, _ in _COLUMNS]
 
 
 def _values_of(obj) -> np.ndarray:
@@ -56,6 +67,14 @@ def _cell(value) -> str:
     return "" if value is None else repr(value)
 
 
+def _parse(name: str, text: str):
+    if name == "iteration":
+        return int(text)
+    if name == "relative_error" and text == "":
+        return None
+    return float(text)
+
+
 def write_csv(records, path) -> None:
     """One row per record; missing relative errors become empty cells."""
     try:
@@ -63,17 +82,7 @@ def write_csv(records, path) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for r in records:
-                writer.writerow(
-                    [
-                        r.iteration,
-                        _cell(r.objective),
-                        _cell(r.step_norm),
-                        _cell(r.relative_error),
-                        _cell(r.gradient_norm),
-                        _cell(r.discrepancy),
-                        _cell(r.seconds),
-                    ]
-                )
+                writer.writerow([_cell(getattr(r, name)) for _, name in _COLUMNS])
     except OSError as exc:
         raise OSError(f"failed to write convergence CSV {path}: {exc}") from exc
 
@@ -88,16 +97,9 @@ def read_csv(path) -> list[ConvergenceRecord]:
             if header != CSV_HEADER:
                 raise ValueError(f"{path}: unexpected CSV header {header}")
             for row in reader:
+                cells = zip(_COLUMNS, row, strict=True)
                 records.append(
-                    ConvergenceRecord(
-                        iteration=int(row[0]),
-                        objective=float(row[1]),
-                        step_norm=float(row[2]),
-                        relative_error=None if row[3] == "" else float(row[3]),
-                        gradient_norm=float(row[4]),
-                        discrepancy=float(row[5]),
-                        seconds=float(row[6]),
-                    )
+                    ConvergenceRecord(**{name: _parse(name, text) for (_, name), text in cells})
                 )
     except OSError as exc:
         raise OSError(f"failed to read convergence CSV {path}: {exc}") from exc

@@ -17,7 +17,7 @@ from .diagnostics import write_csv
 from .forward import assemble_operator
 from .forward import dump_operator as write_operator_dump
 from .geometry import make_grid, network_listing, place_network, take_rays
-from .objective import Objective
+from .objective import PENALTIES, Objective
 from .phantom import PhantomParams, add_noise, true_profile, write_field
 from .solvers import LbfgsOptions, lbfgs_trust_region, ldfp
 
@@ -95,7 +95,7 @@ class ExperimentConfig:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}, expected one of {SOLVERS}")
         for pen in self.penalties:
-            if pen not in ("tv", "quadratic"):
+            if pen not in PENALTIES:
                 raise ValueError(f"unknown penalty {pen!r}")
         # each combination writes files named after it: equal names would
         # overwrite each other's results

@@ -113,8 +113,7 @@ def true_profile(
     zs = grid.axis_nodes("z")
     bounds = (grid.x_min, grid.x_max, grid.y_min, grid.y_max)
     bracket = horizontal_profile(xs[None, :], ys[:, None], params, bounds)  # (ny, nx)
-    decay = np.exp(-zs / params.scale_height_1) + np.exp(-zs / params.scale_height_2)
-    values = 0.5 * params.base * decay[:, None, None] * bracket[None, :, :]
+    values = vertical_profile(zs, params)[:, None, None] * bracket
     flat = values.ravel()
     if normalized:
         lo, hi = flat.min(), flat.max()

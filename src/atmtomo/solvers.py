@@ -13,11 +13,19 @@ from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
 from .tv import apply_weights, smoothing_weights
 
-TERMINATIONS = ("gradient-tol", "max-iter", "radius-collapse", "stagnation")
-
 # an accepted step this small, five times in a row, means the iterates froze
 _STAGNATION_TOL = 1e-14
 _STAGNATION_RUNS = 5
+
+# trust-region policy (Nocedal & Wright, Numerical Optimization, Alg. 4.1)
+_INITIAL_RADIUS = 1.0
+_RADIUS_FLOOR = 1e-14
+_ETA_ACCEPT = 0.25
+_ETA_GROW = 0.75
+_SHRINK = 0.25
+_GROW = 2.0
+# a pair with y.s <= this times |s||y| carries no usable curvature
+_CURVATURE_THRESHOLD = 1e-12
 
 
 @dataclass
@@ -25,36 +33,19 @@ class LbfgsOptions:
     memory: int = 10
     max_iterations: int = 1000
     grad_tol: float = 1e-8
-    initial_radius: float = 1.0
-    radius_floor: float = 1e-14
-    radius_max: float = math.inf
-    eta_accept: float = 0.25
-    eta_grow: float = 0.75
-    shrink: float = 0.25
-    grow: float = 2.0
-    curvature_threshold: float = 1e-12
 
     def __post_init__(self):
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if not 0.0 < self.eta_accept < self.eta_grow < 1.0:
-            raise ValueError("need 0 < eta_accept < eta_grow < 1")
-        if not self.shrink < 1.0 < self.grow:
-            raise ValueError("need shrink < 1 < grow")
-        if not 0.0 < self.initial_radius <= self.radius_max:
-            raise ValueError("need 0 < initial_radius <= radius_max")
-        if self.radius_floor <= 0.0:
-            raise ValueError("radius_floor must be positive")
 
 
 class LbfgsHistory:
     """Curvature-filtered ring buffer of (step, gradient change, 1/(y.s)) pairs."""
 
-    def __init__(self, memory: int = 10, curvature_threshold: float = 1e-12):
+    def __init__(self, memory: int = 10):
         self._pairs: deque = deque(maxlen=memory)
-        self.curvature_threshold = curvature_threshold
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -62,7 +53,7 @@ class LbfgsHistory:
     def push(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
         sy = float(s @ y)
-        bound = self.curvature_threshold * float(np.linalg.norm(s) * np.linalg.norm(y))
+        bound = _CURVATURE_THRESHOLD * float(np.linalg.norm(s) * np.linalg.norm(y))
         if sy <= bound:
             return False
         self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
@@ -199,17 +190,19 @@ def lbfgs_trust_region(
 ) -> SolveResult:
     """Minimize objective.eval with a trust-region limited-memory BFGS iteration.
 
-    The quasi-Newton direction is clipped to the trust radius; when it is not
-    a descent direction the step falls back to the Cauchy point.  Step quality
-    ratio below eta_accept rejects the step and shrinks the radius; quality
-    above eta_grow with the step on the boundary doubles it.  Every attempted
+    The quasi-Newton direction is clipped to the trust radius, which starts at
+    1; when it is not a descent direction the step falls back to the Cauchy
+    point.  A step whose actual/predicted reduction ratio is below 1/4 is
+    rejected and the radius shrinks by a factor 4; a ratio of at least 3/4 with
+    the step on the boundary doubles the radius.  The solve ends with
+    radius-collapse once the radius falls below 1e-14.  Every attempted
     iteration appends one convergence record.
     """
     opts = options if options is not None else LbfgsOptions()
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
-    history = LbfgsHistory(opts.memory, opts.curvature_threshold)
-    radius = opts.initial_radius
+    history = LbfgsHistory(opts.memory)
+    radius = _INITIAL_RADIUS
     stagnant = 0
     iteration = 0
     termination = "max-iter"
@@ -249,14 +242,14 @@ def lbfgs_trust_region(
         actual = value - trial_value
         ratio = actual / predicted if predicted > 0.0 else -math.inf
 
-        if ratio >= opts.eta_accept:
+        if ratio >= _ETA_ACCEPT:
             history.push(p, trial_grad - grad)
             step_norm = float(np.linalg.norm(p))
             relative_move = step_norm / max(1.0, float(np.linalg.norm(phi)))
             phi, value, grad = trial, trial_value, trial_grad
             grad_norm = float(np.linalg.norm(grad))
-            if ratio >= opts.eta_grow and hit_boundary:
-                radius = min(opts.grow * radius, opts.radius_max)
+            if ratio >= _ETA_GROW and hit_boundary:
+                radius *= _GROW
             recorder.push(iteration, phi, value, grad_norm, step_norm)
             if relative_move < _STAGNATION_TOL:
                 stagnant += 1
@@ -266,9 +259,9 @@ def lbfgs_trust_region(
             else:
                 stagnant = 0
         else:
-            radius *= opts.shrink
+            radius *= _SHRINK
             recorder.push(iteration, phi, value, grad_norm, 0.0)
-            if radius < opts.radius_floor:
+            if radius < _RADIUS_FLOOR:
                 termination = "radius-collapse"
                 break
 

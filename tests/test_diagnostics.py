@@ -93,6 +93,18 @@ def test_read_rejects_other_headers(tmp_path):
         read_csv(path)
 
 
+def test_read_rejects_malformed_rows(tmp_path):
+    # only rel_error may be empty, and every row has one cell per column
+    path = tmp_path / "trace.csv"
+    write_csv(sample_records(), path)
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    for bad in (["", *cells[1:]], [cells[0], "", *cells[2:]], cells[:-1], [*cells, "1.0"]):
+        path.write_text("\n".join([header, ",".join(bad), *rest]) + "\n")
+        with pytest.raises(ValueError):
+            read_csv(path)
+
+
 def test_read_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_csv(tmp_path / "absent.csv")

@@ -39,16 +39,7 @@ def spd_pairs(rng, n, count):
 
 def test_options_validation():
     LbfgsOptions()
-    for kwargs in (
-        {"memory": 0},
-        {"max_iterations": -1},
-        {"eta_accept": 0.8, "eta_grow": 0.5},
-        {"shrink": 1.5},
-        {"grow": 0.9},
-        {"initial_radius": 0.0},
-        {"initial_radius": 2.0, "radius_max": 1.0},
-        {"radius_floor": 0.0},
-    ):
+    for kwargs in ({"memory": 0}, {"max_iterations": -1}):
         with pytest.raises(ValueError):
             LbfgsOptions(**kwargs)
 
@@ -169,6 +160,31 @@ def test_max_iter_termination(rng):
     assert result.termination == "max-iter"
     assert result.iterations == 5
     assert len(result.records) == 6
+
+
+def test_radius_starts_at_one_and_doubles_on_the_boundary():
+    # identity quadratic: every step points straight at the target, so each is
+    # clipped to the radius with ratio >= 3/4 until the target is within reach
+    target = np.zeros(8)
+    target[0] = 100.0
+    obj = quadratic_objective(np.ones(8), target)
+    options = LbfgsOptions(max_iterations=20, grad_tol=1e-12)
+    result = lbfgs_trust_region(obj, np.zeros(8), options)
+    assert [r.step_norm for r in result.records] == [0, 1, 2, 4, 8, 16, 32, 37]
+    assert result.termination == "gradient-tol"
+
+
+def test_rejected_steps_quarter_the_radius():
+    # f(x) = -x + 1e3 max(0, x - 1/2)^2 from 0: the unit step hits the wall and
+    # is rejected (radius 1/4); the 1/4 step is accepted on the boundary (radius
+    # 1/2); the 1/2 step is rejected (radius 1/8); the 1/8 step is accepted
+    def fn(x):
+        wall = max(0.0, float(x[0]) - 0.5)
+        return -float(x[0]) + 1e3 * wall**2, np.array([-1.0 + 2e3 * wall])
+
+    options = LbfgsOptions(max_iterations=4)
+    result = lbfgs_trust_region(helpers.FnObjective(fn), np.zeros(1), options)
+    assert [r.step_norm for r in result.records] == [0, 0, 0.25, 0, 0.125]
 
 
 def test_noisy_desk_run_collapses_radius(desk):
