@@ -69,7 +69,15 @@ from .solvers import (
     ldfp,
     two_loop_direction,
 )
-from .tv import apply_L, apply_weights, diff_axis, smoothing_weights, tv_gradient, tv_value, tv_value_and_gradient
+from .tv import (
+    apply_weights,
+    diff_axis,
+    diffusion_matrix,
+    smoothing_weights,
+    tv_gradient,
+    tv_value,
+    tv_value_and_gradient,
+)
 
 __version__ = "0.1.0"
 
@@ -91,7 +99,6 @@ __all__ = [
     "SparseOperator",
     "Station",
     "add_noise",
-    "apply_L",
     "apply_weights",
     "assemble_operator",
     "build_network",
@@ -100,6 +107,7 @@ __all__ = [
     "default_config",
     "derive_noise_seed",
     "diff_axis",
+    "diffusion_matrix",
     "dump_operator",
     "horizontal_profile",
     "is_admissible",

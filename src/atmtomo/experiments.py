@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import write_csv
-from .forward import assemble_operator
+from .forward import SparseOperator, assemble_operator
 from .forward import dump_operator as write_operator_dump
 from .geometry import make_grid, network_listing, place_network, take_rays
 from .objective import PENALTIES, Objective
@@ -240,10 +240,13 @@ def run_sweep(
         with open(os.path.join(out, "network.txt"), "w") as fh:
             fh.write(network_listing(network))
 
+    # smaller ray counts keep a prefix of the rays, so their operators are the
+    # first rows of the largest one
+    full = assemble_operator(take_rays(network, max(config.ray_counts)), config.samples_per_ray)
     outputs = []
     failures = 0
     for rays in config.ray_counts:
-        op = assemble_operator(take_rays(network, rays), config.samples_per_ray)
+        op = SparseOperator(full.matrix[:rays])
         if dump_operator:
             write_operator_dump(op, os.path.join(out, f"operator_{rays}rays.txt"))
         f_true = op.apply(truth.values)

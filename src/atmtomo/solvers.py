@@ -11,7 +11,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
-from .tv import apply_weights, smoothing_weights
+from .tv import apply_weights, diffusion_matrix, smoothing_weights
 
 # an accepted step this small, five times in a row, means the iterates froze
 _STAGNATION_TOL = 1e-14
@@ -323,8 +323,9 @@ def ldfp(
     """Lagged-diffusivity fixed-point iteration for the smoothed-TV objective.
 
     Each outer step freezes the diffusion weights at the current iterate,
-    solves (T^T T + alpha L) s = -gradient with conjugate gradients, and takes
-    the full step.  The default zero gradient tolerance runs the fixed number
+    assembles the frozen operator L once as a sparse matrix, solves
+    (T^T T + alpha L) s = -gradient with conjugate gradients, and takes the
+    full step.  The default zero gradient tolerance runs the fixed number
     of outer iterations.  The result's inner_solves holds one InnerSolveStats
     per outer step.
     """
@@ -349,10 +350,10 @@ def ldfp(
             break
         iteration += 1
 
-        gamma = smoothing_weights(Field(grid=grid, values=phi), beta)
+        frozen = diffusion_matrix(smoothing_weights(Field(grid=grid, values=phi), beta), grid)
 
-        def apply_h(v, gamma=gamma):
-            return op.apply_adjoint(op.apply(v)) + alpha * apply_weights(gamma, grid, v)
+        def apply_h(v):
+            return op.apply_adjoint(op.apply(v)) + alpha * apply_weights(frozen, grid, v)
 
         residuals = [grad_norm]
         step = cgne(
@@ -362,6 +363,7 @@ def ldfp(
             max_iterations=inner_max_iterations,
             callback=residuals.append,
         )
+        del frozen, apply_h  # keep one frozen matrix alive at a time
         inner = len(residuals) - 1
         inner_solves.append(
             InnerSolveStats(

@@ -85,23 +85,54 @@ def tv_gradient(field: Field, beta: float = 1e-2) -> np.ndarray:
     return tv_value_and_gradient(field, beta)[1]
 
 
-def apply_L(field_at: Field, vector: np.ndarray, beta: float = 1e-2) -> np.ndarray:
-    """Apply the diffusion operator frozen at field_at to a flat vector.
+@functools.lru_cache(maxsize=8)
+def _diffusion_columns(grid: Grid3) -> np.ndarray:
+    """Column layout of diffusion_matrix, (n_nodes, 7) int32, cached per grid.
 
-    L = cell_volume * sum_a D_a^T diag(1/sqrt(|grad field_at|^2 + beta)) D_a,
-    symmetric positive semidefinite; tv_gradient(f) == apply_L(f, f.values).
+    Node i sits in rows lower_i and upper_i of each D_a; row k couples i to
+    lower_k + upper_k - i.  Per row: the z, y, x partners through lower_i,
+    the node itself, then the x, y, z partners through upper_i.
     """
-    gamma = smoothing_weights(field_at, beta)
-    return apply_weights(gamma, field_at.grid, vector)
+    node = np.arange(grid.n_nodes, dtype=np.int32)
+    partners = []
+    for d in difference_blocks(grid):
+        pairs = d.indices.reshape(-1, 2)
+        partners.append(pairs.sum(axis=1, dtype=np.int32)[pairs] - node[:, None])
+    x, y, z = partners
+    columns = np.column_stack([z[:, 0], y[:, 0], x[:, 0], node, x[:, 1], y[:, 1], z[:, 1]])
+    columns.flags.writeable = False  # every frozen matrix shares it as its indices
+    return columns
 
 
-def apply_weights(gamma: np.ndarray, grid: Grid3, vector: np.ndarray) -> np.ndarray:
-    """Same as apply_L but with precomputed weights (one freeze, many applies)."""
+def diffusion_matrix(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
+    """The diffusion operator frozen at weights gamma, assembled once as CSR.
+
+    L = cell_volume * sum_a D_a^T diag(gamma) D_a, symmetric positive
+    semidefinite, with exactly seven stored entries per row: per axis (with
+    D_a's entries +-w_a) the two couplings -cell_volume w_a^2 gamma[k] for k
+    in (lower_i, upper_i), and the diagonal, minus their sum.  On a 2-node
+    axis both couplings fall in one column and are kept as two entries.
+    """
+    gamma = np.asarray(gamma, dtype=float).ravel()
+    n = grid.n_nodes
+    if gamma.shape != (n,):
+        raise ValueError(f"weights length {gamma.shape} does not match grid nodes {n}")
+    data = np.zeros((n, 7))
+    for a, d in enumerate(difference_blocks(grid)):
+        couplings = -grid.cell_volume * d.data[1] ** 2 * gamma[d.indices.reshape(-1, 2)]
+        data[:, 2 - a] = couplings[:, 0]
+        data[:, 4 + a] = couplings[:, 1]
+    # L annihilates constants, so each diagonal is minus its row's couplings
+    data[:, 3] = -data.sum(axis=1)
+    indptr = np.arange(0, 7 * n + 1, 7, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), _diffusion_columns(grid).ravel(), indptr), shape=(n, n))
+
+
+def apply_weights(frozen: sp.csr_matrix, grid: Grid3, vector: np.ndarray) -> np.ndarray:
+    """Apply a diffusion_matrix to a flat vector (one freeze, many applies)."""
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (grid.n_nodes,):
         raise ValueError(
             f"vector length {vector.shape} does not match grid nodes {grid.n_nodes}"
         )
-    gamma = gamma.ravel()
-    blocks = difference_blocks(grid)
-    return sum(d.T @ (gamma * (d @ vector)) for d in blocks) * grid.cell_volume
+    return frozen @ vector

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from atmtomo import Emitter, Station, SparseOperator, build_network, make_grid, take_rays
 from atmtomo.forward import _nearest_nodes
+from atmtomo.tv import difference_blocks, smoothing_weights
 
 _criteria_lines = []
 
@@ -186,23 +187,31 @@ def dense_diff_matrices(grid):
 
 def dense_tv_gradient(field, beta):
     """TV gradient through an explicitly assembled dense diffusion matrix."""
-    return dense_diffusion_matrix(field, beta) @ field.values
-
-
-def dense_diffusion_matrix(field, beta):
-    """Dense  V * sum_a Da^T diag(1/sqrt(|grad|^2 + beta)) Da  at the field."""
-    grid = field.grid
-    mats = dense_diff_matrices(grid)
-    flat = field.values
-    g2 = np.zeros(grid.n_nodes)
-    for mat in mats:
-        d = mat @ flat
-        g2 += d * d
+    g2 = sum(np.square(mat @ field.values) for mat in dense_diff_matrices(field.grid))
     gamma = 1.0 / np.sqrt(g2 + beta)
+    return dense_diffusion_matrix(gamma, field.grid) @ field.values
+
+
+def dense_diffusion_matrix(gamma, grid):
+    """Dense  V * sum_a Da^T diag(gamma) Da  for flat weights gamma."""
     out = np.zeros((grid.n_nodes, grid.n_nodes))
-    for mat in mats:
+    for mat in dense_diff_matrices(grid):
         out += mat.T @ (gamma[:, None] * mat)
     return out * grid.cell_volume
+
+
+def apply_weights_products(gamma, grid, vector):
+    """The frozen diffusion operator as products: V * sum_a D_a^T (gamma * (D_a @ vector))."""
+    blocks = difference_blocks(grid)
+    return sum(d.T @ (gamma.ravel() * (d @ vector)) for d in blocks) * grid.cell_volume
+
+
+def apply_L(field_at, vector, beta=1e-2):
+    """The diffusion operator frozen at field_at, applied to a flat vector.
+
+    Symmetric positive semidefinite; tv_gradient(f) == apply_L(f, f.values).
+    """
+    return apply_weights_products(smoothing_weights(field_at, beta), field_at.grid, vector)
 
 
 def dense_bfgs_inverse(pairs):

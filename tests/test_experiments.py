@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from atmtomo import read_field
+from atmtomo import assemble_operator, operator_listing, read_field, take_rays
 from atmtomo.cli import main
 from atmtomo.diagnostics import read_csv
 from atmtomo.experiments import (
@@ -216,6 +216,31 @@ def test_run_sweep_outputs(tmp_path):
         assert field.grid == grid
         assert entry["final_relative_error"] == records[-1].relative_error
         assert np.isfinite(field.values).all()
+
+
+def test_run_sweep_assembles_the_largest_operator_once(tmp_path, monkeypatch):
+    # every ray count's operator is a row prefix of the largest one; the dumps
+    # must equal a fresh assembly per ray count
+    import atmtomo.experiments as experiments
+
+    calls = []
+
+    def counted(network, samples):
+        calls.append(len(network.rays))
+        return assemble_operator(network, samples)
+
+    monkeypatch.setattr(experiments, "assemble_operator", counted)
+    config = replace(
+        tiny_config(tmp_path / "out"), ray_counts=(10, 5), solvers=("lbfgs",), penalties=("tv",)
+    )
+    manifest = run_sweep(config, dump_operator=True)
+    assert manifest["failures"] == 0
+    assert calls == [10]
+    _, _, network = experiments._build_scene(config)
+    for rays in config.ray_counts:
+        fresh = assemble_operator(take_rays(network, rays), config.samples_per_ray)
+        dumped = (tmp_path / "out" / f"operator_{rays}rays.txt").read_text()
+        assert dumped == operator_listing(fresh)
 
 
 def test_run_sweep_is_reproducible(tmp_path):

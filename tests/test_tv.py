@@ -8,9 +8,9 @@ import pytest
 import helpers
 from atmtomo import Field, diff_axis, make_grid, true_profile, tv_gradient, tv_value
 from atmtomo.tv import (
-    apply_L,
     apply_weights,
     difference_blocks,
+    diffusion_matrix,
     smoothing_weights,
     tv_value_and_gradient,
 )
@@ -125,7 +125,7 @@ def test_value_and_gradient_consistent():
     value, grad = tv_value_and_gradient(f, 1e-2)
     assert value == pytest.approx(tv_value(f, 1e-2), rel=1e-15)
     np.testing.assert_array_equal(grad, tv_gradient(f, 1e-2))
-    np.testing.assert_allclose(grad, apply_L(f, f.values, 1e-2), rtol=1e-13)
+    np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
 
 
 def test_directional_derivative():
@@ -168,15 +168,49 @@ def test_smoothing_weights_shape_and_values():
 
 def test_apply_weights_matches_apply_L():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 10)
-    gamma = smoothing_weights(f, 1e-2)
+    frozen = diffusion_matrix(smoothing_weights(f, 1e-2), f.grid)
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(f.grid.n_nodes)
-        np.testing.assert_array_equal(
-            apply_weights(gamma, f.grid, v), apply_L(f, v, 1e-2)
-        )
-    with pytest.raises(ValueError):
-        apply_weights(gamma, f.grid, np.zeros(5))
+        want = helpers.apply_L(f, v, 1e-2)
+        got = apply_weights(frozen, f.grid, v)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    with pytest.raises(ValueError, match="does not match grid nodes"):
+        apply_weights(frozen, f.grid, np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "dims, bounds",
+    [
+        ((2, 2, 2), (0, 1, 0, 1, 0, 1)),
+        ((2, 3, 4), (0, 1, 0, 1, 0, 1)),
+        ((3, 4, 5), (0, 1, 0, 1, 0, 1)),
+        ((5, 4, 6), (0, 1, 0, 3, 0, 15)),
+    ],
+)
+def test_diffusion_matrix_matches_oracles(dims, bounds):
+    # on a 2-node axis both couplings of a row fall in one column
+    grid = make_grid(*dims, bounds)
+    n = grid.n_nodes
+    rng = np.random.default_rng(sum(dims))
+    gamma = rng.uniform(0.1, 10.0, n)
+    frozen = diffusion_matrix(gamma, grid)
+    assert frozen.shape == (n, n)
+    assert frozen.nnz == 7 * n
+    assert np.all(np.diff(frozen.indptr) == 7)
+    dense = frozen.toarray()
+    oracle = helpers.dense_diffusion_matrix(gamma, grid)
+    np.testing.assert_allclose(dense, oracle, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(dense, dense.T)
+    for _ in range(5):
+        v = rng.standard_normal(n)
+        want = helpers.apply_weights_products(gamma, grid, v)
+        assert np.linalg.norm(frozen @ v - want) <= 1e-13 * np.linalg.norm(want)
+    for _ in range(100):
+        u = rng.standard_normal(n)
+        assert float(u @ (frozen @ u)) >= -1e-12
+    with pytest.raises(ValueError, match="does not match grid nodes"):
+        diffusion_matrix(gamma[:-1], grid)
 
 
 def test_diffusion_operator_linear_symmetric_psd():
@@ -185,19 +219,19 @@ def test_diffusion_operator_linear_symmetric_psd():
     n = f.grid.n_nodes
     v = rng.standard_normal(n)
     w = rng.standard_normal(n)
-    lv = apply_L(f, v, 1e-2)
-    lw = apply_L(f, w, 1e-2)
-    combo = apply_L(f, 2.5 * v - 1.5 * w, 1e-2)
+    lv = helpers.apply_L(f, v, 1e-2)
+    lw = helpers.apply_L(f, w, 1e-2)
+    combo = helpers.apply_L(f, 2.5 * v - 1.5 * w, 1e-2)
     assert np.linalg.norm(combo - (2.5 * lv - 1.5 * lw)) <= 1e-12 * np.linalg.norm(combo)
     assert float(lv @ w) == pytest.approx(float(v @ lw), rel=1e-12)
     for _ in range(100):
         u = rng.standard_normal(n)
-        assert float(apply_L(f, u, 1e-2) @ u) >= -1e-12
+        assert float(helpers.apply_L(f, u, 1e-2) @ u) >= -1e-12
 
 
 def test_diffusion_matches_dense_matrix():
     f = random_field(3, 3, 4, (0, 1, 0, 1, 0, 4), 14)
-    dense = helpers.dense_diffusion_matrix(f, 1e-2)
+    dense = helpers.dense_diffusion_matrix(smoothing_weights(f, 1e-2).ravel(), f.grid)
     rng = np.random.default_rng(15)
     v = rng.standard_normal(f.grid.n_nodes)
-    np.testing.assert_allclose(apply_L(f, v, 1e-2), dense @ v, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(helpers.apply_L(f, v, 1e-2), dense @ v, rtol=1e-12, atol=1e-14)
