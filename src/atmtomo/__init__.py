@@ -25,11 +25,9 @@ from .experiments import (
     run_sweep,
 )
 from .forward import (
-    OUTSIDE,
     SparseOperator,
     assemble_operator,
     dump_operator,
-    nearest_node,
     operator_listing,
 )
 from .geometry import (
@@ -71,10 +69,8 @@ from .solvers import (
 )
 from .tv import (
     apply_weights,
-    diff_axis,
     diffusion_matrix,
     smoothing_weights,
-    tv_gradient,
     tv_value,
     tv_value_and_gradient,
 )
@@ -91,7 +87,6 @@ __all__ = [
     "LbfgsHistory",
     "LbfgsOptions",
     "Network",
-    "OUTSIDE",
     "Objective",
     "PhantomParams",
     "Ray",
@@ -106,7 +101,6 @@ __all__ = [
     "config_hash",
     "default_config",
     "derive_noise_seed",
-    "diff_axis",
     "diffusion_matrix",
     "dump_operator",
     "horizontal_profile",
@@ -115,7 +109,6 @@ __all__ = [
     "ldfp",
     "load_config",
     "make_grid",
-    "nearest_node",
     "network_listing",
     "operator_listing",
     "place_network",
@@ -131,7 +124,6 @@ __all__ = [
     "take_rays",
     "total_error",
     "true_profile",
-    "tv_gradient",
     "tv_value",
     "tv_value_and_gradient",
     "two_loop_direction",

@@ -7,16 +7,6 @@ import scipy.sparse as sp
 
 from .geometry import Grid3, Network, sample_rays
 
-# Marker returned by nearest_node for points outside the inflated domain.
-OUTSIDE = -1
-
-
-def nearest_node(point, grid: Grid3) -> int:
-    """Linear index of the grid node closest to one point, or OUTSIDE."""
-    linear, inside = _nearest_nodes(np.asarray(point, dtype=float).reshape(1, 3), grid)
-    return int(linear[0]) if inside[0] else OUTSIDE
-
-
 def _nearest_nodes(points: np.ndarray, grid: Grid3):
     """Nearest node of each (x, y, z) row: (linear indices, inside mask).
 
@@ -37,14 +27,19 @@ def _nearest_nodes(points: np.ndarray, grid: Grid3):
 
 
 class SparseOperator:
-    """Row-compressed ray transform.  Rows are rays, columns are grid nodes."""
+    """Row-compressed ray transform.  Rows are rays, columns are grid nodes.
+
+    The adjoint is the transpose view of the same arrays (column-compressed),
+    not a second copy: its product sums each node's ray terms from zero in
+    ascending ray order, as a row-compressed copy of the transpose would.
+    """
 
     def __init__(self, matrix: sp.csr_matrix):
         matrix = sp.csr_matrix(matrix)
         matrix.sum_duplicates()
         matrix.sort_indices()
         self.matrix = matrix
-        self._adjoint = matrix.T.tocsr()
+        self._adjoint = matrix.T
 
     @property
     def n_rows(self) -> int:

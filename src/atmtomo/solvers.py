@@ -196,7 +196,8 @@ def lbfgs_trust_region(
     rejected and the radius shrinks by a factor 4; a ratio of at least 3/4 with
     the step on the boundary doubles the radius.  The solve ends with
     radius-collapse once the radius falls below 1e-14.  Every attempted
-    iteration appends one convergence record.
+    iteration appends one convergence record.  The quasi-Newton direction is
+    computed at the start and after each accepted step only.
     """
     opts = options if options is not None else LbfgsOptions()
     recorder = _Recorder(objective, truth, callback)
@@ -206,6 +207,7 @@ def lbfgs_trust_region(
     stagnant = 0
     iteration = 0
     termination = "max-iter"
+    d = None
 
     while True:
         if grad_norm <= opts.grad_tol:
@@ -216,9 +218,11 @@ def lbfgs_trust_region(
             break
         iteration += 1
 
-        d = two_loop_direction(history, grad)
-        gd = float(grad @ d)
-        dn = float(np.linalg.norm(d))
+        if d is None:
+            # a rejected step changes only the radius, so d stands until a step is taken
+            d = two_loop_direction(history, grad)
+            gd = float(grad @ d)
+            dn = float(np.linalg.norm(d))
         if gd < 0.0 and dn > 0.0:
             t = 1.0 if dn <= radius else radius / dn
             p = d if t == 1.0 else t * d
@@ -248,6 +252,7 @@ def lbfgs_trust_region(
             relative_move = step_norm / max(1.0, float(np.linalg.norm(phi)))
             phi, value, grad = trial, trial_value, trial_grad
             grad_norm = float(np.linalg.norm(grad))
+            d = None
             if ratio >= _ETA_GROW and hit_boundary:
                 radius *= _GROW
             recorder.push(iteration, phi, value, grad_norm, step_norm)

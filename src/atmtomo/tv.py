@@ -46,12 +46,20 @@ def difference_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr
     return tuple(blocks)
 
 
-def diff_axis(field: Field, axis: str) -> Field:
-    """Nodal derivative of the field along 'x', 'y' or 'z'."""
-    blocks = dict(zip("xyz", difference_blocks(field.grid)))
-    if axis not in blocks:
-        raise ValueError(f"unknown axis {axis!r}")
-    return Field(grid=field.grid, values=blocks[axis] @ field.values)
+@functools.lru_cache(maxsize=8)
+def _transposed_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """(Dx^T, Dy^T, Dz^T) as read-only CSR, cached per grid.
+
+    A row of D_a^T sums its terms in ascending column order, the order the
+    column-compressed view D_a.T sums them, so the products are bitwise equal.
+    """
+    blocks = []
+    for d in difference_blocks(grid):
+        t = d.T.tocsr()
+        for array in (t.data, t.indices, t.indptr):
+            array.flags.writeable = False
+        blocks.append(t)
+    return tuple(blocks)
 
 
 def smoothing_weights(field: Field, beta: float = 1e-2) -> np.ndarray:
@@ -72,17 +80,13 @@ def tv_value_and_gradient(field: Field, beta: float = 1e-2):
     """Value and gradient from one set of differences; the gradient is L(field) @ field."""
     beta = _check_beta(beta)
     grid = field.grid
-    blocks = difference_blocks(grid)
-    parts = [d @ field.values for d in blocks]
+    parts = [d @ field.values for d in difference_blocks(grid)]
     root = np.sqrt(sum(np.square(p) for p in parts) + beta)
     value = float(root.sum() * grid.cell_volume)
     gamma = 1.0 / root
-    grad = sum(d.T @ (gamma * p) for d, p in zip(blocks, parts)) * grid.cell_volume
+    transposed = _transposed_blocks(grid)
+    grad = sum(t @ (gamma * p) for t, p in zip(transposed, parts)) * grid.cell_volume
     return value, grad
-
-
-def tv_gradient(field: Field, beta: float = 1e-2) -> np.ndarray:
-    return tv_value_and_gradient(field, beta)[1]
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,9 +9,17 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from atmtomo import Emitter, Station, SparseOperator, build_network, make_grid, take_rays
+from atmtomo import (
+    Emitter,
+    Field,
+    Station,
+    SparseOperator,
+    build_network,
+    make_grid,
+    take_rays,
+)
 from atmtomo.forward import _nearest_nodes
-from atmtomo.tv import difference_blocks, smoothing_weights
+from atmtomo.tv import _check_beta, difference_blocks, smoothing_weights, tv_value_and_gradient
 
 _criteria_lines = []
 
@@ -81,6 +89,21 @@ def desk_network(grid=None):
     return take_rays(build_network(grid, stations, emitters, seed=0), 200)
 
 
+# Marker nearest_node returns for points outside the inflated domain.
+OUTSIDE = -1
+
+
+def nearest_node(point, grid):
+    """Linear index of the grid node closest to one point, or OUTSIDE."""
+    linear, inside = _nearest_nodes(np.asarray(point, dtype=float).reshape(1, 3), grid)
+    return int(linear[0]) if inside[0] else OUTSIDE
+
+
+def adjoint_csr_copy(op, residual):
+    """T^T r through a row-compressed copy of the transpose, built per call."""
+    return op.matrix.T.tocsr() @ residual
+
+
 def walk_ray_matrix(network, n_samples):
     """Dense ray-transform matrix assembled by a scalar reference walker."""
     grid = network.grid
@@ -143,6 +166,32 @@ def stencil_1d(line, idx, spacing):
     lo = max(idx - 1, 0)
     hi = min(idx + 1, len(line) - 1)
     return (line[hi] - line[lo]) / (2.0 * spacing)
+
+
+def diff_axis(field, axis):
+    """Nodal derivative of the field along 'x', 'y' or 'z'."""
+    blocks = dict(zip("xyz", difference_blocks(field.grid)))
+    if axis not in blocks:
+        raise ValueError(f"unknown axis {axis!r}")
+    return Field(grid=field.grid, values=blocks[axis] @ field.values)
+
+
+def tv_gradient(field, beta=1e-2):
+    """The library's TV gradient alone."""
+    return tv_value_and_gradient(field, beta)[1]
+
+
+def tv_value_and_gradient_transposing(field, beta=1e-2):
+    """TV value and gradient with a fresh transpose D_a.T of each block per call."""
+    beta = _check_beta(beta)
+    grid = field.grid
+    blocks = difference_blocks(grid)
+    parts = [d @ field.values for d in blocks]
+    root = np.sqrt(sum(np.square(p) for p in parts) + beta)
+    value = float(root.sum() * grid.cell_volume)
+    gamma = 1.0 / root
+    grad = sum(d.T @ (gamma * p) for d, p in zip(blocks, parts)) * grid.cell_volume
+    return value, grad
 
 
 def tv_value_loops(field, beta):

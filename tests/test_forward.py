@@ -7,13 +7,12 @@ import pytest
 
 import helpers
 from atmtomo import (
-    OUTSIDE,
     Emitter,
+    SparseOperator,
     Station,
     assemble_operator,
     build_network,
     make_grid,
-    nearest_node,
     operator_listing,
     place_network,
     take_rays,
@@ -24,25 +23,25 @@ from atmtomo.forward import dump_operator
 
 def test_nearest_node_basics():
     g = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
-    assert nearest_node(g.node_position(3, 7, 11), g) == g.linear_index(3, 7, 11)
-    assert nearest_node((0.5, 0.5, -1.0), g) == OUTSIDE
-    assert nearest_node((0.5, 0.5, 16.0), g) == OUTSIDE
+    assert helpers.nearest_node(g.node_position(3, 7, 11), g) == g.linear_index(3, 7, 11)
+    assert helpers.nearest_node((0.5, 0.5, -1.0), g) == helpers.OUTSIDE
+    assert helpers.nearest_node((0.5, 0.5, 16.0), g) == helpers.OUTSIDE
 
 
 def test_nearest_node_midpoint_rounds_down():
     g = make_grid(5, 5, 5, (0, 1, 0, 1, 0, 1))
     midpoint = g.node_position(1, 2, 3) + np.array([g.dx / 2, 0, 0])
-    assert nearest_node(midpoint, g) == g.linear_index(1, 2, 3)
+    assert helpers.nearest_node(midpoint, g) == g.linear_index(1, 2, 3)
     midpoint_z = g.node_position(1, 2, 3) + np.array([0, 0, g.dz / 2])
-    assert nearest_node(midpoint_z, g) == g.linear_index(1, 2, 3)
+    assert helpers.nearest_node(midpoint_z, g) == g.linear_index(1, 2, 3)
 
 
 def test_nearest_node_half_cell_inflation():
     g = make_grid(5, 5, 5, (0, 1, 0, 1, 0, 1))
     inside = (-0.49 * g.dx, 0.5, 0.5)
     outside = (-0.51 * g.dx, 0.5, 0.5)
-    assert nearest_node(inside, g) == g.linear_index(0, 2, 2)
-    assert nearest_node(outside, g) == OUTSIDE
+    assert helpers.nearest_node(inside, g) == g.linear_index(0, 2, 2)
+    assert helpers.nearest_node(outside, g) == helpers.OUTSIDE
 
 
 def test_assembly_matches_reference_walker(desk):
@@ -199,6 +198,21 @@ def test_adjoint_identity(desk):
         lhs = float(op.apply(phi) @ psi)
         rhs = float(phi @ op.apply_adjoint(psi))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_adjoint_is_bitwise_the_csr_copy(desk):
+    # the transpose view sums each node's ray terms in the order the stored
+    # row-compressed transpose did
+    rng = np.random.default_rng(3)
+    operators = {
+        name: assemble_operator(net, n_samples)
+        for name, (net, n_samples) in _bitwise_cases(desk).items()
+    }
+    operators["prefix"] = SparseOperator(desk.op.matrix[:80])
+    for name, op in operators.items():
+        for _ in range(3):
+            r = rng.standard_normal(op.n_rows)
+            assert np.array_equal(op.apply_adjoint(r), helpers.adjoint_csr_copy(op, r)), name
 
 
 def test_forward_positive_on_truth(desk):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from atmtomo import Field, Objective, add_noise, make_grid, true_profile, tv_gradient, tv_value
+import helpers
+from atmtomo import Field, Objective, add_noise, make_grid, true_profile, tv_value
 from atmtomo.solvers import LbfgsOptions, lbfgs_trust_region
 
 
@@ -15,7 +16,7 @@ def manual_eval(objective, phi):
     field = Field(grid=objective.grid, values=phi)
     if objective.penalty == "tv":
         value = misfit + objective.alpha * tv_value(field, objective.beta)
-        grad = objective.operator.apply_adjoint(residual) + objective.alpha * tv_gradient(
+        grad = objective.operator.apply_adjoint(residual) + objective.alpha * helpers.tv_gradient(
             field, objective.beta
         )
     else:

@@ -174,7 +174,7 @@ def test_radius_starts_at_one_and_doubles_on_the_boundary():
     assert result.termination == "gradient-tol"
 
 
-def test_rejected_steps_quarter_the_radius():
+def test_rejected_steps_quarter_the_radius(monkeypatch):
     # f(x) = -x + 1e3 max(0, x - 1/2)^2 from 0: the unit step hits the wall and
     # is rejected (radius 1/4); the 1/4 step is accepted on the boundary (radius
     # 1/2); the 1/2 step is rejected (radius 1/8); the 1/8 step is accepted
@@ -182,9 +182,19 @@ def test_rejected_steps_quarter_the_radius():
         wall = max(0.0, float(x[0]) - 0.5)
         return -float(x[0]) + 1e3 * wall**2, np.array([-1.0 + 2e3 * wall])
 
+    calls = []
+
+    def counted(history, gradient):
+        calls.append(float(gradient[0]))
+        return two_loop_direction(history, gradient)
+
+    monkeypatch.setattr("atmtomo.solvers.two_loop_direction", counted)
     options = LbfgsOptions(max_iterations=4)
     result = lbfgs_trust_region(helpers.FnObjective(fn), np.zeros(1), options)
     assert [r.step_norm for r in result.records] == [0, 0, 0.25, 0, 0.125]
+    # a rejection leaves phi, the gradient and the history as they were, so
+    # only iterations 1 and 3 (at x = 0 and x = 1/4) need a fresh direction
+    assert calls == [-1.0, -1.0]
 
 
 def test_noisy_desk_run_collapses_radius(desk):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import helpers
-from atmtomo import Field, diff_axis, make_grid, true_profile, tv_gradient, tv_value
+from atmtomo import Field, make_grid, true_profile, tv_value
 from atmtomo.tv import (
+    _transposed_blocks,
     apply_weights,
     difference_blocks,
     diffusion_matrix,
@@ -46,25 +47,25 @@ def test_diff_axis_constant_and_linear():
     g = make_grid(5, 4, 3, (0, 1, 0, 2, 0, 3))
     const = Field(grid=g, values=np.full(g.n_nodes, 4.2))
     for axis in "xyz":
-        assert np.all(diff_axis(const, axis).values == 0.0)
+        assert np.all(helpers.diff_axis(const, axis).values == 0.0)
     xs = g.axis_nodes("x")
     ramp3 = np.broadcast_to(xs[None, None, :], (3, 4, 5))
     ramp = Field(grid=g, values=ramp3.ravel())
-    d = diff_axis(ramp, "x").as_3d()
+    d = helpers.diff_axis(ramp, "x").as_3d()
     np.testing.assert_allclose(d[:, :, 1:-1], 1.0)
     # replicate padding halves the one-sided face derivative
     np.testing.assert_allclose(d[:, :, 0], 0.5)
     np.testing.assert_allclose(d[:, :, -1], 0.5)
-    assert np.all(diff_axis(ramp, "y").values == 0.0)
+    assert np.all(helpers.diff_axis(ramp, "y").values == 0.0)
     with pytest.raises(ValueError):
-        diff_axis(ramp, "w")
+        helpers.diff_axis(ramp, "w")
 
 
 def test_diff_axis_matches_loops():
     f = random_field(3, 3, 3, (0, 1, 0, 2, 0, 3), 8)
     arr = f.as_3d()
     g = f.grid
-    got = diff_axis(f, "y").as_3d()
+    got = helpers.diff_axis(f, "y").as_3d()
     for k in range(3):
         for j in range(3):
             for i in range(3):
@@ -110,21 +111,43 @@ def test_tv_gradient_matches_dense_oracle():
     ):
         f = random_field(*dims, bounds, seed)
         want = helpers.dense_tv_gradient(f, 1e-2)
-        got = tv_gradient(f, 1e-2)
+        got = helpers.tv_gradient(f, 1e-2)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "dims, bounds",
+    [
+        ((2, 2, 2), (0, 1, 0, 1, 0, 1)),
+        ((5, 4, 6), (0, 1, 0, 2, 0, 12)),
+        ((30, 30, 30), (0, 1, 0, 1, 0, 15)),
+    ],
+)
+def test_value_and_gradient_bitwise_per_call_transpose(dims, bounds):
+    f = random_field(*dims, bounds, 12)
+    value, grad = tv_value_and_gradient(f, 1e-2)
+    want_value, want_grad = helpers.tv_value_and_gradient_transposing(f, 1e-2)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+    # an equal but distinct Grid3 hits the cache, and the shared blocks are read-only
+    blocks = _transposed_blocks(make_grid(*dims, bounds))
+    assert all(a is b for a, b in zip(blocks, _transposed_blocks(f.grid)))
+    for block in blocks:
+        for array in (block.data, block.indices, block.indptr):
+            assert not array.flags.writeable
 
 
 def test_tv_gradient_constant_field_is_zero():
     g = make_grid(4, 4, 4, (0, 1, 0, 1, 0, 15))
     f = Field(grid=g, values=np.full(g.n_nodes, 9.0))
-    assert np.all(tv_gradient(f, 1e-2) == 0.0)
+    assert np.all(helpers.tv_gradient(f, 1e-2) == 0.0)
 
 
 def test_value_and_gradient_consistent():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 6)
     value, grad = tv_value_and_gradient(f, 1e-2)
     assert value == pytest.approx(tv_value(f, 1e-2), rel=1e-15)
-    np.testing.assert_array_equal(grad, tv_gradient(f, 1e-2))
+    np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
     np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
 
 
@@ -132,7 +155,7 @@ def test_directional_derivative():
     g = make_grid(6, 6, 6, (0, 1, 0, 1, 0, 15))
     rng = np.random.default_rng(9)
     f = Field(grid=g, values=rng.standard_normal(g.n_nodes))
-    grad = tv_gradient(f, 1e-2)
+    grad = helpers.tv_gradient(f, 1e-2)
     step = 1e-6
     worst = 0.0
     for _ in range(20):
