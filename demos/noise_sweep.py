@@ -34,8 +34,6 @@ def main():
         emitters=10,
         seed=1,
         ray_counts=(60,),
-        # unused by the sweep, but a config must fit the 80-ray network
-        benchmark_rays=60,
         noise_fractions=NOISE_LEVELS,
         lbfgs_max_iterations=150,
         output_dir=args.out,

@@ -24,7 +24,6 @@ def main():
         stations=8,
         emitters=10,
         seed=1,
-        ray_counts=(60,),
         benchmark_rays=60,
         benchmark_noise=0.001,
         benchmark_lbfgs_iterations=200,

@@ -80,17 +80,13 @@ class ExperimentConfig:
             raise ValueError("sweep lists must be nonempty")
         if not self.solvers or not self.penalties:
             raise ValueError("solver and penalty lists must be nonempty")
+        # take_rays and add_noise check the rest, but not these before a sweep's first solve
         for p in self.noise_fractions:
             if p < 0.0:
                 raise ValueError(f"noise fraction must be >= 0, got {p}")
-        if self.benchmark_noise < 0.0:
-            raise ValueError(f"benchmark noise must be >= 0, got {self.benchmark_noise}")
-        limit = self.stations * self.emitters
         for s in self.ray_counts:
-            if not 1 <= s <= limit:
-                raise ValueError(f"ray count {s} outside [1, {limit}]")
-        if not 1 <= self.benchmark_rays <= limit:
-            raise ValueError(f"benchmark ray count {self.benchmark_rays} outside [1, {limit}]")
+            if s < 1:
+                raise ValueError(f"ray count must be >= 1, got {s}")
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}, expected one of {SOLVERS}")

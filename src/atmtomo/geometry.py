@@ -200,8 +200,6 @@ def is_admissible(ray: Ray, grid: Grid3, surface_lipschitz: float = 0.0) -> bool
     if not 0.0 < ray.elevation < math.pi:
         return False
     sin_e = math.sin(ray.elevation)
-    if sin_e <= 0.0:
-        return False
     z0 = ray.origin[2]
     if grid.z_max <= z0:
         return False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -164,6 +164,14 @@ class _Recorder:
             discrepancy=disc,
             seconds=perf_counter() - self.t0,
         )
+        self._append(rec)
+
+    def repeat(self, iteration):
+        """Record an iteration that left phi where it was: the last record, no step."""
+        seconds = perf_counter() - self.t0
+        self._append(replace(self.records[-1], iteration=iteration, step_norm=0.0, seconds=seconds))
+
+    def _append(self, rec):
         self.records.append(rec)
         if self.callback is not None:
             self.callback(rec)
@@ -265,7 +273,7 @@ def lbfgs_trust_region(
                 stagnant = 0
         else:
             radius *= _SHRINK
-            recorder.push(iteration, phi, value, grad_norm, 0.0)
+            recorder.repeat(iteration)
             if radius < _RADIUS_FLOOR:
                 termination = "radius-collapse"
                 break
@@ -321,7 +329,6 @@ def ldfp(
     inner_tol: float = 1e-8,
     inner_max_iterations: int = 200,
     max_iterations: int = 30,
-    grad_tol: float = 0.0,
     truth=None,
     callback=None,
 ) -> SolveResult:
@@ -330,9 +337,8 @@ def ldfp(
     Each outer step freezes the diffusion weights at the current iterate,
     assembles the frozen operator L once as a sparse matrix, solves
     (T^T T + alpha L) s = -gradient with conjugate gradients, and takes the
-    full step.  The default zero gradient tolerance runs the fixed number
-    of outer iterations.  The result's inner_solves holds one InnerSolveStats
-    per outer step.
+    full step.  It runs max_iterations outer steps and ends with max-iter.
+    The result's inner_solves holds one InnerSolveStats per outer step.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -344,17 +350,7 @@ def ldfp(
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
-    iteration = 0
-    termination = "max-iter"
-    while True:
-        if grad_norm <= grad_tol:
-            termination = "gradient-tol"
-            break
-        if iteration >= max_iterations:
-            termination = "max-iter"
-            break
-        iteration += 1
-
+    for iteration in range(1, max_iterations + 1):
         frozen = diffusion_matrix(smoothing_weights(Field(grid=grid, values=phi), beta), grid)
 
         def apply_h(v):
@@ -382,4 +378,4 @@ def ldfp(
         grad_norm = float(np.linalg.norm(grad))
         recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
 
-    return recorder.finish(phi, iteration, termination, inner_solves)
+    return recorder.finish(phi, len(inner_solves), "max-iter", inner_solves)

@@ -1,7 +1,9 @@
 """Experiment driver: config files, sweep and benchmark modes, CLI."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,9 +94,7 @@ def test_default_config_values():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(ray_counts=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(stations=2, emitters=2, ray_counts=(5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ray count must be >= 1, got 0"):
         ExperimentConfig(ray_counts=(0,))
     with pytest.raises(ValueError):
         ExperimentConfig(solvers=("newton",))
@@ -104,12 +104,6 @@ def test_config_validation():
         ExperimentConfig(solvers=())
     with pytest.raises(ValueError):
         ExperimentConfig(noise_fractions=(-0.01,))
-    with pytest.raises(ValueError, match="benchmark ray count 451"):
-        ExperimentConfig(benchmark_rays=451)
-    with pytest.raises(ValueError, match="benchmark ray count 0"):
-        ExperimentConfig(benchmark_rays=0)
-    with pytest.raises(ValueError, match="benchmark noise"):
-        ExperimentConfig(benchmark_noise=-0.01)
     # combinations whose output names clash would overwrite each other's files
     with pytest.raises(ValueError, match="'lbfgs_5rays_0.001'"):
         ExperimentConfig(ray_counts=(5, 5))
@@ -117,6 +111,40 @@ def test_config_validation():
         ExperimentConfig(ray_counts=(50,), noise_fractions=(0.01, 0.0100000001))
     with pytest.raises(ValueError, match="'ldfp_50rays_0.001'"):
         ExperimentConfig(ray_counts=(50,), solvers=("ldfp", "ldfp"))
+
+
+def test_config_leaves_the_other_mode_unchecked():
+    # a sweep on an 80-ray network needs no benchmark fields that fit it,
+    # and a benchmark no sweep list that fits it
+    small = {"nx": 12, "ny": 12, "nz": 12, "stations": 8, "emitters": 10}
+    ExperimentConfig(**small, ray_counts=(60,))
+    ExperimentConfig(**small, benchmark_rays=60)
+
+
+def test_run_checks_its_own_rays_and_noise(tmp_path):
+    # each mode checks its ray count and noise before its first solve
+    sweep = replace(tiny_config(tmp_path / "sweep"), stations=2, emitters=2, ray_counts=(5,))
+    with pytest.raises(ValueError, match=r"got 5\b"):
+        run_sweep(sweep)
+    assert not list((tmp_path / "sweep").glob("*.csv"))
+    for change, message in (
+        ({"benchmark_rays": 451}, r"got 451\b"),
+        ({"benchmark_noise": -0.01}, "noise fraction must be >= 0"),
+    ):
+        out = tmp_path / "bench"
+        bench = replace(default_config(), output_dir=str(out), **change)
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(bench)
+        assert not list(out.glob("*.csv"))
+
+
+def test_readme_config_is_the_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    ini = tmp_path / "readme.ini"
+    ini.write_text(blocks[0])
+    assert load_config(ini) == default_config()
 
 
 def test_load_config_round_trip(tmp_path):
@@ -446,3 +474,8 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
     ini.write_text("[sweep]\nray_counts = 5, 5\n")
     assert main(["--config", str(ini)]) == 1
     assert "lbfgs_5rays_0.001" in capsys.readouterr().err
+    ini.write_text("[benchmark]\nrays = 451\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "--mode", "benchmark", "--out", str(out)]) == 1
+    assert "451" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))

@@ -1,5 +1,7 @@
 """Trust-region L-BFGS, conjugate gradients, and lagged diffusivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,14 +176,15 @@ def test_radius_starts_at_one_and_doubles_on_the_boundary():
     assert result.termination == "gradient-tol"
 
 
-def test_rejected_steps_quarter_the_radius(monkeypatch):
+def wall_fn(x):
     # f(x) = -x + 1e3 max(0, x - 1/2)^2 from 0: the unit step hits the wall and
     # is rejected (radius 1/4); the 1/4 step is accepted on the boundary (radius
     # 1/2); the 1/2 step is rejected (radius 1/8); the 1/8 step is accepted
-    def fn(x):
-        wall = max(0.0, float(x[0]) - 0.5)
-        return -float(x[0]) + 1e3 * wall**2, np.array([-1.0 + 2e3 * wall])
+    wall = max(0.0, float(x[0]) - 0.5)
+    return -float(x[0]) + 1e3 * wall**2, np.array([-1.0 + 2e3 * wall])
 
+
+def test_rejected_steps_quarter_the_radius(monkeypatch):
     calls = []
 
     def counted(history, gradient):
@@ -190,11 +193,41 @@ def test_rejected_steps_quarter_the_radius(monkeypatch):
 
     monkeypatch.setattr("atmtomo.solvers.two_loop_direction", counted)
     options = LbfgsOptions(max_iterations=4)
-    result = lbfgs_trust_region(helpers.FnObjective(fn), np.zeros(1), options)
+    result = lbfgs_trust_region(helpers.FnObjective(wall_fn), np.zeros(1), options)
     assert [r.step_norm for r in result.records] == [0, 0, 0.25, 0, 0.125]
     # a rejection leaves phi, the gradient and the history as they were, so
     # only iterations 1 and 3 (at x = 0 and x = 1/4) need a fresh direction
     assert calls == [-1.0, -1.0]
+
+
+def test_rejected_step_repeats_the_last_record():
+    # phi does not move on a rejection, so its record is the previous one with
+    # a zero step: only the start and the accepted steps measure the discrepancy
+    class Counted(helpers.FnObjective):
+        discrepancies = 0
+
+        def discrepancy(self, x):
+            self.discrepancies += 1
+            return abs(float(x[0]) - 2.0)
+
+    obj = Counted(wall_fn)
+    seen = []
+    options = LbfgsOptions(max_iterations=4)
+    result = lbfgs_trust_region(
+        obj, np.zeros(1), options, truth=np.array([2.0]), callback=seen.append
+    )
+    records = result.records
+    assert seen == records
+    accepted = [r.iteration for r in records[1:] if r.step_norm > 0.0]
+    assert accepted == [2, 4]
+    assert obj.discrepancies == 1 + len(accepted)
+    for before, rejected in ((records[0], records[1]), (records[2], records[3])):
+        assert rejected.seconds >= before.seconds
+        assert replace(rejected, seconds=0.0) == replace(
+            before, iteration=rejected.iteration, step_norm=0.0, seconds=0.0
+        )
+    assert [r.discrepancy for r in records] == [2.0, 2.0, 1.75, 1.75, 1.625]
+    assert [r.relative_error for r in records] == [1.0, 1.0, 0.875, 0.875, 0.8125]
 
 
 def test_noisy_desk_run_collapses_radius(desk):
@@ -313,21 +346,23 @@ def test_ldfp_records_inner_solve_stats(desk):
     assert lbfgs.inner_solves == []
 
 
-def test_ldfp_gradient_tolerance_stops_immediately(desk):
+def test_ldfp_without_outer_steps_records_only_the_start(desk):
     obj = Objective(desk.op, desk.f_true, 1e-6, desk.grid)
-    seen = []
-    result = ldfp(
-        obj,
-        np.zeros(desk.grid.n_nodes),
-        grad_tol=1e30,
-        truth=desk.truth,
-        callback=seen.append,
-    )
-    assert result.termination == "gradient-tol"
-    assert result.iterations == 0
-    assert len(result.records) == 1
-    assert len(seen) == 1
-    assert result.records[0].relative_error == pytest.approx(1.0)
+    for cap in (0, -1):
+        seen = []
+        result = ldfp(
+            obj,
+            np.zeros(desk.grid.n_nodes),
+            max_iterations=cap,
+            truth=desk.truth,
+            callback=seen.append,
+        )
+        assert result.termination == "max-iter"
+        assert result.iterations == 0
+        assert result.inner_solves == []
+        assert len(result.records) == 1
+        assert len(seen) == 1
+        assert result.records[0].relative_error == pytest.approx(1.0)
 
 
 def test_plain_array_solutions_for_plain_objectives(rng):
