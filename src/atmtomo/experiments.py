@@ -93,19 +93,6 @@ class ExperimentConfig:
         for pen in self.penalties:
             if pen not in PENALTIES:
                 raise ValueError(f"unknown penalty {pen!r}")
-        # each combination writes files named after it: equal names would
-        # overwrite each other's results
-        names = set()
-        for rays, noise, solver, penalty in itertools.product(
-            self.ray_counts, self.noise_fractions, self.solvers, self.penalties
-        ):
-            name = _combo_name(solver, penalty, rays, noise)
-            if name in names:
-                raise ValueError(
-                    f"combination ({solver}, {penalty}, {rays} rays, noise {noise!r}) "
-                    f"reuses the output name {name!r}"
-                )
-            names.add(name)
 
     def make_grid(self):
         return make_grid(
@@ -226,9 +213,24 @@ def run_sweep(
     """Run every (ray count, noise, solver, penalty) combination.
 
     Each combination writes one convergence CSV and one reconstruction field
-    file; a manifest with the config hash lists everything.  A failing
-    combination is logged and skipped, never aborts the sweep.
+    file; a manifest with the config hash lists everything.  Two
+    combinations with one output name raise ValueError before anything is
+    built or written.  A failing combination is logged and skipped, never
+    aborts the sweep.
     """
+    # each combination writes files named after it: equal names would
+    # overwrite each other's results
+    names = set()
+    for rays, noise, solver, penalty in itertools.product(
+        config.ray_counts, config.noise_fractions, config.solvers, config.penalties
+    ):
+        name = _combo_name(solver, penalty, rays, noise)
+        if name in names:
+            raise ValueError(
+                f"combination ({solver}, {penalty}, {rays} rays, noise {noise!r}) "
+                f"reuses the output name {name!r}"
+            )
+        names.add(name)
     out = config.output_dir
     grid, truth, network = _build_scene(config)
     _say(progress, f"network: {len(network.rays)} admissible rays")

@@ -312,12 +312,13 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
         a = rr / php
         s += a * p
         r -= a * hp
-        rn = float(np.linalg.norm(r))
+        # numpy's 2-norm of a real vector is sqrt(r . r), so one dot serves both
+        rr_new = float(r @ r)
+        rn = math.sqrt(rr_new)
         if callback is not None:
             callback(rn)
         if rn <= target:
             break
-        rr_new = float(r @ r)
         p = r + (rr_new / rr) * p
         rr = rr_new
     return s

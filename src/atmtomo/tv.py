@@ -46,47 +46,91 @@ def difference_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr
     return tuple(blocks)
 
 
-@functools.lru_cache(maxsize=8)
-def _transposed_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """(Dx^T, Dy^T, Dz^T) as read-only CSR, cached per grid.
+def _shifted(x: np.ndarray, axis: int, adjoint: bool, out: np.ndarray) -> np.ndarray:
+    """x[i-1] - x[i+1] along one axis of a C-ordered (z, y, x) array, into out.
 
-    A row of D_a^T sums its terms in ascending column order, the order the
-    column-compressed view D_a.T sums them, so the products are bitwise equal.
+    For a = -w v (w = 1/(2h)) this is D_a v: replicate clipping gives
+    a[0] - a[1] and a[-2] - a[-1] at the ends.  For b = w u it is D_a^T u,
+    whose end rows are (0 - b[0]) - b[1] and b[-2] + b[-1].  Each node
+    performs the operations of its sparse row in their order, so the result
+    is bitwise the sparse product.  The row's sum starts from +0.0, which
+    only shows in the sign of a zero: the first adjoint row subtracts from
+    +0.0 for it, and a field holding -0.0 can still flip a zero's sign.
     """
-    blocks = []
-    for d in difference_blocks(grid):
-        t = d.T.tocsr()
-        for array in (t.data, t.indices, t.indptr):
-            array.flags.writeable = False
-        blocks.append(t)
-    return tuple(blocks)
+    s = x.strides[axis] // x.itemsize
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    # one contiguous pass; it wraps across lines only at the end rows
+    np.subtract(flat[: -2 * s], flat[2 * s :], out=flat_out[s:-s])
+    x, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    if adjoint:
+        np.subtract(0.0 - x[0], x[1], out=o[0])
+        np.add(x[-2], x[-1], out=o[-1])
+    else:
+        np.subtract(x[0], x[1], out=o[0])
+        np.subtract(x[-2], x[-1], out=o[-1])
+    return out
+
+
+def _axes(grid: Grid3):
+    """(axis of the (z, y, x) array, 1/(2h)) for x, y, z in that order."""
+    return ((2, 1.0 / (2.0 * grid.dx)), (1, 1.0 / (2.0 * grid.dy)), (0, 1.0 / (2.0 * grid.dz)))
+
+
+def _root_of_differences(field: Field, beta: float):
+    """([D_x v, D_y v, D_z v], sqrt(|grad|^2 + beta)) as (z, y, x) arrays.
+
+    The squares are summed in x, y, z order.  Besides the four results only
+    one scratch array of the field's size is allocated.
+    """
+    v = field.as_3d()
+    scratch = np.empty_like(v)
+    parts = [
+        _shifted(np.multiply(-w, v, out=scratch), axis, adjoint=False, out=np.empty_like(v))
+        for axis, w in _axes(field.grid)
+    ]
+    root = np.square(parts[0])
+    for p in parts[1:]:
+        root += np.square(p, out=scratch)
+    root += beta
+    return parts, np.sqrt(root, out=root)
 
 
 def smoothing_weights(field: Field, beta: float = 1e-2) -> np.ndarray:
     """Diffusion weights 1/sqrt(|grad|^2 + beta) evaluated at the field, (z,y,x)."""
     beta = _check_beta(beta)
-    g2 = sum(np.square(d @ field.values) for d in difference_blocks(field.grid))
-    return (1.0 / np.sqrt(g2 + beta)).reshape(field.grid.nz, field.grid.ny, field.grid.nx)
+    root = _root_of_differences(field, beta)[1]
+    return np.divide(1.0, root, out=root)
 
 
 def tv_value(field: Field, beta: float = 1e-2) -> float:
     """Cell-volume weighted sum of sqrt(|grad|^2 + beta) over all nodes."""
     beta = _check_beta(beta)
-    g2 = sum(np.square(d @ field.values) for d in difference_blocks(field.grid))
-    return float(np.sqrt(g2 + beta).sum() * field.grid.cell_volume)
+    root = _root_of_differences(field, beta)[1]
+    return float(root.ravel().sum() * field.grid.cell_volume)
 
 
 def tv_value_and_gradient(field: Field, beta: float = 1e-2):
-    """Value and gradient from one set of differences; the gradient is L(field) @ field."""
+    """Value and gradient from one set of differences; the gradient is L(field) @ field.
+
+    The gradient is cell_volume * sum_a D_a^T (gamma * D_a v), the axes
+    accumulated in x, y, z order into one buffer.
+    """
     beta = _check_beta(beta)
     grid = field.grid
-    parts = [d @ field.values for d in difference_blocks(grid)]
-    root = np.sqrt(sum(np.square(p) for p in parts) + beta)
-    value = float(root.sum() * grid.cell_volume)
-    gamma = 1.0 / root
-    transposed = _transposed_blocks(grid)
-    grad = sum(t @ (gamma * p) for t, p in zip(transposed, parts)) * grid.cell_volume
-    return value, grad
+    parts, root = _root_of_differences(field, beta)
+    value = float(root.ravel().sum() * grid.cell_volume)
+    gamma = np.divide(1.0, root, out=root)
+    # the y and z terms land in the x and y differences, spent by then
+    terms = [np.empty_like(gamma), parts[0], parts[1]]
+    for (axis, w), p, term in zip(_axes(grid), parts, terms):
+        p *= gamma
+        p *= w
+        _shifted(p, axis, adjoint=True, out=term)
+    grad = terms[0]
+    grad += terms[1]
+    grad += terms[2]
+    grad *= grid.cell_volume
+    return value, grad.ravel()
 
 
 @functools.lru_cache(maxsize=8)

@@ -181,17 +181,38 @@ def tv_gradient(field, beta=1e-2):
     return tv_value_and_gradient(field, beta)[1]
 
 
-def tv_value_and_gradient_transposing(field, beta=1e-2):
-    """TV value and gradient with a fresh transpose D_a.T of each block per call."""
+def _csr_root(field, beta):
+    """The sparse products D_a @ v and sqrt(|grad|^2 + beta), flat."""
     beta = _check_beta(beta)
+    parts = [d @ field.values for d in difference_blocks(field.grid)]
+    return parts, np.sqrt(sum(np.square(p) for p in parts) + beta)
+
+
+def smoothing_weights_csr(field, beta=1e-2):
+    """Diffusion weights from the sparse difference products, (z,y,x)."""
+    root = _csr_root(field, beta)[1]
+    return (1.0 / root).reshape(field.grid.nz, field.grid.ny, field.grid.nx)
+
+
+def _tv_value_and_gradient_products(field, beta, transposes):
     grid = field.grid
-    blocks = difference_blocks(grid)
-    parts = [d @ field.values for d in blocks]
-    root = np.sqrt(sum(np.square(p) for p in parts) + beta)
+    parts, root = _csr_root(field, beta)
     value = float(root.sum() * grid.cell_volume)
     gamma = 1.0 / root
-    grad = sum(d.T @ (gamma * p) for d, p in zip(blocks, parts)) * grid.cell_volume
+    grad = sum(t @ (gamma * p) for t, p in zip(transposes, parts)) * grid.cell_volume
     return value, grad
+
+
+def tv_value_and_gradient_csr(field, beta=1e-2):
+    """TV value and gradient applying row-compressed transposes D_a.T.tocsr()."""
+    transposes = [d.T.tocsr() for d in difference_blocks(field.grid)]
+    return _tv_value_and_gradient_products(field, beta, transposes)
+
+
+def tv_value_and_gradient_transposing(field, beta=1e-2):
+    """TV value and gradient with a fresh transpose D_a.T of each block per call."""
+    transposes = [d.T for d in difference_blocks(field.grid)]
+    return _tv_value_and_gradient_products(field, beta, transposes)
 
 
 def tv_value_loops(field, beta):
@@ -261,6 +282,35 @@ def apply_L(field_at, vector, beta=1e-2):
     Symmetric positive semidefinite; tv_gradient(f) == apply_L(f, f.values).
     """
     return apply_weights_products(smoothing_weights(field_at, beta), field_at.grid, vector)
+
+
+def cgne_two_dots(apply_matrix, rhs, tol=1e-8, max_iterations=200, callback=None):
+    """Conjugate gradients taking np.linalg.norm(r) and r @ r per iteration."""
+    rhs = np.asarray(rhs, dtype=float)
+    s = np.zeros_like(rhs)
+    target = tol * float(np.linalg.norm(rhs))
+    r = rhs.copy()
+    if float(np.linalg.norm(r)) <= target:
+        return s
+    p = r.copy()
+    rr = float(r @ r)
+    for _ in range(max_iterations):
+        hp = apply_matrix(p)
+        php = float(p @ hp)
+        if php <= 0.0:
+            break
+        a = rr / php
+        s += a * p
+        r -= a * hp
+        rn = float(np.linalg.norm(r))
+        if callback is not None:
+            callback(rn)
+        if rn <= target:
+            break
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return s
 
 
 def dense_bfgs_inverse(pairs):

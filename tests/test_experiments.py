@@ -104,13 +104,25 @@ def test_config_validation():
         ExperimentConfig(solvers=())
     with pytest.raises(ValueError):
         ExperimentConfig(noise_fractions=(-0.01,))
-    # combinations whose output names clash would overwrite each other's files
-    with pytest.raises(ValueError, match="'lbfgs_5rays_0.001'"):
-        ExperimentConfig(ray_counts=(5, 5))
-    with pytest.raises(ValueError, match="'lbfgs_50rays_0.01'"):
-        ExperimentConfig(ray_counts=(50,), noise_fractions=(0.01, 0.0100000001))
-    with pytest.raises(ValueError, match="'ldfp_50rays_0.001'"):
-        ExperimentConfig(ray_counts=(50,), solvers=("ldfp", "ldfp"))
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        ({"ray_counts": (5, 5)}, "'lbfgs_5rays_0.001'"),
+        ({"ray_counts": (50,), "noise_fractions": (0.01, 0.0100000001)}, "'lbfgs_50rays_0.01'"),
+        ({"ray_counts": (50,), "solvers": ("ldfp", "ldfp")}, "'ldfp_50rays_0.001'"),
+    ],
+)
+def test_sweep_rejects_clashing_output_names(tmp_path, change, name):
+    # combinations whose output names clash would overwrite each other's files;
+    # the sweep refuses them before it builds or writes anything, while the
+    # config, which a benchmark also reads, accepts them
+    out = tmp_path / "out"
+    config = replace(default_config(), output_dir=str(out), **change)
+    with pytest.raises(ValueError, match=f"reuses the output name {name}"):
+        run_sweep(config)
+    assert not out.exists()
 
 
 def test_config_leaves_the_other_mode_unchecked():
@@ -439,6 +451,18 @@ def test_cli_sweep_and_benchmark(tmp_path):
     assert (bench_out / "benchmark_ldfp.csv").exists()
 
 
+def test_cli_name_clash_fails_only_the_sweep(tmp_path, capsys):
+    ini = tmp_path / "clash.ini"
+    ini.write_text(TINY_INI.replace("ray_counts = 5, 10", "ray_counts = 5, 5"))
+    out = tmp_path / "sweep"
+    assert main(["--config", str(ini), "--out", str(out)]) == 1
+    assert "reuses the output name 'lbfgs_5rays_0.01'" in capsys.readouterr().err
+    assert not out.exists()
+    bench_out = tmp_path / "bench"
+    assert main(["--config", str(ini), "--mode", "benchmark", "--out", str(bench_out)]) == 0
+    assert (bench_out / "benchmark.json").exists()
+
+
 def test_cli_seed_override_changes_the_network(tmp_path):
     ini = tmp_path / "tiny.ini"
     ini.write_text(TINY_INI)
@@ -471,9 +495,6 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
     ini.write_text("[sweep]\nsolvers = newton\n")
     assert main(["--config", str(ini)]) == 1
     assert "newton" in capsys.readouterr().err
-    ini.write_text("[sweep]\nray_counts = 5, 5\n")
-    assert main(["--config", str(ini)]) == 1
-    assert "lbfgs_5rays_0.001" in capsys.readouterr().err
     ini.write_text("[benchmark]\nrays = 451\n")
     out = tmp_path / "out"
     assert main(["--config", str(ini), "--mode", "benchmark", "--out", str(out)]) == 1

@@ -272,6 +272,20 @@ def test_cgne_spd_matches_dense_solve():
             assert after <= before * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("tol, max_iterations", [(1e-12, 200), (0.0, 10)])
+def test_cgne_one_dot_per_iteration_is_bitwise_the_two_dot_loop(tol, max_iterations):
+    rng = np.random.default_rng(50)
+    b = rng.standard_normal((50, 50))
+    a = b.T @ b + np.eye(50)
+    rhs = rng.standard_normal(50)
+    got, want = [], []
+    s = cgne(lambda v: a @ v, rhs, tol, max_iterations, callback=got.append)
+    s_want = helpers.cgne_two_dots(lambda v: a @ v, rhs, tol, max_iterations, want.append)
+    assert len(got) > 5
+    assert got == want
+    assert s.tobytes() == s_want.tobytes()
+
+
 def test_cgne_zero_rhs_and_stall():
     residuals = []
     s = cgne(lambda v: v, np.zeros(4), callback=residuals.append)

@@ -8,7 +8,6 @@ import pytest
 import helpers
 from atmtomo import Field, make_grid, true_profile, tv_value
 from atmtomo.tv import (
-    _transposed_blocks,
     apply_weights,
     difference_blocks,
     diffusion_matrix,
@@ -129,12 +128,42 @@ def test_value_and_gradient_bitwise_per_call_transpose(dims, bounds):
     want_value, want_grad = helpers.tv_value_and_gradient_transposing(f, 1e-2)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
-    # an equal but distinct Grid3 hits the cache, and the shared blocks are read-only
-    blocks = _transposed_blocks(make_grid(*dims, bounds))
-    assert all(a is b for a, b in zip(blocks, _transposed_blocks(f.grid)))
-    for block in blocks:
-        for array in (block.data, block.indices, block.indptr):
-            assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["random", "random*1e3", "zeros", "integers"])
+@pytest.mark.parametrize(
+    "dims, bounds",
+    [
+        ((2, 2, 2), (0, 1, 0, 1, 0, 1)),
+        ((2, 3, 4), (0, 1, 0, 1, 0, 1)),
+        ((3, 2, 7), (0, 1, 0, 2, 0, 3)),
+        ((5, 4, 6), (0, 1, 0, 2, 0, 12)),
+        ((30, 30, 30), (0, 1, 0, 1, 0, 15)),
+        ((60, 60, 30), (0, 1, 0, 1, 0, 15)),
+    ],
+)
+def test_shifted_slices_equal_sparse_products(dims, bounds, kind):
+    grid = make_grid(*dims, bounds)
+    r = np.random.default_rng(grid.n_nodes).standard_normal(grid.n_nodes)
+    # rounding to integers gives exactly zero differences, and some -0.0 entries
+    values = {
+        "random": r,
+        "random*1e3": 1e3 * r,
+        "zeros": np.zeros(grid.n_nodes),
+        "integers": np.round(3.0 * r),
+    }[kind]
+    f = Field(grid=grid, values=values)
+    want_value, want_grad = helpers.tv_value_and_gradient_csr(f, 1e-2)
+    value, grad = tv_value_and_gradient(f, 1e-2)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+    assert tv_value(f, 1e-2) == want_value
+    weights = smoothing_weights(f, 1e-2)
+    assert weights.shape == (grid.nz, grid.ny, grid.nx)
+    assert np.array_equal(weights, helpers.smoothing_weights_csr(f, 1e-2))
+    # without -0.0 in the field the zeros' signs agree too (the solves start at +0.0)
+    if not np.signbit(values[values == 0.0]).any():
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_tv_gradient_constant_field_is_zero():
