@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ValueError("solver and penalty lists must be nonempty")
         # take_rays and add_noise check the rest, but not these before a sweep's first solve
         for p in self.noise_fractions:
-            if p < 0.0:
+            if not p >= 0.0:
                 raise ValueError(f"noise fraction must be >= 0, got {p}")
         for s in self.ray_counts:
             if s < 1:

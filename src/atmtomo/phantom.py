@@ -130,7 +130,7 @@ def add_noise(f_true: np.ndarray, noise_fraction: float, seed: int):
     f_true = np.asarray(f_true, dtype=float)
     if f_true.ndim != 1 or f_true.size == 0:
         raise ValueError("data must be a nonempty flat vector")
-    if noise_fraction < 0.0:
+    if not noise_fraction >= 0.0:
         raise ValueError(f"noise fraction must be >= 0, got {noise_fraction}")
     m = f_true.size
     delta = noise_fraction * float(np.linalg.norm(f_true)) / math.sqrt(m)
@@ -165,6 +165,8 @@ def read_field(path) -> Field:
             raw = fh.read(nx * ny * nz * 8)
             if len(raw) != nx * ny * nz * 8:
                 raise ValueError(f"{path}: truncated field payload")
+            if fh.read(1):
+                raise ValueError(f"{path}: bytes follow the field payload")
             values = np.frombuffer(raw, dtype="<f8").astype(float)
     except OSError as exc:
         raise OSError(f"failed to read field file {path}: {exc}") from exc

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -16,34 +14,6 @@ def _check_beta(beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"smoothing parameter must lie in (0, 1), got {beta}")
     return beta
-
-
-@functools.lru_cache(maxsize=8)
-def difference_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Central differences (Dx, Dy, Dz) on flat x-fastest vectors, cached per grid.
-
-    Each block is n_nodes x n_nodes with two entries per row, -1/(2h) and
-    +1/(2h).  Replicate padding clips the neighbor index at the boundary
-    nodes, so the one-sided stencils keep the 1/(2h) scale.  The blocks are
-    shared between callers and must not be modified.
-    """
-    n = grid.n_nodes
-    node = np.arange(n)
-    indptr = np.arange(0, 2 * n + 1, 2)
-    blocks = []
-    for count, stride, h in (
-        (grid.nx, 1, grid.dx),
-        (grid.ny, grid.nx, grid.dy),
-        (grid.nz, grid.nx * grid.ny, grid.dz),
-    ):
-        position = (node // stride) % count
-        lower = np.where(position > 0, node - stride, node)
-        upper = np.where(position < count - 1, node + stride, node)
-        w = 1.0 / (2.0 * h)
-        data = np.tile([-w, w], n)
-        indices = np.column_stack([lower, upper]).ravel()
-        blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return tuple(blocks)
 
 
 def _shifted(x: np.ndarray, axis: int, adjoint: bool, out: np.ndarray) -> np.ndarray:
@@ -133,47 +103,39 @@ def tv_value_and_gradient(field: Field, beta: float = 1e-2):
     return value, grad.ravel()
 
 
-@functools.lru_cache(maxsize=8)
-def _diffusion_columns(grid: Grid3) -> np.ndarray:
-    """Column layout of diffusion_matrix, (n_nodes, 7) int32, cached per grid.
-
-    Node i sits in rows lower_i and upper_i of each D_a; row k couples i to
-    lower_k + upper_k - i.  Per row: the z, y, x partners through lower_i,
-    the node itself, then the x, y, z partners through upper_i.
-    """
-    node = np.arange(grid.n_nodes, dtype=np.int32)
-    partners = []
-    for d in difference_blocks(grid):
-        pairs = d.indices.reshape(-1, 2)
-        partners.append(pairs.sum(axis=1, dtype=np.int32)[pairs] - node[:, None])
-    x, y, z = partners
-    columns = np.column_stack([z[:, 0], y[:, 0], x[:, 0], node, x[:, 1], y[:, 1], z[:, 1]])
-    columns.flags.writeable = False  # every frozen matrix shares it as its indices
-    return columns
-
-
 def diffusion_matrix(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
     """The diffusion operator frozen at weights gamma, assembled once as CSR.
 
     L = cell_volume * sum_a D_a^T diag(gamma) D_a, symmetric positive
-    semidefinite, with exactly seven stored entries per row: per axis (with
-    D_a's entries +-w_a) the two couplings -cell_volume w_a^2 gamma[k] for k
-    in (lower_i, upper_i), and the diagonal, minus their sum.  On a 2-node
-    axis both couplings fall in one column and are kept as two entries.
+    semidefinite, with exactly seven stored entries per row.  On each axis
+    line, row k of D_a holds -w_a at lower_k = max(k-1, 0) and +w_a at
+    upper_k = min(k+1, count-1), so node i meets the rows k in (lower_i,
+    upper_i), each coupling it to lower_k + upper_k - i with weight
+    -cell_volume w_a^2 gamma[k].  A row holds the z, y, x couplings through
+    lower_i, the diagonal, minus their sum, then the x, y, z couplings
+    through upper_i.  On a 2-node axis both couplings fall in one column
+    and are kept as two entries.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
     n = grid.n_nodes
     if gamma.shape != (n,):
         raise ValueError(f"weights length {gamma.shape} does not match grid nodes {n}")
-    data = np.zeros((n, 7))
-    for a, d in enumerate(difference_blocks(grid)):
-        couplings = -grid.cell_volume * d.data[1] ** 2 * gamma[d.indices.reshape(-1, 2)]
-        data[:, 2 - a] = couplings[:, 0]
-        data[:, 4 + a] = couplings[:, 1]
+    g = gamma.reshape(grid.nz, grid.ny, grid.nx)
+    node = np.arange(n, dtype=np.int32).reshape(g.shape)
+    data = np.zeros(g.shape + (7,))
+    columns = np.empty(g.shape + (7,), dtype=np.int32)
+    columns[..., 3] = node
+    for a, (axis, w) in enumerate(_axes(grid)):
+        pos = np.arange(g.shape[axis])
+        lower = np.maximum(pos - 1, 0)
+        upper = np.minimum(pos + 1, pos.size - 1)
+        for slot, k in ((2 - a, lower), (4 + a, upper)):
+            data[..., slot] = -grid.cell_volume * w**2 * np.take(g, k, axis)
+            columns[..., slot] = np.take(node, lower[k] + upper[k] - pos, axis)
     # L annihilates constants, so each diagonal is minus its row's couplings
-    data[:, 3] = -data.sum(axis=1)
+    data[..., 3] = -data.sum(axis=-1)
     indptr = np.arange(0, 7 * n + 1, 7, dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), _diffusion_columns(grid).ravel(), indptr), shape=(n, n))
+    return sp.csr_matrix((data.ravel(), columns.ravel(), indptr), shape=(n, n))
 
 
 def apply_weights(frozen: sp.csr_matrix, grid: Grid3, vector: np.ndarray) -> np.ndarray:

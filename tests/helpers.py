@@ -19,7 +19,8 @@ from atmtomo import (
     take_rays,
 )
 from atmtomo.forward import _nearest_nodes
-from atmtomo.tv import _check_beta, difference_blocks, smoothing_weights, tv_value_and_gradient
+from atmtomo.geometry import Grid3
+from atmtomo.tv import _check_beta, smoothing_weights, tv_value_and_gradient
 
 _criteria_lines = []
 
@@ -166,6 +167,70 @@ def stencil_1d(line, idx, spacing):
     lo = max(idx - 1, 0)
     hi = min(idx + 1, len(line) - 1)
     return (line[hi] - line[lo]) / (2.0 * spacing)
+
+
+def difference_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Central differences (Dx, Dy, Dz) on flat x-fastest vectors.
+
+    Each block is n_nodes x n_nodes with two entries per row, -1/(2h) and
+    +1/(2h).  Replicate padding clips the neighbor index at the boundary
+    nodes, so the one-sided stencils keep the 1/(2h) scale.
+    """
+    n = grid.n_nodes
+    node = np.arange(n)
+    indptr = np.arange(0, 2 * n + 1, 2)
+    blocks = []
+    for count, stride, h in (
+        (grid.nx, 1, grid.dx),
+        (grid.ny, grid.nx, grid.dy),
+        (grid.nz, grid.nx * grid.ny, grid.dz),
+    ):
+        position = (node // stride) % count
+        lower = np.where(position > 0, node - stride, node)
+        upper = np.where(position < count - 1, node + stride, node)
+        w = 1.0 / (2.0 * h)
+        data = np.tile([-w, w], n)
+        indices = np.column_stack([lower, upper]).ravel()
+        blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return tuple(blocks)
+
+
+def _diffusion_columns(grid: Grid3) -> np.ndarray:
+    """Column layout of diffusion_matrix_blocks, (n_nodes, 7) int32.
+
+    Node i sits in rows lower_i and upper_i of each D_a; row k couples i to
+    lower_k + upper_k - i.  Per row: the z, y, x partners through lower_i,
+    the node itself, then the x, y, z partners through upper_i.
+    """
+    node = np.arange(grid.n_nodes, dtype=np.int32)
+    partners = []
+    for d in difference_blocks(grid):
+        pairs = d.indices.reshape(-1, 2)
+        partners.append(pairs.sum(axis=1, dtype=np.int32)[pairs] - node[:, None])
+    x, y, z = partners
+    return np.column_stack([z[:, 0], y[:, 0], x[:, 0], node, x[:, 1], y[:, 1], z[:, 1]])
+
+
+def diffusion_matrix_blocks(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
+    """The frozen diffusion operator read off the CSR difference blocks.
+
+    Seven entries per row: per axis (with D_a's entries +-w_a) the two
+    couplings -cell_volume w_a^2 gamma[k] for k in (lower_i, upper_i), and
+    the diagonal, minus their sum.  diffusion_matrix must equal it bitwise.
+    """
+    gamma = np.asarray(gamma, dtype=float).ravel()
+    n = grid.n_nodes
+    if gamma.shape != (n,):
+        raise ValueError(f"weights length {gamma.shape} does not match grid nodes {n}")
+    data = np.zeros((n, 7))
+    for a, d in enumerate(difference_blocks(grid)):
+        couplings = -grid.cell_volume * d.data[1] ** 2 * gamma[d.indices.reshape(-1, 2)]
+        data[:, 2 - a] = couplings[:, 0]
+        data[:, 4 + a] = couplings[:, 1]
+    # L annihilates constants, so each diagonal is minus its row's couplings
+    data[:, 3] = -data.sum(axis=1)
+    indptr = np.arange(0, 7 * n + 1, 7, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), _diffusion_columns(grid).ravel(), indptr), shape=(n, n))
 
 
 def diff_axis(field, axis):

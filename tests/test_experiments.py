@@ -1,6 +1,7 @@
 """Experiment driver: config files, sweep and benchmark modes, CLI."""
 
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -102,8 +103,9 @@ def test_config_validation():
         ExperimentConfig(penalties=("lasso",))
     with pytest.raises(ValueError):
         ExperimentConfig(solvers=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(noise_fractions=(-0.01,))
+    for bad in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="noise fraction must be >= 0"):
+            ExperimentConfig(noise_fractions=(bad,))
 
 
 @pytest.mark.parametrize(

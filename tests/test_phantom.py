@@ -119,8 +119,9 @@ def test_add_noise_zero_fraction():
     noisy, delta = add_noise(f, 0.0, seed=0)
     np.testing.assert_array_equal(noisy, f)
     assert delta == 0.0
-    with pytest.raises(ValueError):
-        add_noise(f, -0.1, seed=0)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="noise fraction must be >= 0"):
+            add_noise(f, bad, seed=0)
     with pytest.raises(ValueError):
         add_noise(np.zeros((3, 3)), 0.1, seed=0)
 
@@ -160,3 +161,8 @@ def test_field_file_errors(tmp_path):
     short.write_bytes(short.read_bytes()[:-8])
     with pytest.raises(ValueError):
         read_field(short)
+    padded = tmp_path / "padded.fld"
+    write_field(f, padded)
+    padded.write_bytes(padded.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="bytes follow the field payload"):
+        read_field(padded)

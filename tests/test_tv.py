@@ -9,7 +9,6 @@ import helpers
 from atmtomo import Field, make_grid, true_profile, tv_value
 from atmtomo.tv import (
     apply_weights,
-    difference_blocks,
     diffusion_matrix,
     smoothing_weights,
     tv_value_and_gradient,
@@ -32,14 +31,11 @@ def test_beta_validation():
 def test_difference_blocks_match_dense_kronecker_oracle():
     # anisotropic spacing and a 2-node axis, where both rows are one-sided
     grid = make_grid(2, 3, 5, (0, 1, 0, 2, 0, 3))
-    blocks = difference_blocks(grid)
+    blocks = helpers.difference_blocks(grid)
     for block, dense in zip(blocks, helpers.dense_diff_matrices(grid)):
         assert block.shape == dense.shape
         np.testing.assert_array_equal(block.toarray(), dense)
         assert np.all(np.diff(block.indptr) == 2)
-    # an equal but distinct Grid3 hits the cache
-    again = difference_blocks(make_grid(2, 3, 5, (0, 1, 0, 2, 0, 3)))
-    assert all(a is b for a, b in zip(again, blocks))
 
 
 def test_diff_axis_constant_and_linear():
@@ -263,6 +259,20 @@ def test_diffusion_matrix_matches_oracles(dims, bounds):
         assert float(u @ (frozen @ u)) >= -1e-12
     with pytest.raises(ValueError, match="does not match grid nodes"):
         diffusion_matrix(gamma[:-1], grid)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(30, 30, 30), (60, 60, 30), (2, 3, 5), (5, 2, 7), (4, 4, 4), (2, 2, 2)],
+)
+def test_diffusion_matrix_equals_block_construction(dims):
+    # the per-axis neighbour assembly repeats the CSR-block one bit for bit
+    grid = make_grid(*dims, (0, 1, 0, 2, 0, 15))
+    gamma = np.random.default_rng(sum(dims)).uniform(0.1, 10.0, grid.n_nodes)
+    got = diffusion_matrix(gamma, grid)
+    want = helpers.diffusion_matrix_blocks(gamma, grid)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_diffusion_operator_linear_symmetric_psd():
