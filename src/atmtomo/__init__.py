@@ -12,7 +12,6 @@ from .diagnostics import (
     ConvergenceRecord,
     read_csv,
     relative_error,
-    total_error,
     write_csv,
 )
 from .experiments import (
@@ -122,7 +121,6 @@ __all__ = [
     "sample_rays",
     "smoothing_weights",
     "take_rays",
-    "total_error",
     "true_profile",
     "tv_value",
     "tv_value_and_gradient",

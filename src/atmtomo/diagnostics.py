@@ -37,24 +37,13 @@ def _values_of(obj) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _check_pair(phi, truth):
+def relative_error(phi, truth) -> float:
+    """||phi - truth|| / ||truth||; zero everywhere matches itself at 0."""
     if hasattr(phi, "grid") and hasattr(truth, "grid") and phi.grid != truth.grid:
         raise ValueError("fields live on different grids")
     a, b = _values_of(phi), _values_of(truth)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a, b
-
-
-def total_error(phi, truth) -> float:
-    """Euclidean distance ||phi - truth||."""
-    a, b = _check_pair(phi, truth)
-    return float(np.linalg.norm(a - b))
-
-
-def relative_error(phi, truth) -> float:
-    """||phi - truth|| / ||truth||; zero everywhere matches itself at 0."""
-    a, b = _check_pair(phi, truth)
     tn = float(np.linalg.norm(b))
     if tn == 0.0:
         if float(np.linalg.norm(a)) == 0.0:

@@ -37,15 +37,15 @@ class ExperimentConfig:
     z_min: float = 0.0
     z_max: float = 15.0
     # phantom
-    base: float = 350.0
-    scale_height_1: float = 1.0
-    scale_height_2: float = 7.0
-    gradient_x: float = 30.0
-    gradient_y: float = 50.0
-    amplitude_sin: float = 30.0
-    amplitude_cos: float = 20.0
-    cycles_x: float = 4.0
-    cycles_y: float = 6.0
+    base: float = PhantomParams.base
+    scale_height_1: float = PhantomParams.scale_height_1
+    scale_height_2: float = PhantomParams.scale_height_2
+    gradient_x: float = PhantomParams.gradient_x
+    gradient_y: float = PhantomParams.gradient_y
+    amplitude_sin: float = PhantomParams.amplitude_sin
+    amplitude_cos: float = PhantomParams.amplitude_cos
+    cycles_x: float = PhantomParams.cycles_x
+    cycles_y: float = PhantomParams.cycles_y
     # network
     stations: int = 15
     emitters: int = 30

@@ -50,18 +50,6 @@ class Grid3:
     def cell_volume(self) -> float:
         return self.dx * self.dy * self.dz
 
-    def linear_index(self, i: int, j: int, k: int) -> int:
-        return i + self.nx * (j + self.ny * k)
-
-    def node_position(self, i: int, j: int, k: int) -> np.ndarray:
-        return np.array(
-            [
-                self.x_min + i * self.dx,
-                self.y_min + j * self.dy,
-                self.z_min + k * self.dz,
-            ]
-        )
-
     def axis_nodes(self, axis: str) -> np.ndarray:
         """Node coordinates along one axis ('x', 'y' or 'z')."""
         if axis == "x":

@@ -16,7 +16,7 @@ class Objective:
     """F(phi) = 0.5*||T phi - data||^2 + alpha * penalty(phi).
 
     penalty 'tv' is the smoothed total variation with parameter beta;
-    'quadratic' is 0.5*||phi - anchor||^2 (anchor defaults to zero).
+    'quadratic' is 0.5*||phi||^2.
     Every eval() increments the evaluation counter.
     """
 
@@ -28,7 +28,6 @@ class Objective:
         grid: Grid3,
         penalty: str = "tv",
         beta: float = 1e-2,
-        anchor: np.ndarray | None = None,
     ):
         data = np.asarray(data, dtype=float)
         if data.shape != (operator.n_rows,):
@@ -45,19 +44,12 @@ class Objective:
             raise ValueError(f"unknown penalty {penalty!r}, expected one of {PENALTIES}")
         if penalty == "tv":
             beta = _check_beta(beta)
-        if anchor is None:
-            anchor = np.zeros(operator.n_cols)
-        else:
-            anchor = np.asarray(anchor, dtype=float)
-            if anchor.shape != (operator.n_cols,):
-                raise ValueError("anchor length does not match operator columns")
         self.operator = operator
         self.data = data
         self.alpha = float(alpha)
         self.grid = grid
         self.penalty = penalty
         self.beta = beta
-        self.anchor = anchor
         self.evaluations = 0
 
     def eval(self, phi: np.ndarray):
@@ -69,9 +61,8 @@ class Objective:
                 Field(grid=self.grid, values=phi), self.beta
             )
         else:
-            diff = phi - self.anchor
-            pen_value = 0.5 * float(diff @ diff)
-            pen_grad = diff
+            pen_value = 0.5 * float(phi @ phi)
+            pen_grad = phi
         value = 0.5 * float(residual @ residual) + self.alpha * pen_value
         gradient = self.operator.apply_adjoint(residual) + self.alpha * pen_grad
         self.evaluations += 1

@@ -39,6 +39,8 @@ class LbfgsOptions:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if not self.grad_tol >= 0.0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
 class LbfgsHistory:

@@ -90,6 +90,18 @@ def desk_network(grid=None):
     return take_rays(build_network(grid, stations, emitters, seed=0), 200)
 
 
+def linear_index(grid, i, j, k):
+    """Flat index of node (i, j, k); nodes are numbered x-fastest."""
+    return i + grid.nx * (j + grid.ny * k)
+
+
+def node_position(grid, i, j, k):
+    """Coordinates of node (i, j, k)."""
+    return np.array(
+        [grid.x_min + i * grid.dx, grid.y_min + j * grid.dy, grid.z_min + k * grid.dz]
+    )
+
+
 # Marker nearest_node returns for points outside the inflated domain.
 OUTSIDE = -1
 

@@ -6,8 +6,8 @@ per-layer metrics quietly at zero; one test runs a traced pass of the staged
 workload on a tiny two-solver TV problem and checks every span fires.
 
 ``bench/workloads.py`` keeps its own copies of the sweep driver's combination
-names, scene and data setup, and solver wiring; the other test checks that
-they still agree with ``atmtomo.experiments`` bit for bit.
+names, scene and data setup, and solver wiring; the other test checks, bit
+for bit, that they still build and solve what ``experiments.run_sweep`` does.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from atmtomo import ExperimentConfig, assemble_operator, experiments, take_rays
+from atmtomo import ExperimentConfig, experiments
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -54,7 +54,7 @@ def test_traced_pass_fires_every_span(tmp_path):
     assert [s.error for s in p.solves] == [None, None]
 
 
-def test_workloads_mirror_the_drivers(tmp_path):
+def test_workloads_mirror_the_drivers(tmp_path, monkeypatch):
     config = ExperimentConfig(
         nx=5,
         ny=5,
@@ -81,27 +81,48 @@ def test_workloads_mirror_the_drivers(tmp_path):
     for combo in combos:
         assert workloads.combo_name(*combo) == experiments._combo_name(*combo)
 
+    # what the sweep driver actually solved, one call per combination it ran
+    solved = []
+    real = experiments._solve_combo
+
+    def capture(config, grid, op, f_delta, truth, solver, penalty):
+        result = real(config, grid, op, f_delta, truth, solver, penalty)
+        solved.append((op, f_delta, truth, result))
+        return result
+
+    monkeypatch.setattr(experiments, "_solve_combo", capture)
+    manifest = experiments.run_sweep(config)
+    assert manifest["failures"] == 0
+    ran = [e for e in manifest["outputs"] if e["status"] == "ok"]
+    assert len(ran) == len(solved)
+    # keyed by (ray count, noise), so the skipped ldfp+quadratic problems are
+    # checked against the operator and data of the combinations beside them
+    ops, data = {}, {}
+    results = {}
+    for entry, (op, f_delta, _, result) in zip(ran, solved, strict=True):
+        ops[entry["rays"], entry["noise"]] = op
+        data[entry["rays"], entry["noise"]] = f_delta
+        results[entry["name"]] = result
+
+    truth = solved[0][2]
+    assert all(t is truth for _, _, t, _ in solved)
+    assert len(manifest["outputs"]) - len(ran) == 4  # the skipped ldfp+quadratic ones
+
     problems, n_rays = workloads.setup(config, config.seed)
-    grid, truth, network = experiments._build_scene(config)
-    assert n_rays == len(network.rays)
+    assert n_rays == len(experiments._build_scene(config)[2].rays)
     by_name = {p.name: p for p in problems}
-    assert len(by_name) == len(problems) == len(combos)
-    for rays in config.ray_counts:
-        op = assemble_operator(take_rays(network, rays), config.samples_per_ray)
-        f_true = op.apply(truth.values)
-        for noise in config.noise_fractions:
-            data, _ = experiments._noisy_data(config, f_true, rays, noise)
-            for solver, penalty in itertools.product(config.solvers, config.penalties):
-                p = by_name[experiments._combo_name(solver, penalty, rays, noise)]
-                got = p.objective.operator.matrix
-                for attr in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got, attr), getattr(op.matrix, attr))
-                assert np.array_equal(p.objective.data, data)
-                assert np.array_equal(p.truth.values, truth.values)
-                if solver == "ldfp" and penalty != "tv":
-                    continue
-                mine = workloads._call_solver(config, p, None)
-                theirs = experiments._solve_combo(config, grid, op, data, truth, solver, penalty)
-                assert workloads.strip_seconds(mine.records) == workloads.strip_seconds(
-                    theirs.records
-                )
+    assert len(by_name) == len(problems) == len(combos) == len(manifest["outputs"])
+    for entry in manifest["outputs"]:
+        p = by_name[entry["name"]]
+        key = entry["rays"], entry["noise"]
+        got = p.objective.operator.matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ops[key].matrix, attr))
+        assert np.array_equal(p.objective.data, data[key])
+        assert np.array_equal(p.truth.values, truth.values)
+        if entry["name"] not in results:
+            continue
+        mine = workloads._call_solver(config, p, None)
+        assert workloads.strip_seconds(mine.records) == workloads.strip_seconds(
+            results[entry["name"]].records
+        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from atmtomo import Field, make_grid, relative_error, total_error
+from atmtomo import Field, make_grid, relative_error
 from atmtomo.diagnostics import CSV_HEADER, ConvergenceRecord, read_csv, write_csv
 
 
@@ -13,17 +13,6 @@ def sample_records():
         ConvergenceRecord(1, 0.1, 1e-17, 1.0, 2.5, 1.6605846898191808, 0.015625),
         ConvergenceRecord(2, 0.062, 5.5, 0.25, 1e-300, 0.0, 2.0),
     ]
-
-
-def test_total_error_examples(desk):
-    assert total_error(desk.truth, desk.truth) == 0.0
-    bumped = desk.truth.values.copy()
-    bumped[13] += 2.5
-    assert total_error(bumped, desk.truth) == pytest.approx(2.5, rel=1e-15)
-    doubled = Field(grid=desk.grid, values=2.0 * desk.truth.values)
-    assert total_error(doubled, desk.truth) == pytest.approx(
-        np.linalg.norm(desk.truth.values), rel=1e-14
-    )
 
 
 def test_relative_error_examples(desk):
@@ -43,15 +32,18 @@ def test_zero_truth(desk):
 def test_mismatches_raise(desk):
     other = make_grid(3, 3, 3, (0, 1, 0, 1, 0, 15))
     with pytest.raises(ValueError):
-        total_error(Field(grid=other, values=np.zeros(27)), desk.truth)
+        relative_error(Field(grid=other, values=np.zeros(27)), desk.truth)
+    # same node count, other box: only the grid check can tell them apart
+    taller = make_grid(4, 4, 4, (0, 1, 0, 1, 0, 30))
+    with pytest.raises(ValueError, match="different grids"):
+        relative_error(Field(grid=taller, values=desk.truth.values), desk.truth)
     with pytest.raises(ValueError):
-        total_error(np.zeros(5), desk.truth)
+        relative_error(np.zeros(5), desk.truth)
 
 
 def test_field_and_array_agree(desk, rng):
     values = rng.standard_normal(desk.grid.n_nodes)
     as_field = Field(grid=desk.grid, values=values)
-    assert total_error(as_field, desk.truth) == total_error(values, desk.truth)
     assert relative_error(as_field, desk.truth) == relative_error(values, desk.truth)
 
 

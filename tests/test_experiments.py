@@ -331,6 +331,19 @@ def test_run_sweep_survives_a_failing_combination(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "lbfgs_10rays_0.01.csv").exists()
 
 
+def test_sweep_fails_lbfgs_combinations_on_a_negative_grad_tol(tmp_path):
+    # LbfgsOptions rejects the tolerance as each L-BFGS solve starts: those
+    # combinations are recorded as failed and the LDFP ones still run
+    config = replace(tiny_config(tmp_path / "out"), lbfgs_grad_tol=-1.0)
+    manifest = run_sweep(config)
+    for entry in manifest["outputs"]:
+        if entry["solver"] == "lbfgs":
+            assert entry["status"] == "failed: grad_tol must be >= 0, got -1.0"
+        elif entry["penalty"] == "tv":
+            assert entry["status"] == "ok"
+    assert manifest["failures"] == 4
+
+
 def test_run_benchmark_report(tmp_path):
     config = tiny_config(tmp_path / "out")
     report = run_benchmark(config)

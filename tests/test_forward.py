@@ -23,24 +23,25 @@ from atmtomo.forward import dump_operator
 
 def test_nearest_node_basics():
     g = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
-    assert helpers.nearest_node(g.node_position(3, 7, 11), g) == g.linear_index(3, 7, 11)
+    node = helpers.node_position(g, 3, 7, 11)
+    assert helpers.nearest_node(node, g) == helpers.linear_index(g, 3, 7, 11)
     assert helpers.nearest_node((0.5, 0.5, -1.0), g) == helpers.OUTSIDE
     assert helpers.nearest_node((0.5, 0.5, 16.0), g) == helpers.OUTSIDE
 
 
 def test_nearest_node_midpoint_rounds_down():
     g = make_grid(5, 5, 5, (0, 1, 0, 1, 0, 1))
-    midpoint = g.node_position(1, 2, 3) + np.array([g.dx / 2, 0, 0])
-    assert helpers.nearest_node(midpoint, g) == g.linear_index(1, 2, 3)
-    midpoint_z = g.node_position(1, 2, 3) + np.array([0, 0, g.dz / 2])
-    assert helpers.nearest_node(midpoint_z, g) == g.linear_index(1, 2, 3)
+    midpoint = helpers.node_position(g, 1, 2, 3) + np.array([g.dx / 2, 0, 0])
+    assert helpers.nearest_node(midpoint, g) == helpers.linear_index(g, 1, 2, 3)
+    midpoint_z = helpers.node_position(g, 1, 2, 3) + np.array([0, 0, g.dz / 2])
+    assert helpers.nearest_node(midpoint_z, g) == helpers.linear_index(g, 1, 2, 3)
 
 
 def test_nearest_node_half_cell_inflation():
     g = make_grid(5, 5, 5, (0, 1, 0, 1, 0, 1))
     inside = (-0.49 * g.dx, 0.5, 0.5)
     outside = (-0.51 * g.dx, 0.5, 0.5)
-    assert helpers.nearest_node(inside, g) == g.linear_index(0, 2, 2)
+    assert helpers.nearest_node(inside, g) == helpers.linear_index(g, 0, 2, 2)
     assert helpers.nearest_node(outside, g) == helpers.OUTSIDE
 
 
@@ -92,7 +93,7 @@ def test_vertical_aligned_ray_row():
     net = build_network(g, [Station((0.0, 0.0, 0.0))], [Emitter((0.0, 0.0, 14.0))])
     op = assemble_operator(net, 8)
     row = op.matrix.toarray()[0]
-    nodes = [g.linear_index(0, 0, k) for k in range(8)]
+    nodes = [helpers.linear_index(g, 0, 0, k) for k in range(8)]
     assert np.count_nonzero(row) == 8
     np.testing.assert_allclose(row[nodes[1:-1]], g.dz)
     assert row[nodes[0]] == pytest.approx(g.dz / 2)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from atmtomo import (
     Emitter,
+    Field,
     Station,
     build_network,
     is_admissible,
@@ -38,18 +40,18 @@ def test_grid_spacings_and_counts():
 
 
 def test_grid_indexing_is_x_fastest():
+    # the tests' scalar index helpers agree with the library's (z, y, x) view
     g = make_grid(3, 4, 5, (0, 1, 0, 2, 0, 3))
-    seen = set()
+    numbered = Field(grid=g, values=np.arange(g.n_nodes, dtype=float)).as_3d()
+    xs, ys, zs = (g.axis_nodes(axis) for axis in "xyz")
     for k in range(5):
         for j in range(4):
             for i in range(3):
-                idx = g.linear_index(i, j, k)
-                assert idx == i + 3 * (j + 4 * k)
-                seen.add(idx)
-    assert seen == set(range(g.n_nodes))
-    pos = g.node_position(2, 1, 3)
-    np.testing.assert_allclose(pos, [2 * g.dx, 1 * g.dy, 3 * g.dz])
-    np.testing.assert_allclose(g.axis_nodes("y"), np.linspace(0, 2, 4))
+                assert numbered[k, j, i] == helpers.linear_index(g, i, j, k)
+                np.testing.assert_allclose(
+                    helpers.node_position(g, i, j, k), [xs[i], ys[j], zs[k]], atol=1e-15
+                )
+    np.testing.assert_allclose(ys, np.linspace(0, 2, 4))
 
 
 def test_make_grid_rejects_bad_input():

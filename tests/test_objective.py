@@ -20,9 +20,8 @@ def manual_eval(objective, phi):
             field, objective.beta
         )
     else:
-        shifted = phi - objective.anchor
-        value = misfit + objective.alpha * 0.5 * float(shifted @ shifted)
-        grad = objective.operator.apply_adjoint(residual) + objective.alpha * shifted
+        value = misfit + objective.alpha * 0.5 * float(phi @ phi)
+        grad = objective.operator.apply_adjoint(residual) + objective.alpha * phi
     return value, grad
 
 
@@ -39,15 +38,6 @@ def test_validation(desk):
         Objective(desk.op, desk.f_true, 1e-3, make_grid(3, 3, 3, (0, 1, 0, 1, 0, 15)))
     with pytest.raises(ValueError):
         Objective(desk.op, desk.f_true, 1e-3, desk.grid, beta=1.0)
-    with pytest.raises(ValueError):
-        Objective(
-            desk.op,
-            desk.f_true,
-            1e-3,
-            desk.grid,
-            penalty="quadratic",
-            anchor=np.zeros(5),
-        )
 
 
 def test_tv_value_and_gradient_match_manual(desk, rng):
@@ -61,10 +51,7 @@ def test_tv_value_and_gradient_match_manual(desk, rng):
 
 
 def test_quadratic_value_and_gradient_match_manual(desk, rng):
-    anchor = rng.standard_normal(desk.grid.n_nodes)
-    obj = Objective(
-        desk.op, desk.f_true, 1e-2, desk.grid, penalty="quadratic", anchor=anchor
-    )
+    obj = Objective(desk.op, desk.f_true, 1e-2, desk.grid, penalty="quadratic")
     phi = rng.standard_normal(desk.grid.n_nodes) * 50.0
     value, grad = obj.eval(phi)
     want_value, want_grad = manual_eval(obj, phi)
@@ -72,9 +59,17 @@ def test_quadratic_value_and_gradient_match_manual(desk, rng):
     np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-9)
 
 
-def test_quadratic_anchor_defaults_to_zero(desk):
-    obj = Objective(desk.op, desk.f_true, 1e-2, desk.grid, penalty="quadratic")
-    np.testing.assert_array_equal(obj.anchor, np.zeros(desk.grid.n_nodes))
+def test_quadratic_penalty_is_the_zero_anchor_formula_bitwise(desk, rng):
+    # 0.5*||phi||^2 rounds exactly as 0.5*||phi - 0||^2 does, so quadratic
+    # runs match those made when the penalty measured from a zero anchor
+    alpha = 1e-2
+    obj = Objective(desk.op, desk.f_true, alpha, desk.grid, penalty="quadratic")
+    phi = rng.standard_normal(desk.grid.n_nodes) * 50.0
+    diff = phi - np.zeros(desk.grid.n_nodes)
+    residual = desk.op.apply(phi) - desk.f_true
+    value, grad = obj.eval(phi)
+    assert value == 0.5 * float(residual @ residual) + alpha * (0.5 * float(diff @ diff))
+    assert np.array_equal(grad, desk.op.apply_adjoint(residual) + alpha * diff)
     value, _ = obj.eval(np.zeros(desk.grid.n_nodes))
     assert value == pytest.approx(0.5 * float(desk.f_true @ desk.f_true), rel=1e-15)
 

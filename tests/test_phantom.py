@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from atmtomo import (
     Field,
     PhantomParams,
@@ -63,7 +64,7 @@ def test_horizontal_bracket_band():
 def test_true_profile_values_and_separability():
     g = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
     f = true_profile(g)
-    assert f.values[g.linear_index(0, 0, 0)] == pytest.approx(129500.0)
+    assert f.values[helpers.linear_index(g, 0, 0, 0)] == pytest.approx(129500.0)
     assert f.values.min() > 0
     a3 = f.as_3d()
     assert np.all(a3[-1] <= a3[0])  # top layer below ground layer, column by column
@@ -74,10 +75,10 @@ def test_true_profile_values_and_separability():
         i = int(rng.integers(30))
         j = int(rng.integers(30))
         k = int(rng.integers(30))
-        x, y, z = g.node_position(i, j, k)
+        x, y, z = helpers.node_position(g, i, j, k)
         decay = math.exp(-z / p.scale_height_1) + math.exp(-z / p.scale_height_2)
         expected = 0.5 * p.base * horizontal_profile(x, y, p, BOUNDS) * decay
-        got = f.values[g.linear_index(i, j, k)]
+        got = f.values[helpers.linear_index(g, i, j, k)]
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -93,7 +94,7 @@ def test_field_layout_and_validation():
     vals = np.arange(g.n_nodes, dtype=float)
     f = Field(grid=g, values=vals)
     assert f.as_3d().shape == (5, 4, 3)
-    assert f.as_3d()[2, 3, 1] == vals[g.linear_index(1, 3, 2)]
+    assert f.as_3d()[2, 3, 1] == vals[helpers.linear_index(g, 1, 3, 2)]
     with pytest.raises(ValueError):
         Field(grid=g, values=vals[:-1])
     with pytest.raises(ValueError):

@@ -41,7 +41,11 @@ def spd_pairs(rng, n, count):
 
 def test_options_validation():
     LbfgsOptions()
-    for kwargs in ({"memory": 0}, {"max_iterations": -1}):
+    LbfgsOptions(grad_tol=0.0)
+    # a grad_tol below zero or NaN never fires, so an exactly zero gradient
+    # would reach the Cauchy step's radius / ||g||
+    bad = ({"memory": 0}, {"max_iterations": -1}, {"grad_tol": -1.0}, {"grad_tol": float("nan")})
+    for kwargs in bad:
         with pytest.raises(ValueError):
             LbfgsOptions(**kwargs)
 
@@ -198,6 +202,53 @@ def test_rejected_steps_quarter_the_radius(monkeypatch):
     # a rejection leaves phi, the gradient and the history as they were, so
     # only iterations 1 and 3 (at x = 0 and x = 1/4) need a fresh direction
     assert calls == [-1.0, -1.0]
+
+
+def test_uphill_direction_falls_back_to_the_cauchy_point(monkeypatch):
+    # a direction of +g is uphill, so every step is -tau*g with
+    # tau = min(1/curvature, radius/||g||): the curvature of the newest pair
+    # (1 with none) against a radius that starts at 1
+    calls = []
+
+    def uphill(history, gradient):
+        calls.append(len(history))
+        return gradient.copy()
+
+    monkeypatch.setattr("atmtomo.solvers.two_loop_direction", uphill)
+    diag = np.array([0.5, 0.8, 1.2, 1.5])
+    obj = quadratic_objective(diag, np.zeros(4))
+    options = LbfgsOptions(max_iterations=1, grad_tol=0.0)
+
+    # far from the minimum the radius bounds the step
+    x0 = np.array([8.0, -6.0, 4.0, 5.0])
+    g0 = diag * x0
+    tau = 1.0 / float(np.linalg.norm(g0))
+    result = lbfgs_trust_region(obj, x0, options)
+    assert calls == [0]
+    assert np.array_equal(result.field, x0 + (-tau * g0))
+    assert result.records[1].step_norm == pytest.approx(1.0, rel=1e-15)
+
+    # near it the unit curvature bounds the first step, the stored pair's
+    # curvature (y.y)/(y.s) the second
+    x0 = np.array([0.4, -0.3, 0.2, 0.1])
+    g0 = diag * x0
+    assert np.linalg.norm(g0) < 1.0
+    first = lbfgs_trust_region(obj, x0, options).field
+    assert np.array_equal(first, x0 + (-1.0 * g0))
+    g1 = diag * first
+    s, y = first - x0, g1 - g0
+    curvature = float(y @ y) / float(y @ s)
+    tau = min(1.0 / curvature, 1.0 / float(np.linalg.norm(g1)))
+    assert tau == 1.0 / curvature != 1.0
+    calls.clear()
+    result = lbfgs_trust_region(obj, x0, replace(options, max_iterations=2))
+    assert calls == [0, 1]
+    np.testing.assert_allclose(result.field, first - tau * g1, rtol=1e-14)
+    steps = [r.step_norm for r in result.records]
+    # both steps accepted: a rejection records a zero step and leaves phi
+    assert steps[1] == pytest.approx(float(np.linalg.norm(g0)), rel=1e-15)
+    assert steps[2] == pytest.approx(tau * float(np.linalg.norm(g1)), rel=1e-13)
+    assert result.records[2].objective < result.records[1].objective < result.records[0].objective
 
 
 def test_rejected_step_repeats_the_last_record():
