@@ -18,7 +18,7 @@ from atmtomo import (
     make_grid,
     network_listing,
     place_network,
-    sample_ray,
+    sample_rays,
     true_profile,
 )
 
@@ -41,10 +41,10 @@ def main():
         print("  " + line)
 
     ray = network.rays[0]
-    points, increment = sample_ray(ray, grid, 24)
+    points, increments = sample_rays((ray,), grid, 24)
     print(f"\nray 0 elevation {ray.elevation:.3f} rad, "
-          f"arc increment {increment:.4f}, {len(points)} samples")
-    print(f"  first sample {points[0]}, last sample {points[-1]}")
+          f"arc increment {increments[0]:.4f}, {points.shape[1]} samples")
+    print(f"  first sample {points[0, 0]}, last sample {points[0, -1]}")
 
     op = assemble_operator(network, n_samples=24)
     print(f"\noperator: {op.n_rows} rows x {op.n_cols} columns, {op.nnz} nonzeros "

@@ -8,6 +8,8 @@ variation and its diffusion operator (tv), the regularized objective
 convergence records (diagnostics), and sweep/benchmark drivers (experiments).
 """
 
+import types
+
 from .diagnostics import (
     ConvergenceRecord,
     read_csv,
@@ -41,7 +43,6 @@ from .geometry import (
     network_listing,
     place_network,
     ray_from_pair,
-    sample_ray,
     sample_rays,
     take_rays,
 )
@@ -70,62 +71,14 @@ from .tv import (
     apply_weights,
     diffusion_matrix,
     smoothing_weights,
-    tv_value,
     tv_value_and_gradient,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceRecord",
-    "Emitter",
-    "ExperimentConfig",
-    "Field",
-    "Grid3",
-    "InnerSolveStats",
-    "LbfgsHistory",
-    "LbfgsOptions",
-    "Network",
-    "Objective",
-    "PhantomParams",
-    "Ray",
-    "SolveResult",
-    "SparseOperator",
-    "Station",
-    "add_noise",
-    "apply_weights",
-    "assemble_operator",
-    "build_network",
-    "cgne",
-    "config_hash",
-    "default_config",
-    "derive_noise_seed",
-    "diffusion_matrix",
-    "dump_operator",
-    "horizontal_profile",
-    "is_admissible",
-    "lbfgs_trust_region",
-    "ldfp",
-    "load_config",
-    "make_grid",
-    "network_listing",
-    "operator_listing",
-    "place_network",
-    "ray_from_pair",
-    "read_csv",
-    "read_field",
-    "relative_error",
-    "run_benchmark",
-    "run_sweep",
-    "sample_ray",
-    "sample_rays",
-    "smoothing_weights",
-    "take_rays",
-    "true_profile",
-    "tv_value",
-    "tv_value_and_gradient",
-    "two_loop_direction",
-    "vertical_profile",
-    "write_csv",
-    "write_field",
-]
+# every public name bound above except the modules
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

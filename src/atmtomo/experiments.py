@@ -6,6 +6,7 @@ import configparser
 import hashlib
 import itertools
 import json
+import math
 import os
 import typing
 import zlib
@@ -82,8 +83,8 @@ class ExperimentConfig:
             raise ValueError("solver and penalty lists must be nonempty")
         # take_rays and add_noise check the rest, but not these before a sweep's first solve
         for p in self.noise_fractions:
-            if not p >= 0.0:
-                raise ValueError(f"noise fraction must be >= 0, got {p}")
+            if not 0.0 <= p < math.inf:
+                raise ValueError(f"noise fraction must be >= 0 and finite, got {p}")
         for s in self.ray_counts:
             if s < 1:
                 raise ValueError(f"ray count must be >= 1, got {s}")
@@ -152,18 +153,22 @@ def load_config(path) -> ExperimentConfig:
     """Read an INI-style config; every missing key keeps its default.
 
     An unknown section or key raises ValueError, so a misspelling cannot
-    silently fall back to the default.
+    silently fall back to the default; so does a file the INI parser rejects.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed config: {exc}") from exc
     if not read:
         raise OSError(f"config file {path} not found or unreadable")
     kw = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         keys = _CONFIG_KEYS.get(section)
         if keys is None:
             raise ValueError(f"{path}: unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
             kw[keys[key]] = _convert(raw, _FIELD_TYPES[keys[key]])

@@ -227,17 +227,6 @@ def sample_rays(rays, grid: Grid3, n_samples: int):
     return points, increments
 
 
-def sample_ray(ray: Ray, grid: Grid3, n_samples: int):
-    """Equispaced-in-altitude sample points along one ray.
-
-    Returns (points, increment): points has shape (n_samples, 3) running from
-    the station altitude up to z_max, increment is the arc length between
-    consecutive samples, d_eps / sin(elevation).
-    """
-    points, increments = sample_rays((ray,), grid, n_samples)
-    return points[0], float(increments[0])
-
-
 def build_network(
     grid: Grid3,
     stations,

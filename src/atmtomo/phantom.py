@@ -130,8 +130,8 @@ def add_noise(f_true: np.ndarray, noise_fraction: float, seed: int):
     f_true = np.asarray(f_true, dtype=float)
     if f_true.ndim != 1 or f_true.size == 0:
         raise ValueError("data must be a nonempty flat vector")
-    if not noise_fraction >= 0.0:
-        raise ValueError(f"noise fraction must be >= 0, got {noise_fraction}")
+    if not 0.0 <= noise_fraction < math.inf:
+        raise ValueError(f"noise fraction must be >= 0 and finite, got {noise_fraction}")
     m = f_true.size
     delta = noise_fraction * float(np.linalg.norm(f_true)) / math.sqrt(m)
     z = np.random.default_rng(seed).standard_normal(m)

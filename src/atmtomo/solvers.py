@@ -237,12 +237,9 @@ def lbfgs_trust_region(
             t = 1.0 if dn <= radius else radius / dn
             p = d if t == 1.0 else t * d
             hit_boundary = t < 1.0
-            if len(history) == 0:
-                predicted = -float(grad @ p)
-            else:
-                # model curvature along the clipped quasi-Newton step:
-                # B p = -t g exactly, so the quadratic term is known in closed form
-                predicted = -float(grad @ p) * (1.0 - 0.5 * t)
+            # model curvature along the clipped quasi-Newton step: B p = -t g
+            # exactly (B = I with no stored pair), so the quadratic term is closed-form
+            predicted = -float(grad @ p) * (1.0 - 0.5 * t)
         else:
             # uphill or zero direction: dogleg collapses to the Cauchy point
             curvature = history.curvature_estimate()
@@ -292,6 +289,8 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     zero one stalls and returns the current iterate.
     """
     rhs = np.asarray(rhs, dtype=float)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     s = np.zeros_like(rhs)

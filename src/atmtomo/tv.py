@@ -72,18 +72,12 @@ def smoothing_weights(field: Field, beta: float = 1e-2) -> np.ndarray:
     return np.divide(1.0, root, out=root)
 
 
-def tv_value(field: Field, beta: float = 1e-2) -> float:
-    """Cell-volume weighted sum of sqrt(|grad|^2 + beta) over all nodes."""
-    beta = _check_beta(beta)
-    root = _root_of_differences(field, beta)[1]
-    return float(root.ravel().sum() * field.grid.cell_volume)
-
-
 def tv_value_and_gradient(field: Field, beta: float = 1e-2):
-    """Value and gradient from one set of differences; the gradient is L(field) @ field.
+    """Smoothed TV and its gradient L(field) @ field, from one set of differences.
 
-    The gradient is cell_volume * sum_a D_a^T (gamma * D_a v), the axes
-    accumulated in x, y, z order into one buffer.
+    The value is the cell-volume weighted sum of sqrt(|grad|^2 + beta) over
+    all nodes.  The gradient is cell_volume * sum_a D_a^T (gamma * D_a v), the
+    axes accumulated in x, y, z order into one buffer.
     """
     beta = _check_beta(beta)
     grid = field.grid

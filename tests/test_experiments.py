@@ -103,7 +103,7 @@ def test_config_validation():
         ExperimentConfig(penalties=("lasso",))
     with pytest.raises(ValueError):
         ExperimentConfig(solvers=())
-    for bad in (-0.01, math.nan):
+    for bad in (-0.01, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise fraction must be >= 0"):
             ExperimentConfig(noise_fractions=(bad,))
 
@@ -152,9 +152,22 @@ def test_run_checks_its_own_rays_and_noise(tmp_path):
         assert not list(out.glob("*.csv"))
 
 
-def test_readme_config_is_the_default(tmp_path):
+def readme_blocks(language):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    return re.findall(rf"^```{language}\n(.*?)^```", readme, re.M | re.S)
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = readme_blocks("python")
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    termination, error = capsys.readouterr().out.split()
+    assert termination in ("stagnation", "max-iter", "gradient-tol", "radius-collapse")
+    assert 0.0 < float(error) < 1.0
+
+
+def test_readme_config_is_the_default(tmp_path):
+    blocks = readme_blocks("ini")
     assert len(blocks) == 1
     ini = tmp_path / "readme.ini"
     ini.write_text(blocks[0])
@@ -202,6 +215,28 @@ def test_load_config_rejects_misspelled_section(tmp_path, capsys):
         load_config(ini)
     assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == 1
     assert "sweeep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[grid]\nnx = 5\nnx = 6\n",
+        "nx = 5\n[grid]\nny = 5\n",
+        "[grid]\nnx\n",
+        "[output]\ndirectory = 100%\n",
+    ],
+    ids=["duplicate-key", "key-before-section", "key-without-equals", "bad-interpolation"],
+)
+def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
+    ini = tmp_path / "broken.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ini))}: malformed config: "):
+        load_config(ini)
+    assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"atmtomo: {ini}: malformed config: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -342,6 +377,19 @@ def test_sweep_fails_lbfgs_combinations_on_a_negative_grad_tol(tmp_path):
         elif entry["penalty"] == "tv":
             assert entry["status"] == "ok"
     assert manifest["failures"] == 4
+
+
+def test_sweep_fails_ldfp_combinations_on_a_nan_inner_tol(tmp_path):
+    # a NaN tolerance would run every inner solve to its cap unreported;
+    # cgne rejects it on the first outer step, so only the LDFP solves fail
+    config = replace(tiny_config(tmp_path / "out"), ldfp_inner_tol=math.nan)
+    manifest = run_sweep(config)
+    for entry in manifest["outputs"]:
+        if entry["solver"] == "ldfp" and entry["penalty"] == "tv":
+            assert entry["status"] == "failed: tol must be >= 0, got nan"
+        elif entry["solver"] == "lbfgs":
+            assert entry["status"] == "ok"
+    assert manifest["failures"] == 2
 
 
 def test_run_benchmark_report(tmp_path):

@@ -16,7 +16,7 @@ from atmtomo import (
     network_listing,
     place_network,
     ray_from_pair,
-    sample_ray,
+    sample_rays,
     take_rays,
 )
 
@@ -110,11 +110,12 @@ def test_admissibility_rules():
 def test_sample_ray_vertical_ladder():
     g = make_grid(4, 4, 16, (0, 1, 0, 1, 0, 15))
     ray = ray_from_pair(Station((0.25, 0.5, 0.0)), Emitter((0.25, 0.5, 15.0)))
-    points, increment = sample_ray(ray, g, 16)
-    assert increment == pytest.approx(1.0)
-    np.testing.assert_allclose(points[:, 0], 0.25)
-    np.testing.assert_allclose(points[:, 1], 0.5)
-    np.testing.assert_allclose(points[:, 2], np.arange(16.0))
+    points, increments = sample_rays((ray,), g, 16)
+    assert points.shape == (1, 16, 3)
+    assert increments.tolist() == pytest.approx([1.0])
+    np.testing.assert_allclose(points[0, :, 0], 0.25)
+    np.testing.assert_allclose(points[0, :, 1], 0.5)
+    np.testing.assert_allclose(points[0, :, 2], np.arange(16.0))
 
 
 def test_sample_ray_oblique_increment_and_endpoints():
@@ -124,7 +125,8 @@ def test_sample_ray_oblique_increment_and_endpoints():
         Station((0.1, 0.2, 0.0)),
         Emitter((0.1 + 15.0 / math.tan(math.pi / 6), 0.2, 15.0)),
     )
-    points, increment = sample_ray(ray, g, 31)
+    points, increments = sample_rays((ray,), g, 31)
+    points, increment = points[0], float(increments[0])
     assert increment == pytest.approx(2.0 * 0.5)
     assert points[0, 2] == pytest.approx(0.0)
     assert points[-1, 2] == pytest.approx(15.0)
@@ -138,11 +140,11 @@ def test_sample_ray_oblique_increment_and_endpoints():
 def test_sample_ray_two_points_are_the_endpoints():
     g = paper_box()
     ray = ray_from_pair(Station((0.3, 0.4, 0.0)), Emitter((0.8, 0.9, 15.0)))
-    points, _ = sample_ray(ray, g, 2)
-    np.testing.assert_allclose(points[0], (0.3, 0.4, 0.0))
-    np.testing.assert_allclose(points[-1], (0.8, 0.9, 15.0), rtol=1e-12)
+    points, _ = sample_rays((ray,), g, 2)
+    np.testing.assert_allclose(points[0, 0], (0.3, 0.4, 0.0))
+    np.testing.assert_allclose(points[0, -1], (0.8, 0.9, 15.0), rtol=1e-12)
     with pytest.raises(ValueError):
-        sample_ray(ray, g, 1)
+        sample_rays((ray,), g, 1)
 
 
 def test_build_network_order_and_filter():

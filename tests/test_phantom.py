@@ -120,7 +120,7 @@ def test_add_noise_zero_fraction():
     noisy, delta = add_noise(f, 0.0, seed=0)
     np.testing.assert_array_equal(noisy, f)
     assert delta == 0.0
-    for bad in (-0.1, math.nan):
+    for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise fraction must be >= 0"):
             add_noise(f, bad, seed=0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Trust-region L-BFGS, conjugate gradients, and lagged diffusivity."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,21 @@ def test_radius_starts_at_one_and_doubles_on_the_boundary():
     assert result.termination == "gradient-tol"
 
 
+def test_first_step_predicts_with_the_identity_model():
+    # f(x) = 0.8 (x - 1/2)^2 from 0: with no stored pair the step is -g = 0.8
+    # and B = I predicts 0.32 against an actual 0.128, ratio 0.4 >= 1/4, so it
+    # is accepted; the stored pair then gives the exact Newton step 0.3.  A
+    # model without curvature would predict 0.64 and reject it (ratio 0.2).
+    def fn(x):
+        return 0.8 * float((x[0] - 0.5) ** 2), np.array([1.6 * (x[0] - 0.5)])
+
+    options = LbfgsOptions(max_iterations=3, grad_tol=0.0)
+    result = lbfgs_trust_region(helpers.FnObjective(fn), np.zeros(1), options)
+    assert [r.step_norm for r in result.records] == pytest.approx([0, 0.8, 0.3], rel=1e-14)
+    assert result.termination == "gradient-tol"
+    assert result.field[0] == 0.5
+
+
 def wall_fn(x):
     # f(x) = -x + 1e3 max(0, x - 1/2)^2 from 0: the unit step hits the wall and
     # is rejected (radius 1/4); the 1/4 step is accepted on the boundary (radius
@@ -352,6 +368,9 @@ def test_cgne_rejects_indefinite_map_and_bad_cap():
         cgne(lambda v: d * v, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         cgne(lambda v: v, np.ones(3), max_iterations=0)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            cgne(lambda v: v, np.ones(3), tol=bad)
 
 
 def test_ldfp_requires_tv_penalty(desk):

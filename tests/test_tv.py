@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from atmtomo import Field, make_grid, true_profile, tv_value
+from atmtomo import Field, make_grid, true_profile
 from atmtomo.tv import (
     apply_weights,
     diffusion_matrix,
@@ -25,7 +25,7 @@ def test_beta_validation():
     f = random_field(3, 3, 3, (0, 1, 0, 1, 0, 1), 0)
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            tv_value(f, bad)
+            tv_value_and_gradient(f, bad)
 
 
 def test_difference_blocks_match_dense_kronecker_oracle():
@@ -72,15 +72,16 @@ def test_tv_value_constant_field():
     g = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
     f = Field(grid=g, values=np.full(g.n_nodes, 123.0))
     expected = 27000 * math.sqrt(1e-2) * g.cell_volume
-    assert tv_value(f, 1e-2) == pytest.approx(expected, rel=1e-12)
+    assert tv_value_and_gradient(f, 1e-2)[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.6605846898191806, rel=1e-12)
 
 
 def test_tv_value_shift_invariance_and_beta_monotonicity():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 3)
     shifted = Field(grid=f.grid, values=f.values + 17.5)
-    assert tv_value(shifted, 1e-2) == pytest.approx(tv_value(f, 1e-2), rel=1e-14)
-    assert tv_value(f, 2e-2) > tv_value(f, 1e-2) > tv_value(f, 5e-3)
+    value = tv_value_and_gradient(f, 1e-2)[0]
+    assert tv_value_and_gradient(shifted, 1e-2)[0] == pytest.approx(value, rel=1e-14)
+    assert tv_value_and_gradient(f, 2e-2)[0] > value > tv_value_and_gradient(f, 5e-3)[0]
 
 
 def test_tv_value_matches_triple_loops():
@@ -89,12 +90,12 @@ def test_tv_value_matches_triple_loops():
         (2, (5, 5, 5), (0, 1, 0, 1, 0, 15)),
     ):
         f = random_field(*dims, bounds, seed)
-        assert tv_value(f, 1e-2) == pytest.approx(
+        assert tv_value_and_gradient(f, 1e-2)[0] == pytest.approx(
             helpers.tv_value_loops(f, 1e-2), rel=1e-12
         )
     g5 = make_grid(5, 5, 5, (0, 1, 0, 1, 0, 15))
     phantom = true_profile(g5)
-    assert tv_value(phantom, 1e-2) == pytest.approx(
+    assert tv_value_and_gradient(phantom, 1e-2)[0] == pytest.approx(
         helpers.tv_value_loops(phantom, 1e-2), rel=1e-12
     )
 
@@ -153,7 +154,6 @@ def test_shifted_slices_equal_sparse_products(dims, bounds, kind):
     value, grad = tv_value_and_gradient(f, 1e-2)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
-    assert tv_value(f, 1e-2) == want_value
     weights = smoothing_weights(f, 1e-2)
     assert weights.shape == (grid.nz, grid.ny, grid.nx)
     assert np.array_equal(weights, helpers.smoothing_weights_csr(f, 1e-2))
@@ -170,8 +170,7 @@ def test_tv_gradient_constant_field_is_zero():
 
 def test_value_and_gradient_consistent():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 6)
-    value, grad = tv_value_and_gradient(f, 1e-2)
-    assert value == pytest.approx(tv_value(f, 1e-2), rel=1e-15)
+    _, grad = tv_value_and_gradient(f, 1e-2)
     np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
     np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
 
@@ -186,8 +185,8 @@ def test_directional_derivative():
     for _ in range(20):
         v = rng.standard_normal(g.n_nodes)
         v /= np.linalg.norm(v)
-        plus = tv_value(Field(grid=g, values=f.values + step * v), 1e-2)
-        minus = tv_value(Field(grid=g, values=f.values - step * v), 1e-2)
+        plus = tv_value_and_gradient(Field(grid=g, values=f.values + step * v), 1e-2)[0]
+        minus = tv_value_and_gradient(Field(grid=g, values=f.values - step * v), 1e-2)[0]
         fd = (plus - minus) / (2 * step)
         worst = max(worst, abs(fd - float(grad @ v)) / max(abs(fd), 1e-300))
     assert worst <= 1e-5
@@ -200,7 +199,7 @@ def test_two_slab_beta_limit():
     arr = np.zeros((8, 5, 6))
     arr[4:] = 3.0
     f = Field(grid=g, values=arr.ravel())
-    vals = [tv_value(f, b) for b in (1e-2, 1e-4, 1e-6)]
+    vals = [tv_value_and_gradient(f, b)[0] for b in (1e-2, 1e-4, 1e-6)]
     analytic = 2 * (5 * 6) * (3.0 / (2 * g.dz)) * g.cell_volume
     assert vals[0] > vals[1] > vals[2] > analytic
     assert vals[2] == pytest.approx(analytic, rel=1e-2)
