@@ -119,6 +119,34 @@ class Network:
     surface_lipschitz: float = 0.0
 
 
+def _unit_directions(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and unit directions of (P, 3) differences, zero where a length is 0.
+
+    A length is the BLAS dot that np.linalg.norm takes on one 3-vector, stacked
+    by matmul, so it equals the one-pair norm bit for bit; a row-wise norm or
+    (diff * diff).sum(1) can differ in the last bit.
+    """
+    length = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    nonzero = length[:, None] != 0.0
+    return length, np.divide(diff, length[:, None], out=np.zeros_like(diff), where=nonzero)
+
+
+# angles from math per ray: numpy's vectorized arcsin and arctan2 can differ in the last bit
+def _elevations(direction_z: np.ndarray) -> np.ndarray:
+    return np.array([math.asin(min(1.0, z)) for z in direction_z.tolist()], dtype=float)
+
+
+def _rays(origins, directions, elevations, station_indices, emitter_indices):
+    """Ray objects built from flat per-column lists."""
+    dx, dy, dz = directions.T.tolist()
+    return tuple(
+        Ray(origin, (x, y, z), elevation, math.atan2(y, x) % (2.0 * math.pi), si, ei)
+        for origin, x, y, z, elevation, si, ei in zip(
+            origins, dx, dy, dz, elevations.tolist(), station_indices, emitter_indices
+        )
+    )
+
+
 def ray_from_pair(
     station: Station, emitter: Emitter, station_index: int = 0, emitter_index: int = 0
 ) -> Ray:
@@ -127,52 +155,39 @@ def ray_from_pair(
     Raises ValueError when the two positions coincide or the emitter does not
     sit strictly above the station (such rays never reach the top plane).
     """
-    s = np.asarray(station.position, dtype=float)
-    e = np.asarray(emitter.position, dtype=float)
-    diff = e - s
-    length = float(np.linalg.norm(diff))
-    if length == 0.0:
+    origin = np.array([station.position], dtype=float)
+    length, direction = _unit_directions(np.array([emitter.position], dtype=float) - origin)
+    if length[0] == 0.0:
         raise ValueError("station and emitter coincide, ray direction undefined")
-    direction = diff / length
-    if direction[2] <= 0.0:
+    if direction[0, 2] <= 0.0:
         raise ValueError(
-            f"emitter must lie above the station, got direction_z = {direction[2]!r}"
+            f"emitter must lie above the station, got direction_z = {direction[0, 2]!r}"
         )
-    elevation = math.asin(min(1.0, float(direction[2])))
-    azimuth = math.atan2(float(direction[1]), float(direction[0])) % (2.0 * math.pi)
-    return Ray(
-        origin=tuple(s),
-        direction=tuple(direction),
-        elevation=elevation,
-        azimuth=azimuth,
-        station_index=station_index,
-        emitter_index=emitter_index,
-    )
+    origins, elevations = map(tuple, origin.tolist()), _elevations(direction[:, 2])
+    return _rays(origins, direction, elevations, [station_index], [emitter_index])[0]
 
 
-def _segment_intersects_box(origin, direction, t_max: float, grid: Grid3) -> bool:
-    """Clip the segment origin + t*direction, t in [0, t_max], against the box."""
-    t_lo, t_hi = 0.0, t_max
-    bounds = (
-        (grid.x_min, grid.x_max),
-        (grid.y_min, grid.y_max),
-        (grid.z_min, grid.z_max),
-    )
-    for a in range(3):
-        lo, hi = bounds[a]
-        o, d = origin[a], direction[a]
-        if abs(d) < 1e-300:
-            if o < lo or o > hi:
-                return False
-            continue
-        t1, t2 = (lo - o) / d, (hi - o) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        t_lo = max(t_lo, t1)
-        t_hi = min(t_hi, t2)
-        if t_lo > t_hi:
-            return False
-    return True
+def _admissible(origins, directions, elevations, grid: Grid3, surface_lipschitz):
+    """Admissibility mask of rays given as (P, 3) origins and directions.
+
+    Each segment from its origin up to the top plane is clipped against the box
+    slab by slab; along an axis the ray runs parallel to (|d| < 1e-300) the
+    origin must lie within that axis's bounds.
+    """
+    z0 = origins[:, 2]
+    keep = (elevations >= abs(math.atan(surface_lipschitz))) & (z0 < grid.z_max)
+    keep &= (0.0 < elevations) & (elevations < math.pi)
+    rows = np.flatnonzero(keep)
+    o, d = origins[rows], directions[rows]
+    lo, hi = np.array([[grid.x_min, grid.y_min, grid.z_min], [grid.x_max, grid.y_max, grid.z_max]])
+    parallel = np.abs(d) < 1e-300
+    t1, t2 = (lo - o) / np.where(parallel, 1.0, d), (hi - o) / np.where(parallel, 1.0, d)
+    t_lo = np.where(parallel, 0.0, np.minimum(t1, t2)).max(axis=1, initial=0.0)
+    t_hi = np.where(parallel, np.inf, np.maximum(t1, t2)).min(axis=1, initial=np.inf)
+    t_top = (grid.z_max - z0[rows]) / np.array([math.sin(e) for e in elevations[rows].tolist()])
+    outside = (parallel & ((o < lo) | (o > hi))).any(axis=1)
+    keep[rows] = ~outside & (t_lo <= np.minimum(t_hi, t_top))
+    return keep
 
 
 def is_admissible(ray: Ray, grid: Grid3, surface_lipschitz: float = 0.0) -> bool:
@@ -183,16 +198,8 @@ def is_admissible(ray: Ray, grid: Grid3, surface_lipschitz: float = 0.0) -> bool
     altitude parameterization), and a nonempty intersection with the domain
     box over the segment from the station up to the top plane.
     """
-    if not ray.elevation >= abs(math.atan(surface_lipschitz)):
-        return False
-    if not 0.0 < ray.elevation < math.pi:
-        return False
-    sin_e = math.sin(ray.elevation)
-    z0 = ray.origin[2]
-    if grid.z_max <= z0:
-        return False
-    t_top = (grid.z_max - z0) / sin_e
-    return _segment_intersects_box(ray.origin, ray.direction, t_top, grid)
+    fields = (np.array([v], dtype=float) for v in (ray.origin, ray.direction, ray.elevation))
+    return bool(_admissible(*fields, grid, surface_lipschitz)[0])
 
 
 def sample_rays(rays, grid: Grid3, n_samples: int):
@@ -228,30 +235,27 @@ def sample_rays(rays, grid: Grid3, n_samples: int):
 
 
 def build_network(
-    grid: Grid3,
-    stations,
-    emitters,
-    seed: int = 0,
-    surface_lipschitz: float = 0.0,
+    grid: Grid3, stations, emitters, seed: int = 0, surface_lipschitz: float = 0.0
 ) -> Network:
-    """Enumerate station-major, emitter-minor pairs and keep the admissible rays."""
-    rays = []
-    for si, station in enumerate(stations):
-        for ei, emitter in enumerate(emitters):
-            try:
-                ray = ray_from_pair(station, emitter, si, ei)
-            except ValueError:
-                continue
-            if is_admissible(ray, grid, surface_lipschitz):
-                rays.append(ray)
-    return Network(
-        grid=grid,
-        stations=tuple(stations),
-        emitters=tuple(emitters),
-        rays=tuple(rays),
-        seed=seed,
-        surface_lipschitz=surface_lipschitz,
+    """Enumerate station-major, emitter-minor pairs and keep the admissible rays.
+
+    One array pass covers all pairs; only the admissible ones become Rays.
+    """
+    stations, emitters = tuple(stations), tuple(emitters)
+    starts = np.array([s.position for s in stations], dtype=float).reshape(-1, 3)
+    ends = np.array([e.position for e in emitters], dtype=float).reshape(-1, 3)
+    _, directions = _unit_directions((ends[None] - starts[:, None]).reshape(-1, 3))
+    pairs = np.flatnonzero(directions[:, 2] > 0.0)
+    station_of, emitter_of = np.divmod(pairs, len(ends))
+    directions = directions[pairs]
+    elevations = _elevations(directions[:, 2])
+    keep = _admissible(starts[station_of], directions, elevations, grid, surface_lipschitz)
+    station_of, emitter_of = station_of[keep].tolist(), emitter_of[keep].tolist()
+    origins = [tuple(row) for row in starts.tolist()]
+    rays = _rays(
+        [origins[i] for i in station_of], directions[keep], elevations[keep], station_of, emitter_of
     )
+    return Network(grid, stations, emitters, rays, seed, surface_lipschitz)
 
 
 _LATERAL_EXTENSION = 1.5
@@ -287,22 +291,17 @@ def place_network(
         slopes_y = np.abs(np.diff(height_map, axis=0)) / grid.dy
         lipschitz = float(max(slopes_x.max(initial=0.0), slopes_y.max(initial=0.0)))
 
-    stations = []
-    for _ in range(n_stations):
-        x = rng.uniform(grid.x_min, grid.x_max)
-        y = rng.uniform(grid.y_min, grid.y_max)
-        z = 0.0 if height_map is None else _bilinear(height_map, grid, x, y)
-        stations.append(Station(position=(float(x), float(y), float(z))))
-
-    half_x = 0.5 * _LATERAL_EXTENSION * (grid.x_max - grid.x_min)
-    half_y = 0.5 * _LATERAL_EXTENSION * (grid.y_max - grid.y_min)
-    mid_x = 0.5 * (grid.x_min + grid.x_max)
-    mid_y = 0.5 * (grid.y_min + grid.y_max)
-    emitters = []
-    for _ in range(n_emitters):
-        x = rng.uniform(mid_x - half_x, mid_x + half_x)
-        y = rng.uniform(mid_y - half_y, mid_y + half_y)
-        emitters.append(Emitter(position=(float(x), float(y), float(grid.z_max))))
+    lo = np.array([grid.x_min, grid.y_min])
+    hi = np.array([grid.x_max, grid.y_max])
+    stations = [
+        Station((x, y, 0.0 if height_map is None else _bilinear(height_map, grid, x, y)))
+        for x, y in rng.uniform(lo, hi, size=(n_stations, 2)).tolist()
+    ]
+    half, mid = 0.5 * _LATERAL_EXTENSION * (hi - lo), 0.5 * (lo + hi)
+    emitters = [
+        Emitter((x, y, float(grid.z_max)))
+        for x, y in rng.uniform(mid - half, mid + half, size=(n_emitters, 2)).tolist()
+    ]
 
     return build_network(grid, stations, emitters, seed=seed, surface_lipschitz=lipschitz)
 

@@ -38,8 +38,8 @@ class Objective:
             raise ValueError(
                 f"grid has {grid.n_nodes} nodes but operator has {operator.n_cols} columns"
             )
-        if not alpha > 0.0:
-            raise ValueError(f"regularization weight must be positive, got {alpha}")
+        if not (alpha > 0.0 and np.isfinite(alpha)):
+            raise ValueError(f"regularization weight must be positive and finite, got {alpha}")
         if penalty not in PENALTIES:
             raise ValueError(f"unknown penalty {penalty!r}, expected one of {PENALTIES}")
         if penalty == "tv":

@@ -12,6 +12,8 @@ import scipy.sparse as sp
 from atmtomo import (
     Emitter,
     Field,
+    Network,
+    Ray,
     Station,
     SparseOperator,
     build_network,
@@ -19,7 +21,7 @@ from atmtomo import (
     take_rays,
 )
 from atmtomo.forward import _nearest_nodes
-from atmtomo.geometry import Grid3
+from atmtomo.geometry import _LATERAL_EXTENSION, Grid3, _bilinear
 from atmtomo.tv import _check_beta, smoothing_weights, tv_value_and_gradient
 
 _criteria_lines = []
@@ -88,6 +90,101 @@ def desk_network(grid=None):
         for a in angles
     ]
     return take_rays(build_network(grid, stations, emitters, seed=0), 200)
+
+
+def ray_from_pair_scalar(station, emitter, station_index=0, emitter_index=0):
+    """One station -> emitter ray from a per-pair norm and scalar angles."""
+    s = np.asarray(station.position, dtype=float)
+    diff = np.asarray(emitter.position, dtype=float) - s
+    length = float(np.linalg.norm(diff))
+    if length == 0.0:
+        raise ValueError("station and emitter coincide, ray direction undefined")
+    direction = diff / length
+    if direction[2] <= 0.0:
+        raise ValueError(
+            f"emitter must lie above the station, got direction_z = {direction[2]!r}"
+        )
+    elevation = math.asin(min(1.0, float(direction[2])))
+    azimuth = math.atan2(float(direction[1]), float(direction[0])) % (2.0 * math.pi)
+    return Ray(tuple(s), tuple(direction), elevation, azimuth, station_index, emitter_index)
+
+
+def segment_intersects_box(origin, direction, t_max, grid):
+    """Clip the segment origin + t*direction, t in [0, t_max], against the box."""
+    t_lo, t_hi = 0.0, t_max
+    bounds = ((grid.x_min, grid.x_max), (grid.y_min, grid.y_max), (grid.z_min, grid.z_max))
+    for a in range(3):
+        lo, hi = bounds[a]
+        o, d = origin[a], direction[a]
+        if abs(d) < 1e-300:
+            if o < lo or o > hi:
+                return False
+            continue
+        t1, t2 = (lo - o) / d, (hi - o) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        t_lo = max(t_lo, t1)
+        t_hi = min(t_hi, t2)
+        if t_lo > t_hi:
+            return False
+    return True
+
+
+def is_admissible_scalar(ray, grid, surface_lipschitz=0.0):
+    """The admissibility rules checked one at a time on one ray."""
+    if not ray.elevation >= abs(math.atan(surface_lipschitz)):
+        return False
+    if not 0.0 < ray.elevation < math.pi:
+        return False
+    z0 = ray.origin[2]
+    if grid.z_max <= z0:
+        return False
+    t_top = (grid.z_max - z0) / math.sin(ray.elevation)
+    return segment_intersects_box(ray.origin, ray.direction, t_top, grid)
+
+
+def build_network_per_pair(grid, stations, emitters, seed=0, surface_lipschitz=0.0):
+    """The network built one station-emitter pair at a time.
+
+    Same arithmetic as the library's one-pass build, written as a loop over
+    pairs in station-major, emitter-minor order, so the two must agree bit
+    for bit.
+    """
+    rays = []
+    for si, station in enumerate(stations):
+        for ei, emitter in enumerate(emitters):
+            try:
+                ray = ray_from_pair_scalar(station, emitter, si, ei)
+            except ValueError:
+                continue
+            if is_admissible_scalar(ray, grid, surface_lipschitz):
+                rays.append(ray)
+    return Network(grid, tuple(stations), tuple(emitters), tuple(rays), seed, surface_lipschitz)
+
+
+def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=None):
+    """Station and emitter positions drawn one coordinate at a time.
+
+    Returns (stations, emitters, next_draw): position tuples in place_network's
+    order and the generator's next rng.random() after the last emitter.
+    """
+    rng = np.random.default_rng(seed)
+    stations = []
+    for _ in range(n_stations):
+        x = rng.uniform(grid.x_min, grid.x_max)
+        y = rng.uniform(grid.y_min, grid.y_max)
+        z = 0.0 if height_map is None else _bilinear(height_map, grid, x, y)
+        stations.append((float(x), float(y), float(z)))
+    half_x = 0.5 * _LATERAL_EXTENSION * (grid.x_max - grid.x_min)
+    half_y = 0.5 * _LATERAL_EXTENSION * (grid.y_max - grid.y_min)
+    mid_x = 0.5 * (grid.x_min + grid.x_max)
+    mid_y = 0.5 * (grid.y_min + grid.y_max)
+    emitters = []
+    for _ in range(n_emitters):
+        x = rng.uniform(mid_x - half_x, mid_x + half_x)
+        y = rng.uniform(mid_y - half_y, mid_y + half_y)
+        emitters.append((float(x), float(y), float(grid.z_max)))
+    return stations, emitters, rng.random()
 
 
 def linear_index(grid, i, j, k):

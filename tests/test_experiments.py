@@ -392,6 +392,21 @@ def test_sweep_fails_ldfp_combinations_on_a_nan_inner_tol(tmp_path):
     assert manifest["failures"] == 2
 
 
+def test_sweep_fails_tv_combinations_on_an_infinite_alpha(tmp_path):
+    # Objective rejects the weight before any evaluation, so no inf * 0
+    # warning is raised and the quadratic L-BFGS combinations still run
+    config = replace(tiny_config(tmp_path / "out"), alpha_tv=math.inf)
+    manifest = run_sweep(config)
+    for entry in manifest["outputs"]:
+        if entry["penalty"] == "tv":
+            assert entry["status"] == (
+                "failed: regularization weight must be positive and finite, got inf"
+            )
+        elif entry["solver"] == "lbfgs":
+            assert entry["status"] == "ok"
+    assert manifest["failures"] == 4
+
+
 def test_run_benchmark_report(tmp_path):
     config = tiny_config(tmp_path / "out")
     report = run_benchmark(config)

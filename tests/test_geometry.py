@@ -1,6 +1,7 @@
 """Grid, ray and network geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,101 @@ def test_build_network_order_and_filter():
     # the outside station only reaches the box toward the inside emitter;
     # its slant path to the outside emitter never enters the domain
     assert set(pairs) == {(0, 0), (0, 1), (1, 0)}
+
+
+def _placed(grid, n_stations, n_emitters, seed=7, height_map=None):
+    net = place_network(grid, n_stations, n_emitters, seed, height_map=height_map)
+    return grid, net.stations, net.emitters, net.surface_lipschitz
+
+
+def _hilly_network():
+    # slopes up to 2/dx give L = 13.6, whose elevation bound drops a sixth of the rays
+    grid = make_grid(8, 8, 6, (0, 1, 0, 1, 0, 15))
+    heights = np.random.default_rng(3).uniform(0.0, 2.0, size=(8, 8))
+    return _placed(grid, 20, 40, seed=5, height_map=heights)
+
+
+def _hand_made_pairs():
+    # vertical rays inside and outside the box, stations outside the box whose
+    # slant paths enter it, a station at z_max (coincident with one emitter,
+    # level with two, below one) and a station above an emitter
+    stations = [Station((0.5, 0.5, 0.0)), Station((-0.3, 0.5, 0.0)), Station((5.0, 5.0, 0.0))]
+    stations += [Station((0.5, 0.5, 15.0)), Station((0.2, 0.3, 10.0))]
+    emitters = [Emitter((0.5, 0.5, 15.0)), Emitter((1.3, 0.5, 15.0)), Emitter((5.0, 5.0, 15.0))]
+    emitters += [Emitter((0.5, 0.5, 20.0)), Emitter((0.9, 0.9, 5.0))]
+    return paper_box(), stations, emitters, 0.0
+
+
+BITWISE_CASES = {
+    "default-15x30": lambda: _placed(paper_box(), 15, 30),
+    "dense-60x100": lambda: _placed(make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15)), 60, 100),
+    "height-map": _hilly_network,
+    "no-stations": lambda: (paper_box(), [], [Emitter((0.5, 0.5, 15.0))], 0.0),
+    "hand-made": _hand_made_pairs,
+}
+
+
+@pytest.mark.parametrize("case", BITWISE_CASES)
+def test_build_network_is_bitwise_per_pair(case):
+    grid, stations, emitters, lipschitz = BITWISE_CASES[case]()
+    got = build_network(grid, stations, emitters, seed=7, surface_lipschitz=lipschitz)
+    want = helpers.build_network_per_pair(grid, stations, emitters, 7, lipschitz)
+    assert network_listing(got).encode() == network_listing(want).encode()
+    pairs = [(r.station_index, r.emitter_index) for r in got.rays]
+    assert pairs == [(r.station_index, r.emitter_index) for r in want.rays]
+    for ray, expected in zip(got.rays, want.rays, strict=True):
+        for name in ("origin", "direction", "elevation", "azimuth"):
+            assert getattr(ray, name) == getattr(expected, name)
+    assert got == want
+    if case == "height-map":
+        flat = helpers.build_network_per_pair(grid, stations, emitters)
+        assert len(want.rays) < len(flat.rays)
+    if case == "hand-made":
+        # kept: vertical inside, outside stations whose slant paths enter the box
+        assert {(0, 0), (1, 1), (2, 0)} <= set(pairs)
+        # dropped: vertical outside, a slant path that misses the box, every
+        # pair of the station at z_max, an emitter below its station
+        assert not {(2, 2), (2, 1), (3, 0), (3, 1), (3, 3), (3, 4), (4, 4)} & set(pairs)
+
+
+@pytest.mark.parametrize("case", ["height-map", "hand-made"])
+def test_one_pair_calls_follow_the_scalar_rules(case):
+    grid, stations, emitters, lipschitz = BITWISE_CASES[case]()
+    for si, station in enumerate(stations):
+        for ei, emitter in enumerate(emitters):
+            try:
+                want = helpers.ray_from_pair_scalar(station, emitter, si, ei)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    ray_from_pair(station, emitter, si, ei)
+                continue
+            ray = ray_from_pair(station, emitter, si, ei)
+            assert ray == want
+            admissible = helpers.is_admissible_scalar(want, grid, lipschitz)
+            assert is_admissible(ray, grid, lipschitz) == admissible
+
+
+def test_place_network_draws_match_the_per_station_loop(monkeypatch):
+    grid = make_grid(8, 6, 5, (-2.0, 3.0, 1.0, 1.7, 0.0, 12.0))
+    heights = np.random.default_rng(3).uniform(0.0, 2.0, size=(6, 8))
+    default_rng = np.random.default_rng
+    generators = []
+
+    def recording_rng(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    for seed in range(50):
+        height_map = heights if seed % 2 else None
+        net = place_network(grid, 7, 11, seed, height_map=height_map)
+        rng = generators[-1]
+        stations, emitters, next_draw = helpers.place_positions_per_station(
+            grid, 7, 11, seed, height_map
+        )
+        assert [s.position for s in net.stations] == stations
+        assert [e.position for e in net.emitters] == emitters
+        assert rng.random() == next_draw
 
 
 def test_place_network_is_deterministic():

@@ -37,6 +37,10 @@ def test_validation(desk):
         Objective(desk.op, desk.f_true, 0.0, desk.grid)
     with pytest.raises(ValueError):
         Objective(desk.op, desk.f_true, -1e-3, desk.grid)
+    for alpha, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+        message = f"regularization weight must be positive and finite, got {shown}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Objective(desk.op, desk.f_true, alpha, desk.grid)
     with pytest.raises(ValueError):
         Objective(desk.op, desk.f_true, 1e-3, desk.grid, penalty="ridge")
     with pytest.raises(ValueError):
