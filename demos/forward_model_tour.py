@@ -41,10 +41,11 @@ def main():
         print("  " + line)
 
     ray = network.rays[0]
-    points, increments = sample_rays((ray,), grid, 24)
+    # planar samples: points[:, r, s] is sample s of ray r
+    points, increments = sample_rays(network.rays[:1], grid, 24)
     print(f"\nray 0 elevation {ray.elevation:.3f} rad, "
-          f"arc increment {increments[0]:.4f}, {points.shape[1]} samples")
-    print(f"  first sample {points[0, 0]}, last sample {points[0, -1]}")
+          f"arc increment {increments[0]:.4f}, {points.shape[2]} samples")
+    print(f"  first sample {points[:, 0, 0]}, last sample {points[:, 0, -1]}")
 
     op = assemble_operator(network, n_samples=24)
     print(f"\noperator: {op.n_rows} rows x {op.n_cols} columns, {op.nnz} nonzeros "

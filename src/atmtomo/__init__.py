@@ -36,6 +36,7 @@ from .geometry import (
     Grid3,
     Network,
     Ray,
+    Rays,
     Station,
     build_network,
     is_admissible,

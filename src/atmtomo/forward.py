@@ -8,22 +8,34 @@ import scipy.sparse as sp
 from .geometry import Grid3, Network, sample_rays
 
 def _nearest_nodes(points: np.ndarray, grid: Grid3):
-    """Nearest node of each (x, y, z) row: (linear indices, inside mask).
+    """Nearest nodes of planar points: (linear indices of the inside points, inside mask).
 
+    points is (3, ...), one plane per coordinate x, y, z, and is overwritten.
     Per axis the nearest index is ceil(t - 0.5) with t the fractional node
     coordinate, so exact midpoints round toward the lower index.  Points
     farther than half a spacing beyond the boundary nodes are not inside.
+    The indices stay floats, exact at every inside point, until the inside
+    ones are cast to integers.
     """
-    ix = np.ceil((points[:, 0] - grid.x_min) / grid.dx - 0.5).astype(np.int64)
-    iy = np.ceil((points[:, 1] - grid.y_min) / grid.dy - 0.5).astype(np.int64)
-    iz = np.ceil((points[:, 2] - grid.z_min) / grid.dz - 0.5).astype(np.int64)
-    inside = (
-        (ix >= 0) & (ix < grid.nx)
-        & (iy >= 0) & (iy < grid.ny)
-        & (iz >= 0) & (iz < grid.nz)
-    )
-    linear = ix + grid.nx * (iy + grid.ny * iz)
-    return linear, inside
+    inside = np.ones(points.shape[1:], dtype=bool)
+    for p, low, spacing, count in zip(
+        points,
+        (grid.x_min, grid.y_min, grid.z_min),
+        (grid.dx, grid.dy, grid.dz),
+        (grid.nx, grid.ny, grid.nz),
+    ):
+        p -= low
+        p /= spacing
+        p -= 0.5
+        np.ceil(p, out=p)
+        inside &= p >= 0.0
+        inside &= p < count
+    ix, iy, linear = points
+    linear *= grid.ny
+    linear += iy
+    linear *= grid.nx
+    linear += ix
+    return linear[inside].astype(np.int64), inside
 
 
 class SparseOperator:
@@ -89,9 +101,8 @@ def assemble_operator(network: Network, n_samples: int | None = None) -> SparseO
         n_samples = 2 * grid.nz
     n_rays = len(network.rays)
     points, increments = sample_rays(network.rays, grid, n_samples)
-    linear, inside = _nearest_nodes(points.reshape(-1, 3), grid)
+    columns, inside = _nearest_nodes(points, grid)
     del points
-    inside = inside.reshape(n_rays, n_samples)
     counts = inside.sum(axis=1)
     if not counts.all():
         raise ValueError(
@@ -103,7 +114,7 @@ def assemble_operator(network: Network, n_samples: int | None = None) -> SparseO
     # order a per-ray assembly would sum them
     indptr = np.concatenate(([0], np.cumsum(counts)))
     matrix = sp.csr_matrix(
-        (weights[inside], linear[inside.ravel()], indptr),
+        (weights[inside], columns, indptr),
         shape=(n_rays, grid.n_nodes),
     )
     return SparseOperator(matrix)

@@ -107,6 +107,52 @@ class Ray:
     emitter_index: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class Rays:
+    """Rays as arrays, one row per ray: what Network.rays holds.
+
+    origins and directions are (R, 3), elevations and the station and emitter
+    indices (R,).  len() and slicing give views; an index or iteration gives
+    the one-ray view Ray.  == compares the arrays exactly.
+    """
+
+    origins: np.ndarray
+    directions: np.ndarray
+    elevations: np.ndarray
+    station_indices: np.ndarray
+    emitter_indices: np.ndarray
+
+    def _arrays(self):
+        return (
+            self.origins,
+            self.directions,
+            self.elevations,
+            self.station_indices,
+            self.emitter_indices,
+        )
+
+    def __len__(self) -> int:
+        return len(self.elevations)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Rays(*(a[key] for a in self._arrays()))
+        row = range(len(self))[key]
+        return next(iter(self[row : row + 1]))
+
+    def __iter__(self):
+        # azimuth from math per ray: numpy's vectorized arctan2 can differ in the last bit
+        origins, directions, *rest = (a.tolist() for a in self._arrays())
+        for origin, (x, y, z), elevation, si, ei in zip(origins, directions, *rest):
+            azimuth = math.atan2(y, x) % (2.0 * math.pi)
+            yield Ray(tuple(origin), (x, y, z), elevation, azimuth, si, ei)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Rays):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+
+
 @dataclass(frozen=True)
 class Network:
     """Stations, emitters and the admissible rays connecting them."""
@@ -114,7 +160,7 @@ class Network:
     grid: Grid3
     stations: tuple[Station, ...]
     emitters: tuple[Emitter, ...]
-    rays: tuple[Ray, ...]
+    rays: Rays
     seed: int
     surface_lipschitz: float = 0.0
 
@@ -136,17 +182,6 @@ def _elevations(direction_z: np.ndarray) -> np.ndarray:
     return np.array([math.asin(min(1.0, z)) for z in direction_z.tolist()], dtype=float)
 
 
-def _rays(origins, directions, elevations, station_indices, emitter_indices):
-    """Ray objects built from flat per-column lists."""
-    dx, dy, dz = directions.T.tolist()
-    return tuple(
-        Ray(origin, (x, y, z), elevation, math.atan2(y, x) % (2.0 * math.pi), si, ei)
-        for origin, x, y, z, elevation, si, ei in zip(
-            origins, dx, dy, dz, elevations.tolist(), station_indices, emitter_indices
-        )
-    )
-
-
 def ray_from_pair(
     station: Station, emitter: Emitter, station_index: int = 0, emitter_index: int = 0
 ) -> Ray:
@@ -163,8 +198,8 @@ def ray_from_pair(
         raise ValueError(
             f"emitter must lie above the station, got direction_z = {direction[0, 2]!r}"
         )
-    origins, elevations = map(tuple, origin.tolist()), _elevations(direction[:, 2])
-    return _rays(origins, direction, elevations, [station_index], [emitter_index])[0]
+    indices = (np.array([station_index]), np.array([emitter_index]))
+    return Rays(origin, direction, _elevations(direction[:, 2]), *indices)[0]
 
 
 def _admissible(origins, directions, elevations, grid: Grid3, surface_lipschitz):
@@ -202,20 +237,20 @@ def is_admissible(ray: Ray, grid: Grid3, surface_lipschitz: float = 0.0) -> bool
     return bool(_admissible(*fields, grid, surface_lipschitz)[0])
 
 
-def sample_rays(rays, grid: Grid3, n_samples: int):
+def sample_rays(rays: Rays, grid: Grid3, n_samples: int):
     """Equispaced-in-altitude sample points along every ray at once.
 
-    Returns (points, increments): points has shape (len(rays), n_samples, 3),
-    each row running from its station altitude up to z_max; increments[r] is
-    the arc length between consecutive samples of ray r, d_eps / sin(elevation).
+    Returns (points, increments): points is planar, shape (3, len(rays),
+    n_samples), one (rays, samples) plane per coordinate x, y, z, each row
+    running from its station altitude up to z_max; increments[r] is the arc
+    length between consecutive samples of ray r, d_eps / sin(elevation).
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples per ray, got {n_samples}")
-    sin_e = np.array([math.sin(ray.elevation) for ray in rays], dtype=float)
+    sin_e = np.array([math.sin(e) for e in rays.elevations.tolist()], dtype=float)
     if (sin_e <= 0.0).any():
         raise ValueError("horizontal ray has no altitude parameterization")
-    origins = np.array([ray.origin for ray in rays], dtype=float).reshape(-1, 3)
-    z0 = origins[:, 2]
+    z0 = rays.origins[:, 2]
     above = np.flatnonzero(grid.z_max <= z0)
     if above.size:
         raise ValueError(
@@ -226,10 +261,10 @@ def sample_rays(rays, grid: Grid3, n_samples: int):
     t = np.linspace(z0, grid.z_max, n_samples, axis=1)
     t -= z0[:, None]
     t /= sin_e[:, None]
-    directions = np.array([ray.direction for ray in rays], dtype=float).reshape(-1, 3)
-    points = t[:, :, None] * directions[:, None, :]
+    # planar C order: numpy would lay a broadcast product out like directions
+    points = np.multiply(t, rays.directions.T[:, :, None], out=np.empty((3,) + t.shape))
     del t
-    points += origins[:, None, :]
+    points += rays.origins.T[:, :, None]
     increments = (grid.z_max - z0) / (n_samples - 1) / sin_e
     return points, increments
 
@@ -239,7 +274,7 @@ def build_network(
 ) -> Network:
     """Enumerate station-major, emitter-minor pairs and keep the admissible rays.
 
-    One array pass covers all pairs; only the admissible ones become Rays.
+    One array pass covers all pairs, and the admissible ones stay arrays.
     """
     stations, emitters = tuple(stations), tuple(emitters)
     starts = np.array([s.position for s in stations], dtype=float).reshape(-1, 3)
@@ -250,11 +285,8 @@ def build_network(
     directions = directions[pairs]
     elevations = _elevations(directions[:, 2])
     keep = _admissible(starts[station_of], directions, elevations, grid, surface_lipschitz)
-    station_of, emitter_of = station_of[keep].tolist(), emitter_of[keep].tolist()
-    origins = [tuple(row) for row in starts.tolist()]
-    rays = _rays(
-        [origins[i] for i in station_of], directions[keep], elevations[keep], station_of, emitter_of
-    )
+    station_of, emitter_of = station_of[keep], emitter_of[keep]
+    rays = Rays(starts[station_of], directions[keep], elevations[keep], station_of, emitter_of)
     return Network(grid, stations, emitters, rays, seed, surface_lipschitz)
 
 
@@ -324,11 +356,11 @@ def _bilinear(height_map: np.ndarray, grid: Grid3, x: float, y: float) -> float:
 
 def take_rays(network: Network, count: int) -> Network:
     """Keep the first `count` rays in enumeration order (deterministic subselection)."""
-    if not 1 <= count <= len(network.rays):
+    if not 1 <= count <= len(network.rays) or count != int(count):
         raise ValueError(
-            f"ray count must be in [1, {len(network.rays)}], got {count}"
+            f"ray count must be an integer in [1, {len(network.rays)}], got {count}"
         )
-    return replace(network, rays=network.rays[:count])
+    return replace(network, rays=network.rays[: int(count)])
 
 
 def network_listing(network: Network) -> str:

@@ -16,6 +16,12 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+# per axis of a 3-D array, the index tuples of its faces at positions 0, 1, -2, -1
+_END_FACES = tuple(
+    tuple((slice(None),) * axis + (position,) for position in (0, 1, -2, -1)) for axis in range(3)
+)
+
+
 def _shifted(x: np.ndarray, axis: int, adjoint: bool, out: np.ndarray) -> np.ndarray:
     """x[i-1] - x[i+1] along one axis of a C-ordered (z, y, x) array, into out.
 
@@ -31,13 +37,13 @@ def _shifted(x: np.ndarray, axis: int, adjoint: bool, out: np.ndarray) -> np.nda
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     # one contiguous pass; it wraps across lines only at the end rows
     np.subtract(flat[: -2 * s], flat[2 * s :], out=flat_out[s:-s])
-    x, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    first, second, penultimate, last = _END_FACES[axis]
     if adjoint:
-        np.subtract(0.0 - x[0], x[1], out=o[0])
-        np.add(x[-2], x[-1], out=o[-1])
+        np.subtract(0.0 - x[first], x[second], out=out[first])
+        np.add(x[penultimate], x[last], out=out[last])
     else:
-        np.subtract(x[0], x[1], out=o[0])
-        np.subtract(x[-2], x[-1], out=o[-1])
+        np.subtract(x[first], x[second], out=out[first])
+        np.subtract(x[penultimate], x[last], out=out[last])
     return out
 
 

@@ -21,6 +21,7 @@ from atmtomo import (
     take_rays,
 )
 from atmtomo.forward import _nearest_nodes
+from atmtomo.geometry import Rays
 from atmtomo.geometry import _LATERAL_EXTENSION, Grid3, _bilinear
 from atmtomo.tv import _check_beta, smoothing_weights, tv_value_and_gradient
 
@@ -187,6 +188,80 @@ def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=N
     return stations, emitters, rng.random()
 
 
+def ray_objects(rays: Rays):
+    """One Ray per row of a Rays, built from flat per-column lists.
+
+    How build_network made its rays while Network held a tuple of Ray objects.
+    """
+    origins = [tuple(row) for row in rays.origins.tolist()]
+    dx, dy, dz = rays.directions.T.tolist()
+    return tuple(
+        Ray(origin, (x, y, z), elevation, math.atan2(y, x) % (2.0 * math.pi), si, ei)
+        for origin, x, y, z, elevation, si, ei in zip(
+            origins,
+            dx,
+            dy,
+            dz,
+            rays.elevations.tolist(),
+            rays.station_indices.tolist(),
+            rays.emitter_indices.tolist(),
+        )
+    )
+
+
+def sample_ray_objects(rays, grid, n_samples):
+    """Sample points of a sequence of Ray objects, row-interleaved (R, S, 3).
+
+    The arrays are rebuilt from the objects' fields, then sampled with the
+    library's operations in its order.
+    """
+    sin_e = np.array([math.sin(ray.elevation) for ray in rays], dtype=float)
+    origins = np.array([ray.origin for ray in rays], dtype=float).reshape(-1, 3)
+    z0 = origins[:, 2]
+    t = np.linspace(z0, grid.z_max, n_samples, axis=1)
+    t -= z0[:, None]
+    t /= sin_e[:, None]
+    directions = np.array([ray.direction for ray in rays], dtype=float).reshape(-1, 3)
+    points = t[:, :, None] * directions[:, None, :]
+    points += origins[:, None, :]
+    increments = (grid.z_max - z0) / (n_samples - 1) / sin_e
+    return points, increments
+
+
+def nearest_nodes_rows(points, grid):
+    """Nearest node of each (x, y, z) row of an (N, 3) array: (linear, inside)."""
+    ix = np.ceil((points[:, 0] - grid.x_min) / grid.dx - 0.5).astype(np.int64)
+    iy = np.ceil((points[:, 1] - grid.y_min) / grid.dy - 0.5).astype(np.int64)
+    iz = np.ceil((points[:, 2] - grid.z_min) / grid.dz - 0.5).astype(np.int64)
+    inside = (
+        (ix >= 0) & (ix < grid.nx)
+        & (iy >= 0) & (iy < grid.ny)
+        & (iz >= 0) & (iz < grid.nz)
+    )
+    return ix + grid.nx * (iy + grid.ny * iz), inside
+
+
+def assemble_objects(network, n_samples):
+    """The one-pass ray operator read off a network of Ray objects.
+
+    Rows are sampled from the rebuilt arrays and snapped row-interleaved;
+    assemble_operator on the array network must equal it bit for bit.
+    """
+    grid = network.grid
+    n_rays = len(network.rays)
+    points, increments = sample_ray_objects(network.rays, grid, n_samples)
+    linear, inside = nearest_nodes_rows(points.reshape(-1, 3), grid)
+    inside = inside.reshape(n_rays, n_samples)
+    weights = np.repeat(increments, n_samples).reshape(n_rays, n_samples)
+    weights[:, [0, -1]] *= 0.5
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    matrix = sp.csr_matrix(
+        (weights[inside], linear[inside.ravel()], indptr),
+        shape=(n_rays, grid.n_nodes),
+    )
+    return SparseOperator(matrix)
+
+
 def linear_index(grid, i, j, k):
     """Flat index of node (i, j, k); nodes are numbered x-fastest."""
     return i + grid.nx * (j + grid.ny * k)
@@ -205,7 +280,7 @@ OUTSIDE = -1
 
 def nearest_node(point, grid):
     """Linear index of the grid node closest to one point, or OUTSIDE."""
-    linear, inside = _nearest_nodes(np.asarray(point, dtype=float).reshape(1, 3), grid)
+    linear, inside = _nearest_nodes(np.array(point, dtype=float).reshape(3, 1), grid)
     return int(linear[0]) if inside[0] else OUTSIDE
 
 
@@ -258,7 +333,7 @@ def assemble_per_ray(network, n_samples):
         w = np.full(n_samples, increment)
         w[0] = 0.5 * increment
         w[-1] = 0.5 * increment
-        linear, inside = _nearest_nodes(points, grid)
+        linear, inside = nearest_nodes_rows(points, grid)
         if not inside.any():
             raise ValueError(f"ray {j} has no sample points inside the domain")
         rows.append(np.full(int(inside.sum()), j, dtype=np.int64))

@@ -13,11 +13,13 @@ from atmtomo import (
     assemble_operator,
     build_network,
     make_grid,
+    network_listing,
     operator_listing,
     place_network,
     take_rays,
     true_profile,
 )
+import atmtomo.geometry
 from atmtomo.forward import dump_operator
 
 
@@ -85,6 +87,53 @@ def test_assembly_is_bitwise_per_ray(desk):
         want = helpers.assemble_per_ray(net, n_samples).matrix
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
+
+
+def _placed_hilly():
+    # slopes up to 0.5/dx give L = 14.5, whose elevation bound drops 60 of 450 rays
+    grid = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
+    heights = 0.5 * np.random.default_rng(3).uniform(size=(30, 30))
+    net = place_network(grid, 15, 30, seed=7, height_map=heights)
+    assert len(net.rays) == 390
+    return grid, net
+
+
+LISTING_CASES = {
+    "default-15x30": lambda: (g := make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15)),
+                              place_network(g, 15, 30, seed=7)),
+    "dense-60x100": lambda: (g := make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15)),
+                             place_network(g, 60, 100, seed=7)),
+    "height-map": _placed_hilly,
+}
+
+
+@pytest.mark.parametrize("case", LISTING_CASES)
+def test_listings_equal_the_object_path(case):
+    grid, net = LISTING_CASES[case]()
+    objects = helpers.build_network_per_pair(
+        grid, net.stations, net.emitters, net.seed, net.surface_lipschitz
+    )
+    assert network_listing(net).encode() == network_listing(objects).encode()
+    got = assemble_operator(net)
+    want = helpers.assemble_objects(objects, 2 * grid.nz)
+    assert operator_listing(got).encode() == operator_listing(want).encode()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, attr), getattr(want.matrix, attr)), attr
+        assert getattr(got.matrix, attr).dtype == getattr(want.matrix, attr).dtype, attr
+
+
+def test_placement_to_assembly_makes_no_ray_objects(monkeypatch):
+    def no_ray(*args, **kwargs):
+        raise AssertionError("a Ray object was built")
+
+    monkeypatch.setattr(atmtomo.geometry, "Ray", no_ray)
+    grid = make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15))
+    net = take_rays(place_network(grid, 60, 100, seed=7), 6000)
+    op = assemble_operator(net)
+    assert op.n_rows == 6000 and op.nnz > 6000
+    # the guard is live: reading one ray back does build one
+    with pytest.raises(AssertionError, match="a Ray object was built"):
+        net.rays[0]
 
 
 def test_vertical_aligned_ray_row():

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,44 +109,77 @@ def test_admissibility_rules():
     assert not is_admissible(outside, g)
 
 
+def _one_ray(grid, station, emitter):
+    rays = build_network(grid, [station], [emitter]).rays
+    assert len(rays) == 1
+    return rays
+
+
 def test_sample_ray_vertical_ladder():
     g = make_grid(4, 4, 16, (0, 1, 0, 1, 0, 15))
-    ray = ray_from_pair(Station((0.25, 0.5, 0.0)), Emitter((0.25, 0.5, 15.0)))
-    points, increments = sample_rays((ray,), g, 16)
-    assert points.shape == (1, 16, 3)
+    rays = _one_ray(g, Station((0.25, 0.5, 0.0)), Emitter((0.25, 0.5, 15.0)))
+    points, increments = sample_rays(rays, g, 16)
+    assert points.shape == (3, 1, 16)
     assert increments.tolist() == pytest.approx([1.0])
-    np.testing.assert_allclose(points[0, :, 0], 0.25)
-    np.testing.assert_allclose(points[0, :, 1], 0.5)
-    np.testing.assert_allclose(points[0, :, 2], np.arange(16.0))
+    np.testing.assert_allclose(points[0, 0], 0.25)
+    np.testing.assert_allclose(points[1, 0], 0.5)
+    np.testing.assert_allclose(points[2, 0], np.arange(16.0))
 
 
 def test_sample_ray_oblique_increment_and_endpoints():
     g = paper_box()
     # elevation pi/6 doubles the arc increment per unit altitude
-    ray = ray_from_pair(
+    rays = _one_ray(
+        g,
         Station((0.1, 0.2, 0.0)),
         Emitter((0.1 + 15.0 / math.tan(math.pi / 6), 0.2, 15.0)),
     )
-    points, increments = sample_rays((ray,), g, 31)
-    points, increment = points[0], float(increments[0])
+    points, increments = sample_rays(rays, g, 31)
+    points, increment = points[:, 0].T, float(increments[0])
     assert increment == pytest.approx(2.0 * 0.5)
     assert points[0, 2] == pytest.approx(0.0)
     assert points[-1, 2] == pytest.approx(15.0)
     assert np.all(np.diff(points[:, 2]) > 0)
     # total arc length equals the euclidean distance between the end samples
     total = increment * 30
-    assert total == pytest.approx((15.0 - 0.0) / math.sin(ray.elevation), rel=1e-12)
+    assert total == pytest.approx((15.0 - 0.0) / math.sin(rays[0].elevation), rel=1e-12)
     assert total == pytest.approx(np.linalg.norm(points[-1] - points[0]), rel=1e-10)
 
 
 def test_sample_ray_two_points_are_the_endpoints():
     g = paper_box()
-    ray = ray_from_pair(Station((0.3, 0.4, 0.0)), Emitter((0.8, 0.9, 15.0)))
-    points, _ = sample_rays((ray,), g, 2)
-    np.testing.assert_allclose(points[0, 0], (0.3, 0.4, 0.0))
-    np.testing.assert_allclose(points[0, -1], (0.8, 0.9, 15.0), rtol=1e-12)
+    rays = _one_ray(g, Station((0.3, 0.4, 0.0)), Emitter((0.8, 0.9, 15.0)))
+    points, _ = sample_rays(rays, g, 2)
+    np.testing.assert_allclose(points[:, 0, 0], (0.3, 0.4, 0.0))
+    np.testing.assert_allclose(points[:, 0, -1], (0.8, 0.9, 15.0), rtol=1e-12)
     with pytest.raises(ValueError):
-        sample_rays((ray,), g, 1)
+        sample_rays(rays, g, 1)
+
+
+def _shifted_hilly_rays():
+    # stations off the ground plane on a box away from the origin
+    grid = make_grid(20, 15, 30, (-2.0, 3.0, 1.0, 2.5, 0.5, 15.0))
+    heights = np.random.default_rng(5).uniform(0.5, 1.0, size=(15, 20))
+    return grid, place_network(grid, 20, 40, seed=3, height_map=heights).rays
+
+
+SAMPLE_CASES = {
+    "dense-60x100": lambda: (
+        g := make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15)),
+        place_network(g, 60, 100, seed=7).rays,
+    ),
+    "shifted-height-map": _shifted_hilly_rays,
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_CASES)
+def test_sample_rays_is_bitwise_the_object_path(case):
+    grid, rays = SAMPLE_CASES[case]()
+    assert len(rays) > 100
+    points, increments = sample_rays(rays, grid, 60)
+    want_points, want_increments = helpers.sample_ray_objects(tuple(rays), grid, 60)
+    assert np.array_equal(points, np.moveaxis(want_points, 2, 0))
+    assert np.array_equal(increments, want_increments)
 
 
 def test_build_network_order_and_filter():
@@ -205,7 +239,8 @@ def test_build_network_is_bitwise_per_pair(case):
     for ray, expected in zip(got.rays, want.rays, strict=True):
         for name in ("origin", "direction", "elevation", "azimuth"):
             assert getattr(ray, name) == getattr(expected, name)
-    assert got == want
+    assert replace(got, rays=tuple(got.rays)) == want
+    assert helpers.ray_objects(got.rays) == want.rays
     if case == "height-map":
         flat = helpers.build_network_per_pair(grid, stations, emitters)
         assert len(want.rays) < len(flat.rays)
@@ -262,11 +297,19 @@ def test_place_network_is_deterministic():
     a = place_network(g, 15, 30, seed=7)
     b = place_network(g, 15, 30, seed=7)
     assert a == b
+    assert (a.rays == b.rays) is True
+    assert tuple(a.rays) == tuple(b.rays)
     assert len(a.rays) <= 450
     assert all(s.position[2] == 0.0 for s in a.stations)
     assert all(e.position[2] == 15.0 for e in a.emitters)
     c = place_network(g, 15, 30, seed=8)
     assert c != a
+    assert (c.rays != a.rays) is True
+    # one differing bit in one array is a different network
+    bumped = a.rays.elevations.copy()
+    bumped[-1] = np.nextafter(bumped[-1], 0.0)
+    assert replace(a.rays, elevations=bumped) != a.rays
+    assert replace(a, rays=replace(a.rays, elevations=bumped)) != a
 
 
 def test_place_network_emitters_on_extended_plane():
@@ -295,11 +338,26 @@ def test_take_rays_prefix():
     net = place_network(g, 6, 10, seed=4)
     sub = take_rays(net, 10)
     assert sub.rays == net.rays[:10]
+    assert len(sub.rays) == 10
+    assert tuple(sub.rays) == tuple(net.rays)[:10]
+    assert [sub.rays[i] for i in (0, 9, -1, -10)] == [net.rays[i] for i in (0, 9, 9, 0)]
+    # a prefix is a view of the network's arrays, not a copy
+    assert np.shares_memory(sub.rays.origins, net.rays.origins)
     assert sub.grid == net.grid and sub.seed == net.seed
+    with pytest.raises(IndexError):
+        sub.rays[10]
     with pytest.raises(ValueError):
         take_rays(net, 0)
     with pytest.raises(ValueError):
         take_rays(net, len(net.rays) + 1)
+    assert take_rays(net, 10.0).rays == sub.rays
+
+
+@pytest.mark.parametrize("count", [2.5, 0.5, math.nan, math.inf])
+def test_take_rays_rejects_a_non_integral_count(count):
+    net = place_network(paper_box(), 6, 10, seed=4)
+    with pytest.raises(ValueError, match=rf"ray count must be an integer in \[1, \d+\], got {count!r}"):
+        take_rays(net, count)
 
 
 def test_network_listing_roundtrip_fields():
