@@ -19,6 +19,7 @@ from atmtomo import (
     network_listing,
     place_network,
     sample_rays,
+    take_rays,
     true_profile,
 )
 
@@ -40,10 +41,10 @@ def main():
     for line in network_listing(network).splitlines()[:3]:
         print("  " + line)
 
-    ray = network.rays[0]
+    first = take_rays(network, 1).rays
     # planar samples: points[:, r, s] is sample s of ray r
-    points, increments = sample_rays(network.rays[:1], grid, 24)
-    print(f"\nray 0 elevation {ray.elevation:.3f} rad, "
+    points, increments = sample_rays(first, grid, 24)
+    print(f"\nray 0 elevation {first.elevations[0]:.3f} rad, "
           f"arc increment {increments[0]:.4f}, {points.shape[2]} samples")
     print(f"  first sample {points[:, 0, 0]}, last sample {points[:, 0, -1]}")
 
@@ -53,9 +54,8 @@ def main():
 
     # interior rays deposit their full arc length; clipped rays lose the
     # samples that fall outside the lateral bounds
-    chords = np.array([
-        (grid.z_max - r.origin[2]) / np.sin(r.elevation) for r in network.rays
-    ])
+    rays = network.rays
+    chords = (grid.z_max - rays.origins[:, 2]) / np.sin(rays.elevations)
     sums = op.row_sums()
     interior = np.isclose(sums, chords, rtol=1e-12)
     print(f"row sum == chord length for {interior.sum()} of {op.n_rows} rays; "

@@ -32,18 +32,13 @@ from .forward import (
     operator_listing,
 )
 from .geometry import (
-    Emitter,
     Grid3,
     Network,
-    Ray,
     Rays,
-    Station,
     build_network,
-    is_admissible,
     make_grid,
     network_listing,
     place_network,
-    ray_from_pair,
     sample_rays,
     take_rays,
 )

@@ -153,7 +153,8 @@ def load_config(path) -> ExperimentConfig:
     """Read an INI-style config; every missing key keeps its default.
 
     An unknown section or key raises ValueError, so a misspelling cannot
-    silently fall back to the default; so does a file the INI parser rejects.
+    silently fall back to the default; so does a file the INI parser rejects,
+    and so does a value that does not convert, named by file, section and key.
     """
     parser = configparser.ConfigParser()
     try:
@@ -171,7 +172,10 @@ def load_config(path) -> ExperimentConfig:
         for key, raw in items:
             if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-            kw[keys[key]] = _convert(raw, _FIELD_TYPES[keys[key]])
+            try:
+                kw[keys[key]] = _convert(raw, _FIELD_TYPES[keys[key]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
     return replace(default_config(), **kw)
 
 

@@ -8,7 +8,7 @@ sits at arc length (eps - z_station) / sin(elevation) along the ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,10 +61,15 @@ class Grid3:
         raise ValueError(f"unknown axis {axis!r}")
 
 
+def _is_count(n, low: int, high: float = math.inf) -> bool:
+    """Whether n is an integer in [low, high]; an integral float counts."""
+    return low <= n <= high and math.isfinite(n) and n == int(n)
+
+
 def make_grid(nx: int, ny: int, nz: int, bounds) -> Grid3:
     """Build a grid from node counts and (x_min, x_max, y_min, y_max, z_min, z_max)."""
     counts = (nx, ny, nz)
-    if any(int(n) != n or n < 2 for n in counts):
+    if not all(_is_count(n, 2) for n in counts):
         raise ValueError(f"node counts must be integers >= 2, got {counts}")
     b = [float(v) for v in bounds]
     if len(b) != 6:
@@ -77,43 +82,13 @@ def make_grid(nx: int, ny: int, nz: int, bounds) -> Grid3:
     return Grid3(int(nx), int(ny), int(nz), *b)
 
 
-@dataclass(frozen=True)
-class Station:
-    """Ground receiver.  Position sits on the surface, z = height(x, y)."""
-
-    position: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class Emitter:
-    """Transmitter on the top plane z = z_max (possibly laterally outside the box)."""
-
-    position: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Directed line of sight from a station toward an emitter.
-
-    direction is the unit vector, elevation = arcsin(direction_z) in (0, pi/2],
-    azimuth = atan2(dir_y, dir_x) folded into [0, 2*pi).
-    """
-
-    origin: tuple[float, float, float]
-    direction: tuple[float, float, float]
-    elevation: float
-    azimuth: float
-    station_index: int = 0
-    emitter_index: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class Rays:
     """Rays as arrays, one row per ray: what Network.rays holds.
 
-    origins and directions are (R, 3), elevations and the station and emitter
-    indices (R,).  len() and slicing give views; an index or iteration gives
-    the one-ray view Ray.  == compares the arrays exactly.
+    origins and directions (unit vectors) are (R, 3), elevations
+    (arcsin(direction_z), in (0, pi/2]) and the station and emitter indices
+    (R,).  len() and slicing give views.
     """
 
     origins: np.ndarray
@@ -122,51 +97,34 @@ class Rays:
     station_indices: np.ndarray
     emitter_indices: np.ndarray
 
-    def _arrays(self):
-        return (
-            self.origins,
-            self.directions,
-            self.elevations,
-            self.station_indices,
-            self.emitter_indices,
-        )
-
     def __len__(self) -> int:
         return len(self.elevations)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Rays(*(a[key] for a in self._arrays()))
-        row = range(len(self))[key]
-        return next(iter(self[row : row + 1]))
-
-    def __iter__(self):
-        # azimuth from math per ray: numpy's vectorized arctan2 can differ in the last bit
-        origins, directions, *rest = (a.tolist() for a in self._arrays())
-        for origin, (x, y, z), elevation, si, ei in zip(origins, directions, *rest):
-            azimuth = math.atan2(y, x) % (2.0 * math.pi)
-            yield Ray(tuple(origin), (x, y, z), elevation, azimuth, si, ei)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Rays):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+    def __getitem__(self, key: slice) -> Rays:
+        if not isinstance(key, slice):
+            raise TypeError(f"Rays take slices only, got {type(key).__name__}")
+        return Rays(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Stations, emitters and the admissible rays connecting them."""
+    """Stations, emitters and the admissible rays connecting them.
+
+    stations is (S, 3) and emitters (E, 3); ray r runs from
+    stations[rays.station_indices[r]] toward emitters[rays.emitter_indices[r]].
+    Stations sit on the surface, emitters on the top plane z = z_max
+    (possibly laterally outside the box).
+    """
 
     grid: Grid3
-    stations: tuple[Station, ...]
-    emitters: tuple[Emitter, ...]
+    stations: np.ndarray
+    emitters: np.ndarray
     rays: Rays
-    seed: int
     surface_lipschitz: float = 0.0
 
 
-def _unit_directions(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and unit directions of (P, 3) differences, zero where a length is 0.
+def _unit_directions(diff: np.ndarray) -> np.ndarray:
+    """Unit directions of (P, 3) differences, zero where a length is 0.
 
     A length is the BLAS dot that np.linalg.norm takes on one 3-vector, stacked
     by matmul, so it equals the one-pair norm bit for bit; a row-wise norm or
@@ -174,7 +132,7 @@ def _unit_directions(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     length = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
     nonzero = length[:, None] != 0.0
-    return length, np.divide(diff, length[:, None], out=np.zeros_like(diff), where=nonzero)
+    return np.divide(diff, length[:, None], out=np.zeros_like(diff), where=nonzero)
 
 
 # angles from math per ray: numpy's vectorized arcsin and arctan2 can differ in the last bit
@@ -182,36 +140,17 @@ def _elevations(direction_z: np.ndarray) -> np.ndarray:
     return np.array([math.asin(min(1.0, z)) for z in direction_z.tolist()], dtype=float)
 
 
-def ray_from_pair(
-    station: Station, emitter: Emitter, station_index: int = 0, emitter_index: int = 0
-) -> Ray:
-    """Unit direction and angles for the station -> emitter line of sight.
-
-    Raises ValueError when the two positions coincide or the emitter does not
-    sit strictly above the station (such rays never reach the top plane).
-    """
-    origin = np.array([station.position], dtype=float)
-    length, direction = _unit_directions(np.array([emitter.position], dtype=float) - origin)
-    if length[0] == 0.0:
-        raise ValueError("station and emitter coincide, ray direction undefined")
-    if direction[0, 2] <= 0.0:
-        raise ValueError(
-            f"emitter must lie above the station, got direction_z = {direction[0, 2]!r}"
-        )
-    indices = (np.array([station_index]), np.array([emitter_index]))
-    return Rays(origin, direction, _elevations(direction[:, 2]), *indices)[0]
-
-
 def _admissible(origins, directions, elevations, grid: Grid3, surface_lipschitz):
-    """Admissibility mask of rays given as (P, 3) origins and directions.
+    """Admissibility mask of upward rays given as (P, 3) origins and directions.
 
-    Each segment from its origin up to the top plane is clipped against the box
-    slab by slab; along an axis the ray runs parallel to (|d| < 1e-300) the
-    origin must lie within that axis's bounds.
+    A ray is admissible when its elevation is at least |arctan(L)| for surface
+    Lipschitz constant L, its origin lies below the top plane, and its segment
+    from the origin up to the top plane meets the domain box.  Each segment is
+    clipped against the box slab by slab; along an axis the ray runs parallel
+    to (|d| < 1e-300) the origin must lie within that axis's bounds.
     """
     z0 = origins[:, 2]
     keep = (elevations >= abs(math.atan(surface_lipschitz))) & (z0 < grid.z_max)
-    keep &= (0.0 < elevations) & (elevations < math.pi)
     rows = np.flatnonzero(keep)
     o, d = origins[rows], directions[rows]
     lo, hi = np.array([[grid.x_min, grid.y_min, grid.z_min], [grid.x_max, grid.y_max, grid.z_max]])
@@ -223,18 +162,6 @@ def _admissible(origins, directions, elevations, grid: Grid3, surface_lipschitz)
     outside = (parallel & ((o < lo) | (o > hi))).any(axis=1)
     keep[rows] = ~outside & (t_lo <= np.minimum(t_hi, t_top))
     return keep
-
-
-def is_admissible(ray: Ray, grid: Grid3, surface_lipschitz: float = 0.0) -> bool:
-    """Admissibility of a ray for the measurement set.
-
-    Requires elevation >= |arctan(L)| for surface Lipschitz constant L, a
-    strictly upward direction (a ray parallel to the surface has no finite
-    altitude parameterization), and a nonempty intersection with the domain
-    box over the segment from the station up to the top plane.
-    """
-    fields = (np.array([v], dtype=float) for v in (ray.origin, ray.direction, ray.elevation))
-    return bool(_admissible(*fields, grid, surface_lipschitz)[0])
 
 
 def sample_rays(rays: Rays, grid: Grid3, n_samples: int):
@@ -269,17 +196,19 @@ def sample_rays(rays: Rays, grid: Grid3, n_samples: int):
     return points, increments
 
 
-def build_network(
-    grid: Grid3, stations, emitters, seed: int = 0, surface_lipschitz: float = 0.0
-) -> Network:
+def build_network(grid: Grid3, stations, emitters, surface_lipschitz: float = 0.0) -> Network:
     """Enumerate station-major, emitter-minor pairs and keep the admissible rays.
 
+    stations and emitters are (N, 3) positions.  A pair whose positions
+    coincide, or whose emitter is not strictly above its station, gives no
+    ray: a ray parallel to the surface has no finite altitude parameterization.
     One array pass covers all pairs, and the admissible ones stay arrays.
     """
-    stations, emitters = tuple(stations), tuple(emitters)
-    starts = np.array([s.position for s in stations], dtype=float).reshape(-1, 3)
-    ends = np.array([e.position for e in emitters], dtype=float).reshape(-1, 3)
-    _, directions = _unit_directions((ends[None] - starts[:, None]).reshape(-1, 3))
+    starts, ends = np.array(stations, dtype=float), np.array(emitters, dtype=float)
+    for name, positions in (("stations", starts), ("emitters", ends)):
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise ValueError(f"{name} must be (N, 3) positions, got shape {positions.shape}")
+    directions = _unit_directions((ends[None] - starts[:, None]).reshape(-1, 3))
     pairs = np.flatnonzero(directions[:, 2] > 0.0)
     station_of, emitter_of = np.divmod(pairs, len(ends))
     directions = directions[pairs]
@@ -287,7 +216,7 @@ def build_network(
     keep = _admissible(starts[station_of], directions, elevations, grid, surface_lipschitz)
     station_of, emitter_of = station_of[keep], emitter_of[keep]
     rays = Rays(starts[station_of], directions[keep], elevations[keep], station_of, emitter_of)
-    return Network(grid, stations, emitters, rays, seed, surface_lipschitz)
+    return Network(grid, starts, ends, rays, surface_lipschitz)
 
 
 _LATERAL_EXTENSION = 1.5
@@ -308,8 +237,11 @@ def place_network(
     _LATERAL_EXTENSION = 1.5 times about their midpoint, so slant paths can
     enter from outside the box.  Same seed, same network.
     """
-    if n_stations < 1 or n_emitters < 1:
-        raise ValueError("need at least one station and one emitter")
+    if not (_is_count(n_stations, 1) and _is_count(n_emitters, 1)):
+        raise ValueError(
+            f"station and emitter counts must be integers >= 1, got {n_stations} and {n_emitters}"
+        )
+    n_stations, n_emitters = int(n_stations), int(n_emitters)
     rng = np.random.default_rng(seed)
 
     lipschitz = 0.0
@@ -325,17 +257,15 @@ def place_network(
 
     lo = np.array([grid.x_min, grid.y_min])
     hi = np.array([grid.x_max, grid.y_max])
-    stations = [
-        Station((x, y, 0.0 if height_map is None else _bilinear(height_map, grid, x, y)))
-        for x, y in rng.uniform(lo, hi, size=(n_stations, 2)).tolist()
-    ]
+    stations = np.zeros((n_stations, 3))
+    stations[:, :2] = rng.uniform(lo, hi, size=(n_stations, 2))
+    if height_map is not None:
+        stations[:, 2] = [_bilinear(height_map, grid, x, y) for x, y in stations[:, :2].tolist()]
     half, mid = 0.5 * _LATERAL_EXTENSION * (hi - lo), 0.5 * (lo + hi)
-    emitters = [
-        Emitter((x, y, float(grid.z_max)))
-        for x, y in rng.uniform(mid - half, mid + half, size=(n_emitters, 2)).tolist()
-    ]
+    emitters = np.full((n_emitters, 3), float(grid.z_max))
+    emitters[:, :2] = rng.uniform(mid - half, mid + half, size=(n_emitters, 2))
 
-    return build_network(grid, stations, emitters, seed=seed, surface_lipschitz=lipschitz)
+    return build_network(grid, stations, emitters, surface_lipschitz=lipschitz)
 
 
 def _bilinear(height_map: np.ndarray, grid: Grid3, x: float, y: float) -> float:
@@ -356,7 +286,7 @@ def _bilinear(height_map: np.ndarray, grid: Grid3, x: float, y: float) -> float:
 
 def take_rays(network: Network, count: int) -> Network:
     """Keep the first `count` rays in enumeration order (deterministic subselection)."""
-    if not 1 <= count <= len(network.rays) or count != int(count):
+    if not _is_count(count, 1, len(network.rays)):
         raise ValueError(
             f"ray count must be an integer in [1, {len(network.rays)}], got {count}"
         )
@@ -364,10 +294,17 @@ def take_rays(network: Network, count: int) -> Network:
 
 
 def network_listing(network: Network) -> str:
-    """One ray per line: station xyz, emitter xyz, elevation, azimuth."""
+    """One ray per line: station xyz, emitter xyz, elevation, azimuth.
+
+    The azimuth is atan2(direction_y, direction_x) folded into [0, 2*pi).
+    """
+    rays = network.rays
+    emitters = network.emitters[rays.emitter_indices].tolist()
     lines = []
-    for ray in network.rays:
-        emitter = network.emitters[ray.emitter_index]
-        values = (*ray.origin, *emitter.position, ray.elevation, ray.azimuth)
-        lines.append(" ".join(repr(float(v)) for v in values))
+    # azimuth from math per ray: numpy's vectorized arctan2 can differ in the last bit
+    for origin, emitter, (x, y, _), elevation in zip(
+        rays.origins.tolist(), emitters, rays.directions.tolist(), rays.elevations.tolist()
+    ):
+        values = (*origin, *emitter, elevation, math.atan2(y, x) % (2.0 * math.pi))
+        lines.append(" ".join(map(repr, values)))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -339,11 +339,13 @@ def ldfp(
     Each outer step freezes the diffusion weights at the current iterate,
     assembles the frozen operator L once as a sparse matrix, solves
     (T^T T + alpha L) s = -gradient with conjugate gradients, and takes the
-    full step.  It runs max_iterations outer steps and ends with max-iter.
+    full step.  It runs max_iterations (>= 0) outer steps and ends with max-iter.
     The result's inner_solves holds one InnerSolveStats per outer step.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
     op = objective.operator
     grid = objective.grid
     alpha = objective.alpha

@@ -5,16 +5,13 @@ slow, obvious code that the fast vectorized library is checked against.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from atmtomo import (
-    Emitter,
     Field,
-    Network,
-    Ray,
-    Station,
     SparseOperator,
     build_network,
     make_grid,
@@ -70,33 +67,47 @@ def desk_network(grid=None):
     xs = grid.axis_nodes("x")
     ys = grid.axis_nodes("y")
     stations = [
-        Station(
-            (
-                float(np.clip(x + rng.uniform(-0.1, 0.1), grid.x_min, grid.x_max)),
-                float(np.clip(y + rng.uniform(-0.1, 0.1), grid.y_min, grid.y_max)),
-                0.0,
-            )
+        (
+            float(np.clip(x + rng.uniform(-0.1, 0.1), grid.x_min, grid.x_max)),
+            float(np.clip(y + rng.uniform(-0.1, 0.1), grid.y_min, grid.y_max)),
+            0.0,
         )
         for y in ys
         for x in xs
     ]
     emitters = [
-        Emitter((float(u), float(v), grid.z_max))
+        (float(u), float(v), grid.z_max)
         for v in np.linspace(0.1, 0.9, 3)
         for u in np.linspace(0.1, 0.9, 3)
     ]
     angles = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False) + 0.3
     emitters += [
-        Emitter((float(0.5 + 1.1 * np.cos(a)), float(0.5 + 1.1 * np.sin(a)), grid.z_max))
+        (float(0.5 + 1.1 * np.cos(a)), float(0.5 + 1.1 * np.sin(a)), grid.z_max)
         for a in angles
     ]
-    return take_rays(build_network(grid, stations, emitters, seed=0), 200)
+    return take_rays(build_network(grid, stations, emitters), 200)
+
+
+@dataclass(frozen=True)
+class Ray:
+    """One ray's fields as Python values: what the per-pair and per-ray oracles read.
+
+    direction is the unit vector, elevation = arcsin(direction_z) in (0, pi/2],
+    azimuth = atan2(dir_y, dir_x) folded into [0, 2*pi).
+    """
+
+    origin: tuple[float, float, float]
+    direction: tuple[float, float, float]
+    elevation: float
+    azimuth: float
+    station_index: int = 0
+    emitter_index: int = 0
 
 
 def ray_from_pair_scalar(station, emitter, station_index=0, emitter_index=0):
-    """One station -> emitter ray from a per-pair norm and scalar angles."""
-    s = np.asarray(station.position, dtype=float)
-    diff = np.asarray(emitter.position, dtype=float) - s
+    """One station -> emitter Ray from xyz positions, a per-pair norm and scalar angles."""
+    s = np.asarray(station, dtype=float)
+    diff = np.asarray(emitter, dtype=float) - s
     length = float(np.linalg.norm(diff))
     if length == 0.0:
         raise ValueError("station and emitter coincide, ray direction undefined")
@@ -144,8 +155,8 @@ def is_admissible_scalar(ray, grid, surface_lipschitz=0.0):
     return segment_intersects_box(ray.origin, ray.direction, t_top, grid)
 
 
-def build_network_per_pair(grid, stations, emitters, seed=0, surface_lipschitz=0.0):
-    """The network built one station-emitter pair at a time.
+def build_network_per_pair(grid, stations, emitters, surface_lipschitz=0.0):
+    """The admissible rays built one station-emitter pair at a time, a tuple of Ray.
 
     Same arithmetic as the library's one-pass build, written as a loop over
     pairs in station-major, emitter-minor order, so the two must agree bit
@@ -160,7 +171,16 @@ def build_network_per_pair(grid, stations, emitters, seed=0, surface_lipschitz=0
                 continue
             if is_admissible_scalar(ray, grid, surface_lipschitz):
                 rays.append(ray)
-    return Network(grid, tuple(stations), tuple(emitters), tuple(rays), seed, surface_lipschitz)
+    return tuple(rays)
+
+
+def listing_per_ray(emitters, rays):
+    """network_listing's text read off a sequence of Ray, one ray at a time."""
+    lines = []
+    for ray in rays:
+        values = (*ray.origin, *emitters[ray.emitter_index], ray.elevation, ray.azimuth)
+        lines.append(" ".join(repr(float(v)) for v in values))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=None):
@@ -189,10 +209,7 @@ def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=N
 
 
 def ray_objects(rays: Rays):
-    """One Ray per row of a Rays, built from flat per-column lists.
-
-    How build_network made its rays while Network held a tuple of Ray objects.
-    """
+    """One Ray per row of a Rays, built from flat per-column lists."""
     origins = [tuple(row) for row in rays.origins.tolist()]
     dx, dy, dz = rays.directions.T.tolist()
     return tuple(
@@ -241,15 +258,14 @@ def nearest_nodes_rows(points, grid):
     return ix + grid.nx * (iy + grid.ny * iz), inside
 
 
-def assemble_objects(network, n_samples):
-    """The one-pass ray operator read off a network of Ray objects.
+def assemble_objects(rays, grid, n_samples):
+    """The one-pass ray operator read off a sequence of Ray.
 
     Rows are sampled from the rebuilt arrays and snapped row-interleaved;
     assemble_operator on the array network must equal it bit for bit.
     """
-    grid = network.grid
-    n_rays = len(network.rays)
-    points, increments = sample_ray_objects(network.rays, grid, n_samples)
+    n_rays = len(rays)
+    points, increments = sample_ray_objects(rays, grid, n_samples)
     linear, inside = nearest_nodes_rows(points.reshape(-1, 3), grid)
     inside = inside.reshape(n_rays, n_samples)
     weights = np.repeat(increments, n_samples).reshape(n_rays, n_samples)
@@ -293,7 +309,7 @@ def walk_ray_matrix(network, n_samples):
     """Dense ray-transform matrix assembled by a scalar reference walker."""
     grid = network.grid
     dense = np.zeros((len(network.rays), grid.n_nodes))
-    for r, ray in enumerate(network.rays):
+    for r, ray in enumerate(ray_objects(network.rays)):
         z0 = ray.origin[2]
         sin_e = math.sin(ray.elevation)
         ladder = np.linspace(z0, grid.z_max, n_samples)
@@ -321,7 +337,7 @@ def assemble_per_ray(network, n_samples):
     """
     grid = network.grid
     rows, cols, weights = [], [], []
-    for j, ray in enumerate(network.rays):
+    for j, ray in enumerate(ray_objects(network.rays)):
         sin_e = math.sin(ray.elevation)
         z0 = ray.origin[2]
         eps = np.linspace(z0, grid.z_max, n_samples)

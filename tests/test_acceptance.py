@@ -13,10 +13,8 @@ import pytest
 
 import helpers
 from atmtomo import (
-    Emitter,
     Field,
     Objective,
-    Station,
     add_noise,
     assemble_operator,
     build_network,
@@ -195,9 +193,7 @@ def test_criterion_03_tv_oracles():
 
 def test_criterion_04_vertical_ray_closed_form():
     grid = make_grid(2, 2, 60, (0, 1, 0, 1, 0, 15))
-    network = build_network(
-        grid, [Station(position=(0.0, 0.0, 0.0))], [Emitter(position=(0.0, 0.0, 15.0))]
-    )
+    network = build_network(grid, [(0.0, 0.0, 0.0)], [(0.0, 0.0, 15.0)])
     op = assemble_operator(network, 60)
     zs = grid.axis_nodes("z")
     profile = vertical_profile(zs)

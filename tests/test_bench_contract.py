@@ -8,20 +8,37 @@ workload on a tiny two-solver TV problem and checks every span fires.
 ``bench/workloads.py`` keeps its own copies of the sweep driver's combination
 names, scene and data setup, and solver wiring; the other test checks, bit
 for bit, that they still build and solve what ``experiments.run_sweep`` does.
+
+Every ``atmtomo.<name>`` the benchmark's scripts look up must still resolve
+on the package, so removing a public name they use fails here rather than in
+a benchmark run.
 """
 
 import itertools
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import atmtomo
 from atmtomo import ExperimentConfig, experiments
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+
+def test_bench_lookups_resolve_on_the_package():
+    lookups = {
+        (path.name, name)
+        for path in sorted(BENCH.glob("*.py"))
+        for name in re.findall(r"\batmtomo\.([A-Za-z_]\w*)", path.read_text())
+    }
+    assert {"place_network", "take_rays", "assemble_operator"} <= {name for _, name in lookups}
+    assert sorted((f, name) for f, name in lookups if not hasattr(atmtomo, name)) == []
 
 
 def test_traced_pass_fires_every_span(tmp_path):

@@ -240,6 +240,22 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("network", "stations", "2.5"), ("solver", "lbfgs_memory", "ten")],
+    ids=["float-count", "word-count"],
+)
+def test_unconvertible_config_value_is_one_error_line(tmp_path, capsys, section, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    message = f"{ini}: [{section}] {key}: invalid literal for int() with base 10: {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(ini)
+    assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"atmtomo: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_tracks_every_field():
     base = default_config()
     assert config_hash(base) == config_hash(default_config())
@@ -387,6 +403,19 @@ def test_sweep_fails_ldfp_combinations_on_a_nan_inner_tol(tmp_path):
     for entry in manifest["outputs"]:
         if entry["solver"] == "ldfp" and entry["penalty"] == "tv":
             assert entry["status"] == "failed: tol must be >= 0, got nan"
+        elif entry["solver"] == "lbfgs":
+            assert entry["status"] == "ok"
+    assert manifest["failures"] == 2
+
+
+def test_sweep_fails_ldfp_combinations_on_a_negative_step_count(tmp_path):
+    # ldfp rejects the count before its first evaluation; before, it ran no
+    # step and reported max-iter
+    config = replace(tiny_config(tmp_path / "out"), ldfp_outer_iterations=-3)
+    manifest = run_sweep(config)
+    for entry in manifest["outputs"]:
+        if entry["solver"] == "ldfp" and entry["penalty"] == "tv":
+            assert entry["status"] == "failed: max_iterations must be >= 0"
         elif entry["solver"] == "lbfgs":
             assert entry["status"] == "ok"
     assert manifest["failures"] == 2

@@ -432,21 +432,31 @@ def test_ldfp_records_inner_solve_stats(desk):
 
 def test_ldfp_without_outer_steps_records_only_the_start(desk):
     obj = Objective(desk.op, desk.f_true, 1e-6, desk.grid)
-    for cap in (0, -1):
-        seen = []
-        result = ldfp(
-            obj,
-            np.zeros(desk.grid.n_nodes),
-            max_iterations=cap,
-            truth=desk.truth,
-            callback=seen.append,
-        )
-        assert result.termination == "max-iter"
-        assert result.iterations == 0
-        assert result.inner_solves == []
-        assert len(result.records) == 1
-        assert len(seen) == 1
-        assert result.records[0].relative_error == pytest.approx(1.0)
+    seen = []
+    result = ldfp(
+        obj,
+        np.zeros(desk.grid.n_nodes),
+        max_iterations=0,
+        truth=desk.truth,
+        callback=seen.append,
+    )
+    assert result.termination == "max-iter"
+    assert result.iterations == 0
+    assert result.inner_solves == []
+    assert len(result.records) == 1
+    assert len(seen) == 1
+    assert result.records[0].relative_error == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_ldfp_rejects_a_negative_step_count(desk, monkeypatch, cap):
+    obj = Objective(desk.op, desk.f_true, 1e-6, desk.grid)
+    evaluations = []
+    monkeypatch.setattr(obj, "eval", lambda phi: evaluations.append(phi))
+    seen = []
+    with pytest.raises(ValueError, match="^max_iterations must be >= 0$"):
+        ldfp(obj, np.zeros(desk.grid.n_nodes), max_iterations=cap, callback=seen.append)
+    assert evaluations == [] and seen == []
 
 
 def test_plain_array_solutions_for_plain_objectives(rng):
