@@ -94,6 +94,9 @@ class ExperimentConfig:
         for pen in self.penalties:
             if pen not in PENALTIES:
                 raise ValueError(f"unknown penalty {pen!r}")
+        # sample_rays would refuse it only after the CLI has placed the network
+        if self.samples_per_ray is not None and self.samples_per_ray < 2:
+            raise ValueError(f"need at least 2 samples per ray, got {self.samples_per_ray}")
 
     def make_grid(self):
         return make_grid(
@@ -154,7 +157,8 @@ def load_config(path) -> ExperimentConfig:
 
     An unknown section or key raises ValueError, so a misspelling cannot
     silently fall back to the default; so does a file the INI parser rejects,
-    and so does a value that does not convert, named by file, section and key.
+    and so does a value that does not convert or that the config rejects,
+    named by file, section and key.
     """
     parser = configparser.ConfigParser()
     try:
@@ -172,8 +176,10 @@ def load_config(path) -> ExperimentConfig:
         for key, raw in items:
             if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+            field = keys[key]
             try:
-                kw[keys[key]] = _convert(raw, _FIELD_TYPES[keys[key]])
+                kw[field] = _convert(raw, _FIELD_TYPES[field])
+                replace(default_config(), **{field: kw[field]})
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
     return replace(default_config(), **kw)

@@ -112,15 +112,14 @@ class Network:
 
     stations is (S, 3) and emitters (E, 3); ray r runs from
     stations[rays.station_indices[r]] toward emitters[rays.emitter_indices[r]].
-    Stations sit on the surface, emitters on the top plane z = z_max
-    (possibly laterally outside the box).
+    Placed stations sit on the surface z = 0, emitters on the top plane
+    z = z_max (possibly laterally outside the box).
     """
 
     grid: Grid3
     stations: np.ndarray
     emitters: np.ndarray
     rays: Rays
-    surface_lipschitz: float = 0.0
 
 
 def _unit_directions(diff: np.ndarray) -> np.ndarray:
@@ -140,17 +139,16 @@ def _elevations(direction_z: np.ndarray) -> np.ndarray:
     return np.array([math.asin(min(1.0, z)) for z in direction_z.tolist()], dtype=float)
 
 
-def _admissible(origins, directions, elevations, grid: Grid3, surface_lipschitz):
+def _admissible(origins, directions, elevations, grid: Grid3):
     """Admissibility mask of upward rays given as (P, 3) origins and directions.
 
-    A ray is admissible when its elevation is at least |arctan(L)| for surface
-    Lipschitz constant L, its origin lies below the top plane, and its segment
-    from the origin up to the top plane meets the domain box.  Each segment is
-    clipped against the box slab by slab; along an axis the ray runs parallel
-    to (|d| < 1e-300) the origin must lie within that axis's bounds.
+    A ray is admissible when its origin lies below the top plane and its
+    segment from the origin up to the top plane meets the domain box.  Each
+    segment is clipped against the box slab by slab; along an axis the ray runs
+    parallel to (|d| < 1e-300) the origin must lie within that axis's bounds.
     """
     z0 = origins[:, 2]
-    keep = (elevations >= abs(math.atan(surface_lipschitz))) & (z0 < grid.z_max)
+    keep = z0 < grid.z_max
     rows = np.flatnonzero(keep)
     o, d = origins[rows], directions[rows]
     lo, hi = np.array([[grid.x_min, grid.y_min, grid.z_min], [grid.x_max, grid.y_max, grid.z_max]])
@@ -196,7 +194,7 @@ def sample_rays(rays: Rays, grid: Grid3, n_samples: int):
     return points, increments
 
 
-def build_network(grid: Grid3, stations, emitters, surface_lipschitz: float = 0.0) -> Network:
+def build_network(grid: Grid3, stations, emitters) -> Network:
     """Enumerate station-major, emitter-minor pairs and keep the admissible rays.
 
     stations and emitters are (N, 3) positions.  A pair whose positions
@@ -213,27 +211,20 @@ def build_network(grid: Grid3, stations, emitters, surface_lipschitz: float = 0.
     station_of, emitter_of = np.divmod(pairs, len(ends))
     directions = directions[pairs]
     elevations = _elevations(directions[:, 2])
-    keep = _admissible(starts[station_of], directions, elevations, grid, surface_lipschitz)
+    keep = _admissible(starts[station_of], directions, elevations, grid)
     station_of, emitter_of = station_of[keep], emitter_of[keep]
     rays = Rays(starts[station_of], directions[keep], elevations[keep], station_of, emitter_of)
-    return Network(grid, starts, ends, rays, surface_lipschitz)
+    return Network(grid, starts, ends, rays)
 
 
 _LATERAL_EXTENSION = 1.5
 
 
-def place_network(
-    grid: Grid3,
-    n_stations: int,
-    n_emitters: int,
-    seed: int,
-    height_map: np.ndarray | None = None,
-) -> Network:
+def place_network(grid: Grid3, n_stations: int, n_emitters: int, seed: int) -> Network:
     """Randomly place stations on the surface and emitters on the top plane.
 
-    Stations are uniform over the lateral bounds with z = surface height
-    (flat zero by default, or bilinear in an optional (ny, nx) node height
-    map).  Emitters sit at z = z_max, uniform over the lateral bounds widened
+    Stations are uniform over the lateral bounds at z = 0.  Emitters sit at
+    z = z_max, uniform over the lateral bounds widened
     _LATERAL_EXTENSION = 1.5 times about their midpoint, so slant paths can
     enter from outside the box.  Same seed, same network.
     """
@@ -243,45 +234,15 @@ def place_network(
         )
     n_stations, n_emitters = int(n_stations), int(n_emitters)
     rng = np.random.default_rng(seed)
-
-    lipschitz = 0.0
-    if height_map is not None:
-        height_map = np.asarray(height_map, dtype=float)
-        if height_map.shape != (grid.ny, grid.nx):
-            raise ValueError(
-                f"height map shape {height_map.shape} does not match grid ({grid.ny}, {grid.nx})"
-            )
-        slopes_x = np.abs(np.diff(height_map, axis=1)) / grid.dx
-        slopes_y = np.abs(np.diff(height_map, axis=0)) / grid.dy
-        lipschitz = float(max(slopes_x.max(initial=0.0), slopes_y.max(initial=0.0)))
-
     lo = np.array([grid.x_min, grid.y_min])
     hi = np.array([grid.x_max, grid.y_max])
     stations = np.zeros((n_stations, 3))
     stations[:, :2] = rng.uniform(lo, hi, size=(n_stations, 2))
-    if height_map is not None:
-        stations[:, 2] = [_bilinear(height_map, grid, x, y) for x, y in stations[:, :2].tolist()]
     half, mid = 0.5 * _LATERAL_EXTENSION * (hi - lo), 0.5 * (lo + hi)
     emitters = np.full((n_emitters, 3), float(grid.z_max))
     emitters[:, :2] = rng.uniform(mid - half, mid + half, size=(n_emitters, 2))
 
-    return build_network(grid, stations, emitters, surface_lipschitz=lipschitz)
-
-
-def _bilinear(height_map: np.ndarray, grid: Grid3, x: float, y: float) -> float:
-    tx = (x - grid.x_min) / grid.dx
-    ty = (y - grid.y_min) / grid.dy
-    i0 = min(max(int(math.floor(tx)), 0), grid.nx - 2)
-    j0 = min(max(int(math.floor(ty)), 0), grid.ny - 2)
-    fx = min(max(tx - i0, 0.0), 1.0)
-    fy = min(max(ty - j0, 0.0), 1.0)
-    h00 = height_map[j0, i0]
-    h01 = height_map[j0, i0 + 1]
-    h10 = height_map[j0 + 1, i0]
-    h11 = height_map[j0 + 1, i0 + 1]
-    return float(
-        (1 - fy) * ((1 - fx) * h00 + fx * h01) + fy * ((1 - fx) * h10 + fx * h11)
-    )
+    return build_network(grid, stations, emitters)
 
 
 def take_rays(network: Network, count: int) -> Network:

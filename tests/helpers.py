@@ -15,11 +15,12 @@ from atmtomo import (
     SparseOperator,
     build_network,
     make_grid,
+    place_network,
     take_rays,
 )
 from atmtomo.forward import _nearest_nodes
 from atmtomo.geometry import Rays
-from atmtomo.geometry import _LATERAL_EXTENSION, Grid3, _bilinear
+from atmtomo.geometry import _LATERAL_EXTENSION, Grid3
 from atmtomo.tv import _check_beta, smoothing_weights, tv_value_and_gradient
 
 _criteria_lines = []
@@ -142,10 +143,8 @@ def segment_intersects_box(origin, direction, t_max, grid):
     return True
 
 
-def is_admissible_scalar(ray, grid, surface_lipschitz=0.0):
+def is_admissible_scalar(ray, grid):
     """The admissibility rules checked one at a time on one ray."""
-    if not ray.elevation >= abs(math.atan(surface_lipschitz)):
-        return False
     if not 0.0 < ray.elevation < math.pi:
         return False
     z0 = ray.origin[2]
@@ -155,7 +154,7 @@ def is_admissible_scalar(ray, grid, surface_lipschitz=0.0):
     return segment_intersects_box(ray.origin, ray.direction, t_top, grid)
 
 
-def build_network_per_pair(grid, stations, emitters, surface_lipschitz=0.0):
+def build_network_per_pair(grid, stations, emitters):
     """The admissible rays built one station-emitter pair at a time, a tuple of Ray.
 
     Same arithmetic as the library's one-pass build, written as a loop over
@@ -169,7 +168,7 @@ def build_network_per_pair(grid, stations, emitters, surface_lipschitz=0.0):
                 ray = ray_from_pair_scalar(station, emitter, si, ei)
             except ValueError:
                 continue
-            if is_admissible_scalar(ray, grid, surface_lipschitz):
+            if is_admissible_scalar(ray, grid):
                 rays.append(ray)
     return tuple(rays)
 
@@ -183,7 +182,7 @@ def listing_per_ray(emitters, rays):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=None):
+def place_positions_per_station(grid, n_stations, n_emitters, seed):
     """Station and emitter positions drawn one coordinate at a time.
 
     Returns (stations, emitters, next_draw): position tuples in place_network's
@@ -194,8 +193,7 @@ def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=N
     for _ in range(n_stations):
         x = rng.uniform(grid.x_min, grid.x_max)
         y = rng.uniform(grid.y_min, grid.y_max)
-        z = 0.0 if height_map is None else _bilinear(height_map, grid, x, y)
-        stations.append((float(x), float(y), float(z)))
+        stations.append((float(x), float(y), 0.0))
     half_x = 0.5 * _LATERAL_EXTENSION * (grid.x_max - grid.x_min)
     half_y = 0.5 * _LATERAL_EXTENSION * (grid.y_max - grid.y_min)
     mid_x = 0.5 * (grid.x_min + grid.x_max)
@@ -206,6 +204,20 @@ def place_positions_per_station(grid, n_stations, n_emitters, seed, height_map=N
         y = rng.uniform(mid_y - half_y, mid_y + half_y)
         emitters.append((float(x), float(y), float(grid.z_max)))
     return stations, emitters, rng.random()
+
+
+def raised_positions(grid, n_stations, n_emitters, seed):
+    """place_network's positions with the stations lifted off the ground.
+
+    Returns (stations, emitters) as (N, 3) arrays for build_network; each
+    station sits at a random altitude in [z_min, z_min + 0.5), which
+    place_network never makes.
+    """
+    network = place_network(grid, n_stations, n_emitters, seed)
+    stations = network.stations.copy()
+    lift = np.random.default_rng(seed + 1).uniform(0.0, 0.5, size=n_stations)
+    stations[:, 2] = grid.z_min + lift
+    return stations, network.emitters
 
 
 def ray_objects(rays: Rays):

@@ -256,6 +256,27 @@ def test_unconvertible_config_value_is_one_error_line(tmp_path, capsys, section,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, reason",
+    [
+        ("sweep", "solvers", "lbfgs, bogus",
+         "unknown solver 'bogus', expected one of ('lbfgs', 'ldfp')"),
+        ("network", "samples_per_ray", "1", "need at least 2 samples per ray, got 1"),
+        ("network", "samples_per_ray", "0", "need at least 2 samples per ray, got 0"),
+    ],
+    ids=["unknown-solver", "one-sample", "no-samples"],
+)
+def test_rejected_config_value_is_one_error_line(tmp_path, capsys, section, key, value, reason):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    message = f"{ini}: [{section}] {key}: {reason}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(ini)
+    assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"atmtomo: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_tracks_every_field():
     base = default_config()
     assert config_hash(base) == config_hash(default_config())

@@ -67,13 +67,12 @@ def test_assembly_matches_walker_on_random_network():
 
 
 def _bitwise_cases(desk):
-    hilly = make_grid(7, 6, 8, (0, 1, 0, 1, 0, 15))
-    xs, ys = np.meshgrid(hilly.axis_nodes("x"), hilly.axis_nodes("y"))
-    heights = 0.05 * (1.0 + np.sin(3.0 * xs) * np.cos(2.0 * ys))
+    # stations off the ground plane on a box away from the origin
+    raised = make_grid(7, 6, 8, (-2.0, 3.0, 1.0, 2.5, 0.5, 15.0))
     return {
         "desk": (desk.network, 8),
         "random": (_random_network(), 13),
-        "height-map": (place_network(hilly, 6, 9, seed=4, height_map=heights), 16),
+        "raised-stations": (build_network(raised, *helpers.raised_positions(raised, 6, 9, 4)), 16),
         "one-ray": (take_rays(desk.network, 1), 8),
     }
 
@@ -86,12 +85,11 @@ def test_assembly_is_bitwise_per_ray(desk):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
 
 
-def _placed_hilly():
-    # slopes up to 0.5/dx give L = 14.5, whose elevation bound drops 60 of 450 rays
-    grid = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
-    heights = 0.5 * np.random.default_rng(3).uniform(size=(30, 30))
-    net = place_network(grid, 15, 30, seed=7, height_map=heights)
-    assert len(net.rays) == 390
+def _raised_stations():
+    # stations off the ground plane on a box away from the origin
+    grid = make_grid(30, 30, 30, (-2.0, 3.0, 1.0, 2.5, 0.5, 15.0))
+    net = build_network(grid, *helpers.raised_positions(grid, 15, 30, seed=7))
+    assert len(net.rays) == 450
     return grid, net
 
 
@@ -100,16 +98,14 @@ LISTING_CASES = {
                               place_network(g, 15, 30, seed=7)),
     "dense-60x100": lambda: (g := make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15)),
                              place_network(g, 60, 100, seed=7)),
-    "height-map": _placed_hilly,
+    "raised-stations": _raised_stations,
 }
 
 
 @pytest.mark.parametrize("case", LISTING_CASES)
 def test_listings_equal_the_object_path(case):
     grid, net = LISTING_CASES[case]()
-    objects = helpers.build_network_per_pair(
-        grid, net.stations, net.emitters, net.surface_lipschitz
-    )
+    objects = helpers.build_network_per_pair(grid, net.stations, net.emitters)
     want_listing = helpers.listing_per_ray(net.emitters.tolist(), objects)
     assert network_listing(net).encode() == want_listing.encode()
     got = assemble_operator(net)

@@ -66,8 +66,8 @@ def test_make_grid_rejects_bad_input():
         make_grid(3, 3, 3, (0, 1, 0, 1, 0, math.inf))
 
 
-def _one_pair(grid, station, emitter, surface_lipschitz=0.0):
-    return build_network(grid, [station], [emitter], surface_lipschitz)
+def _one_pair(grid, station, emitter):
+    return build_network(grid, [station], [emitter])
 
 
 def _one_ray(grid, station, emitter):
@@ -96,10 +96,9 @@ def test_ray_from_pair_oblique():
 def test_admissibility_rules():
     g = paper_box()
     assert len(_one_pair(g, (0.5, 0.5, 0.0), (0.5, 0.5, 15.0)).rays) == 1
-    # elevation pi/6 is below a surface slope bound of tan(pi/4)
+    # a shallow slant path at elevation pi/6 still meets the box
     shallow = (0.5, 0.5, 0.0), (0.5 + 15.0 / math.tan(math.pi / 6), 0.5, 15.0)
     assert _one_ray(g, *shallow).elevations[0] == pytest.approx(math.pi / 6)
-    assert len(_one_pair(g, *shallow, surface_lipschitz=math.tan(math.pi / 4)).rays) == 0
     # a ray whose whole segment stays laterally outside the box
     assert len(_one_pair(g, (5.0, 5.0, 0.0), (5.0, 5.0, 15.0)).rays) == 0
 
@@ -141,11 +140,10 @@ def test_sample_ray_two_points_are_the_endpoints():
         sample_rays(rays, g, 1)
 
 
-def _shifted_hilly_rays():
+def _shifted_raised_rays():
     # stations off the ground plane on a box away from the origin
     grid = make_grid(20, 15, 30, (-2.0, 3.0, 1.0, 2.5, 0.5, 15.0))
-    heights = np.random.default_rng(5).uniform(0.5, 1.0, size=(15, 20))
-    return grid, place_network(grid, 20, 40, seed=3, height_map=heights).rays
+    return grid, build_network(grid, *helpers.raised_positions(grid, 20, 40, seed=3)).rays
 
 
 SAMPLE_CASES = {
@@ -153,7 +151,7 @@ SAMPLE_CASES = {
         g := make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15)),
         place_network(g, 60, 100, seed=7).rays,
     ),
-    "shifted-height-map": _shifted_hilly_rays,
+    "shifted-raised-stations": _shifted_raised_rays,
 }
 
 
@@ -179,7 +177,7 @@ def test_build_network_order_and_filter():
     pairs = _pairs(net.rays)
     assert pairs == sorted(pairs)
     rays = helpers.ray_objects(net.rays)
-    assert all(helpers.is_admissible_scalar(r, g, net.surface_lipschitz) for r in rays)
+    assert all(helpers.is_admissible_scalar(r, g) for r in rays)
     # the outside station only reaches the box toward the inside emitter;
     # its slant path to the outside emitter never enters the domain
     assert set(pairs) == {(0, 0), (0, 1), (1, 0)}
@@ -194,16 +192,15 @@ def test_build_network_rejects_positions_that_are_not_n_by_3(positions):
         build_network(paper_box(), good, positions)
 
 
-def _placed(grid, n_stations, n_emitters, seed=7, height_map=None):
-    net = place_network(grid, n_stations, n_emitters, seed, height_map=height_map)
-    return grid, net.stations, net.emitters, net.surface_lipschitz
+def _placed(grid, n_stations, n_emitters, seed=7):
+    net = place_network(grid, n_stations, n_emitters, seed)
+    return grid, net.stations, net.emitters
 
 
-def _hilly_network():
-    # slopes up to 2/dx give L = 13.6, whose elevation bound drops a sixth of the rays
-    grid = make_grid(8, 8, 6, (0, 1, 0, 1, 0, 15))
-    heights = np.random.default_rng(3).uniform(0.0, 2.0, size=(8, 8))
-    return _placed(grid, 20, 40, seed=5, height_map=heights)
+def _raised_network():
+    # stations off the ground plane on a box away from the origin
+    grid = make_grid(8, 8, 6, (-2.0, 3.0, 1.0, 2.5, 0.5, 15.0))
+    return grid, *helpers.raised_positions(grid, 20, 40, seed=5)
 
 
 def _hand_made_pairs():
@@ -214,24 +211,24 @@ def _hand_made_pairs():
     stations += [(0.5, 0.5, 15.0), (0.2, 0.3, 10.0)]
     emitters = [(0.5, 0.5, 15.0), (1.3, 0.5, 15.0), (5.0, 5.0, 15.0)]
     emitters += [(0.5, 0.5, 20.0), (0.9, 0.9, 5.0)]
-    return paper_box(), stations, emitters, 0.0
+    return paper_box(), stations, emitters
 
 
 BITWISE_CASES = {
     "default-15x30": lambda: _placed(paper_box(), 15, 30),
     "dense-60x100": lambda: _placed(make_grid(60, 60, 30, (0, 1, 0, 1, 0, 15)), 60, 100),
-    "height-map": _hilly_network,
-    "no-stations": lambda: (paper_box(), np.empty((0, 3)), [(0.5, 0.5, 15.0)], 0.0),
-    "no-emitters": lambda: (paper_box(), [(0.5, 0.5, 0.0)], np.empty((0, 3)), 0.0),
+    "raised-stations": _raised_network,
+    "no-stations": lambda: (paper_box(), np.empty((0, 3)), [(0.5, 0.5, 15.0)]),
+    "no-emitters": lambda: (paper_box(), [(0.5, 0.5, 0.0)], np.empty((0, 3))),
     "hand-made": _hand_made_pairs,
 }
 
 
 @pytest.mark.parametrize("case", BITWISE_CASES)
 def test_build_network_is_bitwise_per_pair(case):
-    grid, stations, emitters, lipschitz = BITWISE_CASES[case]()
-    got = build_network(grid, stations, emitters, surface_lipschitz=lipschitz)
-    want = helpers.build_network_per_pair(grid, stations, emitters, lipschitz)
+    grid, stations, emitters = BITWISE_CASES[case]()
+    got = build_network(grid, stations, emitters)
+    want = helpers.build_network_per_pair(grid, stations, emitters)
     listing = helpers.listing_per_ray(np.asarray(emitters).tolist(), want)
     assert network_listing(got).encode() == listing.encode()
     pairs = _pairs(got.rays)
@@ -240,12 +237,9 @@ def test_build_network_is_bitwise_per_pair(case):
         for name in ("origin", "direction", "elevation", "azimuth"):
             assert getattr(ray, name) == getattr(expected, name)
     assert helpers.ray_objects(got.rays) == want
-    assert got.grid == grid and got.surface_lipschitz == lipschitz
+    assert got.grid == grid
     assert np.array_equal(got.stations, np.reshape(stations, (-1, 3)))
     assert np.array_equal(got.emitters, np.reshape(emitters, (-1, 3)))
-    if case == "height-map":
-        flat = helpers.build_network_per_pair(grid, stations, emitters)
-        assert len(want) < len(flat)
     if case == "hand-made":
         # kept: vertical inside, outside stations whose slant paths enter the box
         assert {(0, 0), (1, 1), (2, 0)} <= set(pairs)
@@ -256,7 +250,6 @@ def test_build_network_is_bitwise_per_pair(case):
 
 def test_place_network_draws_match_the_per_station_loop(monkeypatch):
     grid = make_grid(8, 6, 5, (-2.0, 3.0, 1.0, 1.7, 0.0, 12.0))
-    heights = np.random.default_rng(3).uniform(0.0, 2.0, size=(6, 8))
     default_rng = np.random.default_rng
     generators = []
 
@@ -266,12 +259,9 @@ def test_place_network_draws_match_the_per_station_loop(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     for seed in range(50):
-        height_map = heights if seed % 2 else None
-        net = place_network(grid, 7, 11, seed, height_map=height_map)
+        net = place_network(grid, 7, 11, seed)
         rng = generators[-1]
-        stations, emitters, next_draw = helpers.place_positions_per_station(
-            grid, 7, 11, seed, height_map
-        )
+        stations, emitters, next_draw = helpers.place_positions_per_station(grid, 7, 11, seed)
         assert [tuple(s) for s in net.stations.tolist()] == stations
         assert [tuple(e) for e in net.emitters.tolist()] == emitters
         assert rng.random() == next_draw
@@ -283,7 +273,7 @@ def _same_rays(a, b):
 
 def _same_network(a, b):
     return (
-        (a.grid, a.surface_lipschitz) == (b.grid, b.surface_lipschitz)
+        a.grid == b.grid
         and np.array_equal(a.stations, b.stations)
         and np.array_equal(a.emitters, b.emitters)
         and _same_rays(a.rays, b.rays)
@@ -325,18 +315,6 @@ def test_place_network_emitters_on_extended_plane():
     # extension 1.5 about the midpoint widens [0,1] to [-0.25, 1.25]
     assert ex.min() >= -0.25 and ex.max() <= 1.25
     assert ex.min() < 0.0 and ex.max() > 1.0
-
-
-def test_place_network_height_map():
-    g = make_grid(4, 4, 4, (0, 1, 0, 1, 0, 15))
-    hm = np.zeros((4, 4))
-    hm[:, 2:] = 0.3  # a step in x gives slope 0.3/dx
-    net = place_network(g, 6, 6, seed=2, height_map=hm)
-    assert net.surface_lipschitz == pytest.approx(0.3 / g.dx)
-    zs = net.stations[:, 2]
-    assert np.all((zs >= 0.0) & (zs <= 0.3 + 1e-12))
-    with pytest.raises(ValueError):
-        place_network(g, 2, 2, seed=0, height_map=np.zeros((3, 4)))
 
 
 def test_take_rays_prefix():
