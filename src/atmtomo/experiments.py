@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import itertools
 import json
@@ -17,12 +18,36 @@ import numpy as np
 from .diagnostics import write_csv
 from .forward import SparseOperator, assemble_operator
 from .forward import dump_operator as write_operator_dump
-from .geometry import make_grid, network_listing, place_network, take_rays
+from .geometry import (
+    _check_network_counts,
+    _check_node_counts,
+    make_grid,
+    network_listing,
+    place_network,
+    take_rays,
+)
 from .objective import PENALTIES, Objective
 from .phantom import PhantomParams, add_noise, true_profile, write_field
 from .solvers import LbfgsOptions, lbfgs_trust_region, ldfp
+from .tv import _check_beta
 
 SOLVERS = ("lbfgs", "ldfp")
+
+
+class _RejectedValue(ValueError):
+    """A value ExperimentConfig rejects, with the fields its check read."""
+
+    def __init__(self, fields, reason):
+        super().__init__(str(reason))
+        self.fields = fields
+
+
+@contextlib.contextmanager
+def _rejecting(*fields):
+    try:
+        yield
+    except ValueError as exc:
+        raise _RejectedValue(fields, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -77,26 +102,45 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if not self.ray_counts or not self.noise_fractions:
-            raise ValueError("sweep lists must be nonempty")
-        if not self.solvers or not self.penalties:
-            raise ValueError("solver and penalty lists must be nonempty")
+        # each check names the fields it reads, for load_config's error line
+        with _rejecting("ray_counts", "noise_fractions"):
+            if not self.ray_counts or not self.noise_fractions:
+                raise ValueError("sweep lists must be nonempty")
+        with _rejecting("solvers", "penalties"):
+            if not self.solvers or not self.penalties:
+                raise ValueError("solver and penalty lists must be nonempty")
         # take_rays and add_noise check the rest, but not these before a sweep's first solve
-        for p in self.noise_fractions:
-            if not 0.0 <= p < math.inf:
-                raise ValueError(f"noise fraction must be >= 0 and finite, got {p}")
-        for s in self.ray_counts:
-            if s < 1:
-                raise ValueError(f"ray count must be >= 1, got {s}")
-        for name in self.solvers:
-            if name not in SOLVERS:
-                raise ValueError(f"unknown solver {name!r}, expected one of {SOLVERS}")
-        for pen in self.penalties:
-            if pen not in PENALTIES:
-                raise ValueError(f"unknown penalty {pen!r}")
-        # sample_rays would refuse it only after the CLI has placed the network
-        if self.samples_per_ray is not None and self.samples_per_ray < 2:
-            raise ValueError(f"need at least 2 samples per ray, got {self.samples_per_ray}")
+        with _rejecting("noise_fractions"):
+            for p in self.noise_fractions:
+                if not 0.0 <= p < math.inf:
+                    raise ValueError(f"noise fraction must be >= 0 and finite, got {p}")
+        with _rejecting("ray_counts"):
+            for s in self.ray_counts:
+                if s < 1:
+                    raise ValueError(f"ray count must be >= 1, got {s}")
+        with _rejecting("solvers"):
+            for name in self.solvers:
+                if name not in SOLVERS:
+                    raise ValueError(f"unknown solver {name!r}, expected one of {SOLVERS}")
+        with _rejecting("penalties"):
+            for pen in self.penalties:
+                if pen not in PENALTIES:
+                    raise ValueError(f"unknown penalty {pen!r}")
+        # the validators a run would meet only after the CLI has created its
+        # output directory: the grid, the network, the samples, beta, memory
+        with _rejecting("nx", "ny", "nz"):
+            _check_node_counts((self.nx, self.ny, self.nz))
+        with _rejecting("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
+            self.make_grid()
+        with _rejecting("stations", "emitters"):
+            _check_network_counts(self.stations, self.emitters)
+        with _rejecting("samples_per_ray"):
+            if self.samples_per_ray is not None and self.samples_per_ray < 2:
+                raise ValueError(f"need at least 2 samples per ray, got {self.samples_per_ray}")
+        with _rejecting("beta"):
+            _check_beta(self.beta)
+        with _rejecting("lbfgs_memory"):
+            LbfgsOptions(memory=self.lbfgs_memory)
 
     def make_grid(self):
         return make_grid(
@@ -168,7 +212,7 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: malformed config: {exc}") from exc
     if not read:
         raise OSError(f"config file {path} not found or unreadable")
-    kw = {}
+    kw, where = {}, {}
     for section, items in sections.items():
         keys = _CONFIG_KEYS.get(section)
         if keys is None:
@@ -177,12 +221,17 @@ def load_config(path) -> ExperimentConfig:
             if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
             field = keys[key]
+            where[field] = f"[{section}] {key}"
             try:
                 kw[field] = _convert(raw, _FIELD_TYPES[field])
-                replace(default_config(), **{field: kw[field]})
             except ValueError as exc:
-                raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
-    return replace(default_config(), **kw)
+                raise ValueError(f"{path}: {where[field]}: {exc}") from exc
+    try:
+        return replace(default_config(), **kw)
+    except _RejectedValue as exc:
+        # the defaults pass every check, so the file set one of the fields it read
+        field = next(f for f in kw if f in exc.fields)
+        raise ValueError(f"{path}: {where[field]}: {exc}") from exc
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -66,11 +66,14 @@ def _is_count(n, low: int, high: float = math.inf) -> bool:
     return low <= n <= high and math.isfinite(n) and n == int(n)
 
 
-def make_grid(nx: int, ny: int, nz: int, bounds) -> Grid3:
-    """Build a grid from node counts and (x_min, x_max, y_min, y_max, z_min, z_max)."""
-    counts = (nx, ny, nz)
+def _check_node_counts(counts) -> None:
     if not all(_is_count(n, 2) for n in counts):
         raise ValueError(f"node counts must be integers >= 2, got {counts}")
+
+
+def make_grid(nx: int, ny: int, nz: int, bounds) -> Grid3:
+    """Build a grid from node counts and (x_min, x_max, y_min, y_max, z_min, z_max)."""
+    _check_node_counts((nx, ny, nz))
     b = [float(v) for v in bounds]
     if len(b) != 6:
         raise ValueError(f"bounds needs 6 values, got {len(b)}")
@@ -220,6 +223,13 @@ def build_network(grid: Grid3, stations, emitters) -> Network:
 _LATERAL_EXTENSION = 1.5
 
 
+def _check_network_counts(n_stations, n_emitters) -> None:
+    if not (_is_count(n_stations, 1) and _is_count(n_emitters, 1)):
+        raise ValueError(
+            f"station and emitter counts must be integers >= 1, got {n_stations} and {n_emitters}"
+        )
+
+
 def place_network(grid: Grid3, n_stations: int, n_emitters: int, seed: int) -> Network:
     """Randomly place stations on the surface and emitters on the top plane.
 
@@ -228,10 +238,7 @@ def place_network(grid: Grid3, n_stations: int, n_emitters: int, seed: int) -> N
     _LATERAL_EXTENSION = 1.5 times about their midpoint, so slant paths can
     enter from outside the box.  Same seed, same network.
     """
-    if not (_is_count(n_stations, 1) and _is_count(n_emitters, 1)):
-        raise ValueError(
-            f"station and emitter counts must be integers >= 1, got {n_stations} and {n_emitters}"
-        )
+    _check_network_counts(n_stations, n_emitters)
     n_stations, n_emitters = int(n_stations), int(n_emitters)
     rng = np.random.default_rng(seed)
     lo = np.array([grid.x_min, grid.y_min])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import weakref
+
 import numpy as np
 
 from .forward import SparseOperator
@@ -17,7 +20,10 @@ class Objective:
 
     penalty 'tv' is the smoothed total variation with parameter beta;
     'quadratic' is 0.5*||phi||^2.
-    Every eval() increments the evaluation counter.
+    Every eval() increments the evaluation counter.  eval() keeps the
+    squared residual norm it formed, with a weak reference to the array it
+    evaluated, for discrepancy(); an evaluated array must not be changed in
+    place.
     """
 
     def __init__(
@@ -51,6 +57,7 @@ class Objective:
         self.penalty = penalty
         self.beta = beta
         self.evaluations = 0
+        self._evaluated = None
 
     def eval(self, phi: np.ndarray):
         """Return (value, gradient) at phi; value and gradient share one pass."""
@@ -63,12 +70,23 @@ class Objective:
         else:
             pen_value = 0.5 * float(phi @ phi)
             pen_grad = phi
-        value = 0.5 * float(residual @ residual) + self.alpha * pen_value
+        squared_misfit = float(residual @ residual)
+        value = 0.5 * squared_misfit + self.alpha * pen_value
         gradient = self.operator.apply_adjoint(residual) + self.alpha * pen_grad
         self.evaluations += 1
+        self._evaluated = (weakref.ref(phi), squared_misfit)
         return value, gradient
 
     def discrepancy(self, phi: np.ndarray) -> float:
-        """||T phi - data||, monitored but never used as a stopping rule here."""
+        """||T phi - data||, monitored but never used as a stopping rule here.
+
+        For the very array the last eval() took, the residual eval() formed
+        gives it: numpy's norm of a vector is the square root of the same dot,
+        so it is the recomputed value bit for bit.
+        """
+        if self._evaluated is not None:
+            evaluated, squared_misfit = self._evaluated
+            if evaluated() is phi:
+                return math.sqrt(squared_misfit)
         phi = np.asarray(phi, dtype=float)
         return float(np.linalg.norm(self.operator.apply(phi) - self.data))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -26,6 +25,9 @@ _SHRINK = 0.25
 _GROW = 2.0
 # a pair with y.s <= this times |s||y| carries no usable curvature
 _CURVATURE_THRESHOLD = 1e-12
+# column panels of the L-BFGS history block: a direction's products read each
+# panel once, while it sits in cache
+_PANEL = 8192
 
 
 @dataclass
@@ -44,13 +46,28 @@ class LbfgsOptions:
 
 
 class LbfgsHistory:
-    """Curvature-filtered ring buffer of (step, gradient change, 1/(y.s)) pairs."""
+    """Curvature-filtered ring of the newest (step s, gradient change y) pairs.
+
+    The pairs share one (2 * memory + 1, n) block: slot i holds s in row
+    2i + 1 and y in row 2i + 2, and row 0 takes the gradient of each
+    direction.  Beside it sit the tables s_i.y_j and y_i.y_j; a pushed slot's
+    column is filled in by the next direction, which reads the block anyway.
+    """
 
     def __init__(self, memory: int = 10):
-        self._pairs: deque = deque(maxlen=memory)
+        if memory < 1:
+            raise ValueError(f"memory must be >= 1, got {memory}")
+        self._memory = memory
+        self._block = None
+        self._sy = np.zeros((memory, memory))
+        self._yy = np.zeros((memory, memory))
+        self._rho = [0.0] * memory
+        self._count = 0
+        self._next = 0
+        self._pending = []
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._count
 
     def push(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
@@ -58,43 +75,93 @@ class LbfgsHistory:
         bound = _CURVATURE_THRESHOLD * float(np.linalg.norm(s) * np.linalg.norm(y))
         if sy <= bound:
             return False
-        self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
+        if self._block is None:
+            self._block = np.empty((2 * self._memory + 1, s.size))
+        slot = self._next
+        self._block[2 * slot + 1] = s
+        self._block[2 * slot + 2] = y
+        self._rho[slot] = 1.0 / sy
+        if slot not in self._pending:
+            self._pending.append(slot)
+        self._next = (slot + 1) % self._memory
+        self._count = min(self._count + 1, self._memory)
         return True
+
+    def _slots(self) -> np.ndarray:
+        """The stored slots, oldest first."""
+        return (self._next - self._count + np.arange(self._count)) % self._memory
 
     @property
     def pairs(self):
-        return tuple(self._pairs)
+        """Copies of the stored (s, y, 1/(y.s)), oldest first."""
+        return tuple(
+            (self._block[2 * i + 1].copy(), self._block[2 * i + 2].copy(), self._rho[i])
+            for i in self._slots().tolist()
+        )
 
     def curvature_estimate(self) -> float:
         """Rayleigh estimate (y.y)/(y.s) from the most recent pair, 1 if empty."""
-        if not self._pairs:
+        if not self._count:
             return 1.0
-        s, y, rho = self._pairs[-1]
-        return float(y @ y) * rho
+        newest = (self._next - 1) % self._memory
+        y = self._block[2 * newest + 2]
+        return float(y @ y) * self._rho[newest]
+
+    def _products(self, gradient: np.ndarray) -> np.ndarray:
+        """Products of gradient with the rows in use: g, then s_i and y_i by slot.
+
+        The same pass over the block's column panels fills in the table columns
+        of the slots pushed since the last call, from their y rows themselves:
+        S^T y taken as the difference of two directions' S^T g cancels when
+        |y| << |g|.
+        """
+        block = self._block[: 2 * self._count + 1]
+        block[0] = gradient
+        rows = [0] + [2 * slot + 2 for slot in self._pending]
+        products = np.zeros((len(block), len(rows)))
+        for start in range(0, block.shape[1], _PANEL):
+            panel = block[:, start : start + _PANEL]
+            products += panel @ panel[rows].T
+        for slot, column in zip(self._pending, products.T[1:]):
+            self._sy[: self._count, slot] = column[1::2]
+            self._yy[: self._count, slot] = self._yy[slot, : self._count] = column[2::2]
+        self._pending.clear()
+        return products[:, 0]
 
 
 def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarray:
-    """Quasi-Newton direction -H*gradient via the two-loop recursion.
+    """Quasi-Newton direction -H*gradient, H the L-BFGS inverse Hessian.
 
-    The seed matrix is (s.y)/(y.y) times the identity, taken from the newest
-    pair; with no pairs stored this is plain steepest descent.
+    H is the matrix the two-loop recursion applies: the seed (s.y)/(y.y)
+    times the identity, taken from the newest pair, updated by every stored
+    pair oldest first; with no pairs stored this is plain steepest descent.
+    It is applied in compact form (Byrd, Nocedal & Schnabel, Math. Prog. 63,
+    1994): with S and Y the stored pairs as columns, R = triu(S^T Y) and
+    D = diag(S^T Y),
+
+        H g = gamma g + S u - gamma Y p,   p = R^-1 S^T g,
+        u = R^-T (D p + gamma (Y^T Y p - Y^T g)),
+
+    so the block is read twice, once for its products with g and once to
+    sum its rows, whatever the memory.
     """
-    pairs = history.pairs
-    if not pairs:
+    if not len(history):
         return -gradient
-    q = gradient.astype(float, copy=True)
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    s_last, y_last, _ = pairs[-1]
-    gamma = float(s_last @ y_last) / float(y_last @ y_last)
-    r = gamma * q
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ r)
-        r += (a - b) * s
-    return -r
+    slots = history._slots()
+    products = history._products(gradient)
+    sg, yg = products[1::2][slots], products[2::2][slots]
+    table = np.ix_(slots, slots)
+    sy, yy = history._sy[table], history._yy[table]
+    gamma = sy[-1, -1] / yy[-1, -1]
+    # R's diagonal is each pair's y.s, which the curvature filter keeps positive
+    r = np.triu(sy)
+    p = np.linalg.solve(r, sg)
+    u = np.linalg.solve(r.T, np.diag(sy) * p + gamma * (yy @ p - yg))
+    coefficients = np.empty(len(products))
+    coefficients[0] = -gamma
+    coefficients[1::2][slots] = -u
+    coefficients[2::2][slots] = gamma * p
+    return coefficients @ history._block[: len(products)]
 
 
 @dataclass(frozen=True)

@@ -590,6 +590,25 @@ def cgne_two_dots(apply_matrix, rhs, tol=1e-8, max_iterations=200, callback=None
     return s
 
 
+def two_loop_oracle(pairs, gradient):
+    """-H*gradient by the two-loop recursion over chronological (s, y, 1/(y.s)) pairs."""
+    if not pairs:
+        return -gradient
+    q = gradient.astype(float, copy=True)
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    s_last, y_last, _ = pairs[-1]
+    gamma = float(s_last @ y_last) / float(y_last @ y_last)
+    r = gamma * q
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * float(y @ r)
+        r += (a - b) * s
+    return -r
+
+
 def dense_bfgs_inverse(pairs):
     """Inverse-Hessian matrix from scaled identity plus chronological updates."""
     s_last, y_last, _ = pairs[-1]

@@ -263,8 +263,17 @@ def test_unconvertible_config_value_is_one_error_line(tmp_path, capsys, section,
          "unknown solver 'bogus', expected one of ('lbfgs', 'ldfp')"),
         ("network", "samples_per_ray", "1", "need at least 2 samples per ray, got 1"),
         ("network", "samples_per_ray", "0", "need at least 2 samples per ray, got 0"),
+        ("solver", "lbfgs_memory", "0", "memory must be >= 1, got 0"),
+        ("grid", "nx", "1", "node counts must be integers >= 2, got (1, 30, 30)"),
+        ("grid", "z_max", "-1", "z bounds must satisfy max > min, got [0.0, -1.0]"),
+        ("network", "stations", "0",
+         "station and emitter counts must be integers >= 1, got 0 and 30"),
+        ("regularization", "beta", "2", "smoothing parameter must lie in (0, 1), got 2.0"),
     ],
-    ids=["unknown-solver", "one-sample", "no-samples"],
+    ids=[
+        "unknown-solver", "one-sample", "no-samples", "no-memory", "one-node",
+        "negative-top", "no-stations", "beta-above-one",
+    ],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, section, key, value, reason):
     ini = tmp_path / "bad.ini"
@@ -275,6 +284,23 @@ def test_rejected_config_value_is_one_error_line(tmp_path, capsys, section, key,
     assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"atmtomo: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_config_checks_bounds_together_and_names_the_failing_key(tmp_path):
+    # z_min = 20 alone would lie above the default z_max = 15; with z_max = 30
+    # the box is valid, and a bad node count beside it is named by its own key
+    ini = tmp_path / "box.ini"
+    ini.write_text("[grid]\nz_min = 20\nz_max = 30\n")
+    config = load_config(ini)
+    assert (config.z_min, config.z_max) == (20.0, 30.0)
+    ini.write_text("[grid]\nz_min = 20\nz_max = 30\nnz = 1\n")
+    message = f"{ini}: [grid] nz: node counts must be integers >= 2, got (30, 30, 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(ini)
+    ini.write_text("[grid]\nz_max = 10\nz_min = 20\n")
+    message = f"{ini}: [grid] z_max: z bounds must satisfy max > min, got [20.0, 10.0]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(ini)
 
 
 def test_config_hash_tracks_every_field():

@@ -14,7 +14,7 @@ from atmtomo import (
     true_profile,
     tv_value_and_gradient,
 )
-from atmtomo.solvers import LbfgsOptions, lbfgs_trust_region
+from atmtomo.solvers import LbfgsOptions, lbfgs_trust_region, ldfp
 
 
 def manual_eval(objective, phi):
@@ -163,3 +163,65 @@ def test_noisy_minimum_discrepancy_near_noise_level(desk):
     result = lbfgs_trust_region(obj, np.zeros(desk.grid.n_nodes), options)
     ratio = obj.discrepancy(result.field.values) / (delta * math.sqrt(desk.f_true.size))
     assert 0.5 <= ratio <= 3.0
+
+
+class _Applies:
+    """Counts a SparseOperator's forward applications."""
+
+    def __init__(self, monkeypatch, op):
+        self.calls = 0
+        original = op.apply
+
+        def apply(v):
+            self.calls += 1
+            return original(v)
+
+        monkeypatch.setattr(op, "apply", apply)
+
+
+@pytest.mark.parametrize("solver", ["lbfgs", "ldfp"])
+def test_records_take_the_discrepancy_from_the_last_eval(desk, monkeypatch, solver):
+    data, _ = add_noise(desk.f_true, 0.02, seed=11)
+    applies = _Applies(monkeypatch, desk.op)
+    asked = []
+
+    class Asked(Objective):
+        def discrepancy(self, phi):
+            calls = applies.calls
+            value = super().discrepancy(phi)
+            asked.append((phi.copy(), value, applies.calls - calls))
+            return value
+
+    obj = Asked(desk.op, data, 1e-6, desk.grid)
+    phi0 = np.zeros(desk.grid.n_nodes)
+    if solver == "lbfgs":
+        result = lbfgs_trust_region(obj, phi0, LbfgsOptions(max_iterations=40))
+        # a rejected step repeats the last record without asking again
+        records = [r for r in result.records if r.iteration == 0 or r.step_norm > 0.0]
+    else:
+        result = ldfp(obj, phi0, max_iterations=4)
+        records = result.records
+    assert len(asked) == len(records) > 4
+    fresh = Objective(desk.op, data, 1e-6, desk.grid)
+    for (phi, value, calls), record in zip(asked, records):
+        assert calls == 0
+        assert record.discrepancy == value == fresh.discrepancy(phi)
+
+
+def test_discrepancy_recomputes_for_any_other_array(desk, monkeypatch, rng):
+    obj = Objective(desk.op, desk.f_true, 1e-3, desk.grid)
+    applies = _Applies(monkeypatch, desk.op)
+    phi = rng.standard_normal(desk.grid.n_nodes)
+    other = rng.standard_normal(desk.grid.n_nodes)
+    want = float(np.linalg.norm(desk.op.apply(phi) - desk.f_true))
+    applies.calls = 0
+    obj.eval(phi)
+    assert obj.discrepancy(phi) == want
+    assert applies.calls == 1
+    assert obj.discrepancy(phi.copy()) == want
+    assert applies.calls == 2
+    assert obj.discrepancy(other) == float(np.linalg.norm(desk.op.apply(other) - desk.f_true))
+    obj.eval(other)
+    applies.calls = 0
+    assert obj.discrepancy(phi) == want
+    assert applies.calls == 1

@@ -88,6 +88,70 @@ def test_history_curvature_filter_and_memory():
     assert len(history) == 3
 
 
+def _scaled_pairs(rng, n, count):
+    # y = A s for a fixed SPD A: a diagonal plus a rank-one coupling
+    diag = rng.uniform(1.0, 100.0, n)
+    u = rng.standard_normal(n) / math.sqrt(n)
+    for _ in range(count):
+        s = rng.standard_normal(n)
+        yield s, diag * s + (u @ s) * u
+
+
+@pytest.mark.parametrize(
+    "memory, schedule",
+    [(3, "ppppppp-d"), (5, "pp-d-ppp-d-pppp-d"), (4, "pd" * 9)],
+    ids=["ring-wraps", "pushes-between-directions", "direction-after-every-push"],
+)
+def test_compact_direction_is_the_two_loop(rng, memory, schedule):
+    # 20000 entries span three column panels of the block, the last one partial
+    n = 20000
+    history = LbfgsHistory(memory)
+    pairs = _scaled_pairs(rng, n, schedule.count("p"))
+    for op in schedule.replace("-", ""):
+        if op == "p":
+            assert history.push(*next(pairs))
+            continue
+        g = rng.standard_normal(n)
+        want = helpers.two_loop_oracle(history.pairs, g)
+        got = two_loop_direction(history, g)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert len(history) == min(memory, schedule.count("p"))
+
+
+def test_rejected_pair_leaves_the_history_unchanged(rng):
+    n = 20000
+    history = LbfgsHistory(3)
+    for s, y in _scaled_pairs(rng, n, 4):
+        assert history.push(s, y)
+    g = rng.standard_normal(n)
+    two_loop_direction(history, g)  # fills in the pushed slots' table columns
+    before = two_loop_direction(history, g)
+    tables = (history._sy.copy(), history._yy.copy())
+    pairs = history.pairs
+    s = rng.standard_normal(n)
+    assert not history.push(s, -s)
+    assert len(history) == 3
+    for (s0, y0, rho0), (s1, y1, rho1) in zip(pairs, history.pairs, strict=True):
+        assert s0.tobytes() == s1.tobytes() and y0.tobytes() == y1.tobytes() and rho0 == rho1
+    assert two_loop_direction(history, g).tobytes() == before.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(tables, (history._sy, history._yy)))
+    want = helpers.two_loop_oracle(history.pairs, g)
+    assert np.linalg.norm(before - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_pairs_stay_chronological_after_the_ring_wraps():
+    history = LbfgsHistory(memory=3)
+    for k in range(1, 8):
+        assert history.push(np.array([1.0, float(k)]), np.array([2.0, float(k)]))
+        order = [float(s[1]) for s, _, _ in history.pairs]
+        assert order == [float(j) for j in range(max(1, k - 2), k + 1)]
+    for s, y, rho in history.pairs:
+        assert rho == 1.0 / float(s @ y)
+    # the stored rows are the history's own: changing a returned pair changes nothing
+    history.pairs[0][0][:] = 0.0
+    assert float(history.pairs[0][0][1]) == 5.0
+
+
 def test_two_loop_gives_descent_directions(rng):
     for _ in range(100):
         n = int(rng.integers(2, 8))
