@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .objective import PENALTIES, Objective
 from .phantom import PhantomParams, add_noise, true_profile, write_field
-from .solvers import LbfgsOptions, lbfgs_trust_region, ldfp
+from .solvers import LbfgsOptions, _check_max_iterations, lbfgs_trust_region, ldfp
 from .tv import _check_beta
 
 SOLVERS = ("lbfgs", "ldfp")
@@ -128,6 +128,7 @@ class ExperimentConfig:
                     raise ValueError(f"unknown penalty {pen!r}")
         # the validators a run would meet only after the CLI has created its
         # output directory: the grid, the network, the samples, beta, memory
+        # and the benchmark's budgets
         with _rejecting("nx", "ny", "nz"):
             _check_node_counts((self.nx, self.ny, self.nz))
         with _rejecting("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
@@ -141,6 +142,9 @@ class ExperimentConfig:
             _check_beta(self.beta)
         with _rejecting("lbfgs_memory"):
             LbfgsOptions(memory=self.lbfgs_memory)
+        for budget in ("benchmark_lbfgs_iterations", "benchmark_ldfp_iterations"):
+            with _rejecting(budget):
+                _check_max_iterations(getattr(self, budget))
 
     def make_grid(self):
         return make_grid(

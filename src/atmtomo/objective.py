@@ -9,7 +9,6 @@ import numpy as np
 
 from .forward import SparseOperator
 from .geometry import Grid3
-from .phantom import Field
 from .tv import _check_beta, tv_value_and_gradient
 
 PENALTIES = ("tv", "quadratic")
@@ -64,9 +63,7 @@ class Objective:
         phi = np.asarray(phi, dtype=float)
         residual = self.operator.apply(phi) - self.data
         if self.penalty == "tv":
-            pen_value, pen_grad = tv_value_and_gradient(
-                Field(grid=self.grid, values=phi), self.beta
-            )
+            pen_value, pen_grad = tv_value_and_gradient(phi, self.grid, self.beta)
         else:
             pen_value = 0.5 * float(phi @ phi)
             pen_grad = phi

@@ -30,6 +30,12 @@ _CURVATURE_THRESHOLD = 1e-12
 _PANEL = 8192
 
 
+def _check_max_iterations(max_iterations: int) -> None:
+    """The rule both solvers apply to their iteration budget."""
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
+
+
 @dataclass
 class LbfgsOptions:
     memory: int = 10
@@ -39,8 +45,7 @@ class LbfgsOptions:
     def __post_init__(self):
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        _check_max_iterations(self.max_iterations)
         if not self.grad_tol >= 0.0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
@@ -166,11 +171,11 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class InnerSolveStats:
-    """How one LDFP outer step's inner conjugate-gradient solve ended.
+    """How one conjugate-gradient solve (an LDFP outer step's inner solve) ended.
 
     iterations counts CG steps taken, residual is the last recursive residual
     norm ||H s - rhs|| (||rhs|| when no step was taken), and hit_cap says the
-    solve used all inner_max_iterations without reaching its tolerance.
+    solve used all its max_iterations without reaching its tolerance.
     """
 
     iterations: int
@@ -353,7 +358,8 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     Starts from zero and stops when the recursive residual satisfies
     ||H s - rhs|| <= tol * ||rhs|| or the iteration cap is reached.  A clearly
     negative curvature p.Hp signals a non-PSD map and raises; a numerically
-    zero one stalls and returns the current iterate.
+    zero one stalls and returns the current iterate.  Returns the iterate and
+    an InnerSolveStats; callback, if given, sees each step's residual norm.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not tol >= 0.0:
@@ -361,13 +367,15 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     s = np.zeros_like(rhs)
-    target = tol * float(np.linalg.norm(rhs))
+    rn = float(np.linalg.norm(rhs))
+    target = tol * rn
+    if rn <= target:
+        return s, InnerSolveStats(iterations=0, residual=rn, hit_cap=False)
     r = rhs.copy()
-    if float(np.linalg.norm(r)) <= target:
-        return s
     p = r.copy()
     rr = float(r @ r)
-    for _ in range(max_iterations):
+    steps = 0
+    while steps < max_iterations:
         hp = apply_matrix(p)
         php = float(p @ hp)
         if php <= 0.0:
@@ -380,6 +388,7 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
         a = rr / php
         s += a * p
         r -= a * hp
+        steps += 1
         # numpy's 2-norm of a real vector is sqrt(r . r), so one dot serves both
         rr_new = float(r @ r)
         rn = math.sqrt(rr_new)
@@ -389,7 +398,8 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
             break
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return s
+    hit_cap = steps == max_iterations and rn > target
+    return s, InnerSolveStats(iterations=steps, residual=rn, hit_cap=hit_cap)
 
 
 def ldfp(
@@ -407,12 +417,11 @@ def ldfp(
     assembles the frozen operator L once as a sparse matrix, solves
     (T^T T + alpha L) s = -gradient with conjugate gradients, and takes the
     full step.  It runs max_iterations (>= 0) outer steps and ends with max-iter.
-    The result's inner_solves holds one InnerSolveStats per outer step.
+    The result's inner_solves holds cgne's InnerSolveStats of each outer step.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
-    if max_iterations < 0:
-        raise ValueError("max_iterations must be >= 0")
+    _check_max_iterations(max_iterations)
     op = objective.operator
     grid = objective.grid
     alpha = objective.alpha
@@ -422,28 +431,14 @@ def ldfp(
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
     for iteration in range(1, max_iterations + 1):
-        frozen = diffusion_matrix(smoothing_weights(Field(grid=grid, values=phi), beta), grid)
+        frozen = diffusion_matrix(smoothing_weights(phi, grid, beta), grid)
 
         def apply_h(v):
             return op.apply_adjoint(op.apply(v)) + alpha * apply_weights(frozen, grid, v)
 
-        residuals = [grad_norm]
-        step = cgne(
-            apply_h,
-            -grad,
-            tol=inner_tol,
-            max_iterations=inner_max_iterations,
-            callback=residuals.append,
-        )
+        step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
         del frozen, apply_h  # keep one frozen matrix alive at a time
-        inner = len(residuals) - 1
-        inner_solves.append(
-            InnerSolveStats(
-                iterations=inner,
-                residual=residuals[-1],
-                hit_cap=inner == inner_max_iterations and residuals[-1] > inner_tol * grad_norm,
-            )
-        )
+        inner_solves.append(stats)
         phi = phi + step
         value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
         grad_norm = float(np.linalg.norm(grad))

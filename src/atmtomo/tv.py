@@ -6,7 +6,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Grid3
-from .phantom import Field
 
 
 def _check_beta(beta: float) -> float:
@@ -14,6 +13,14 @@ def _check_beta(beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"smoothing parameter must lie in (0, 1), got {beta}")
     return beta
+
+
+def _node_vector(values, grid: Grid3, what: str) -> np.ndarray:
+    """values as a float array, checked to hold one entry per grid node."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_nodes,):
+        raise ValueError(f"{what} length {values.shape} does not match grid nodes {grid.n_nodes}")
+    return values
 
 
 # per axis of a 3-D array, the index tuples of its faces at positions 0, 1, -2, -1
@@ -52,17 +59,17 @@ def _axes(grid: Grid3):
     return ((2, 1.0 / (2.0 * grid.dx)), (1, 1.0 / (2.0 * grid.dy)), (0, 1.0 / (2.0 * grid.dz)))
 
 
-def _root_of_differences(field: Field, beta: float):
+def _root_of_differences(values, grid: Grid3, beta: float):
     """([D_x v, D_y v, D_z v], sqrt(|grad|^2 + beta)) as (z, y, x) arrays.
 
     The squares are summed in x, y, z order.  Besides the four results only
     one scratch array of the field's size is allocated.
     """
-    v = field.as_3d()
+    v = _node_vector(values, grid, "values").reshape(grid.nz, grid.ny, grid.nx)
     scratch = np.empty_like(v)
     parts = [
         _shifted(np.multiply(-w, v, out=scratch), axis, adjoint=False, out=np.empty_like(v))
-        for axis, w in _axes(field.grid)
+        for axis, w in _axes(grid)
     ]
     root = np.square(parts[0])
     for p in parts[1:]:
@@ -71,23 +78,22 @@ def _root_of_differences(field: Field, beta: float):
     return parts, np.sqrt(root, out=root)
 
 
-def smoothing_weights(field: Field, beta: float = 1e-2) -> np.ndarray:
-    """Diffusion weights 1/sqrt(|grad|^2 + beta) evaluated at the field, (z,y,x)."""
+def smoothing_weights(values, grid: Grid3, beta: float = 1e-2) -> np.ndarray:
+    """Diffusion weights 1/sqrt(|grad|^2 + beta) at the node vector values, (z,y,x)."""
     beta = _check_beta(beta)
-    root = _root_of_differences(field, beta)[1]
+    root = _root_of_differences(values, grid, beta)[1]
     return np.divide(1.0, root, out=root)
 
 
-def tv_value_and_gradient(field: Field, beta: float = 1e-2):
-    """Smoothed TV and its gradient L(field) @ field, from one set of differences.
+def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
+    """Smoothed TV of the node vector v and its gradient L(v) @ v, from one set of differences.
 
     The value is the cell-volume weighted sum of sqrt(|grad|^2 + beta) over
     all nodes.  The gradient is cell_volume * sum_a D_a^T (gamma * D_a v), the
     axes accumulated in x, y, z order into one buffer.
     """
     beta = _check_beta(beta)
-    grid = field.grid
-    parts, root = _root_of_differences(field, beta)
+    parts, root = _root_of_differences(values, grid, beta)
     value = float(root.ravel().sum() * grid.cell_volume)
     gamma = np.divide(1.0, root, out=root)
     # the y and z terms land in the x and y differences, spent by then
@@ -116,10 +122,8 @@ def diffusion_matrix(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
     through upper_i.  On a 2-node axis both couplings fall in one column
     and are kept as two entries.
     """
-    gamma = np.asarray(gamma, dtype=float).ravel()
+    gamma = _node_vector(np.ravel(gamma), grid, "weights")
     n = grid.n_nodes
-    if gamma.shape != (n,):
-        raise ValueError(f"weights length {gamma.shape} does not match grid nodes {n}")
     g = gamma.reshape(grid.nz, grid.ny, grid.nx)
     node = np.arange(n, dtype=np.int32).reshape(g.shape)
     data = np.zeros(g.shape + (7,))
@@ -140,9 +144,4 @@ def diffusion_matrix(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
 
 def apply_weights(frozen: sp.csr_matrix, grid: Grid3, vector: np.ndarray) -> np.ndarray:
     """Apply a diffusion_matrix to a flat vector (one freeze, many applies)."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (grid.n_nodes,):
-        raise ValueError(
-            f"vector length {vector.shape} does not match grid nodes {grid.n_nodes}"
-        )
-    return frozen @ vector
+    return frozen @ _node_vector(vector, grid, "vector")

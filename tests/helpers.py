@@ -455,7 +455,7 @@ def diff_axis(field, axis):
 
 def tv_gradient(field, beta=1e-2):
     """The library's TV gradient alone."""
-    return tv_value_and_gradient(field, beta)[1]
+    return tv_value_and_gradient(field.values, field.grid, beta)[1]
 
 
 def _csr_root(field, beta):
@@ -558,7 +558,8 @@ def apply_L(field_at, vector, beta=1e-2):
 
     Symmetric positive semidefinite; tv_gradient(f) == apply_L(f, f.values).
     """
-    return apply_weights_products(smoothing_weights(field_at, beta), field_at.grid, vector)
+    gamma = smoothing_weights(field_at.values, field_at.grid, beta)
+    return apply_weights_products(gamma, field_at.grid, vector)
 
 
 def cgne_two_dots(apply_matrix, rhs, tol=1e-8, max_iterations=200, callback=None):

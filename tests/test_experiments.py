@@ -269,10 +269,13 @@ def test_unconvertible_config_value_is_one_error_line(tmp_path, capsys, section,
         ("network", "stations", "0",
          "station and emitter counts must be integers >= 1, got 0 and 30"),
         ("regularization", "beta", "2", "smoothing parameter must lie in (0, 1), got 2.0"),
+        ("benchmark", "lbfgs_iterations", "-1", "max_iterations must be >= 0"),
+        ("benchmark", "ldfp_iterations", "-1", "max_iterations must be >= 0"),
     ],
     ids=[
         "unknown-solver", "one-sample", "no-samples", "no-memory", "one-node",
-        "negative-top", "no-stations", "beta-above-one",
+        "negative-top", "no-stations", "beta-above-one", "negative-lbfgs-budget",
+        "negative-ldfp-budget",
     ],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, section, key, value, reason):

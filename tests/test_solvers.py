@@ -6,9 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import atmtomo.objective
+import atmtomo.tv
 import helpers
 from atmtomo import Field, Objective, add_noise, true_profile
 from atmtomo.solvers import (
+    InnerSolveStats,
     LbfgsHistory,
     LbfgsOptions,
     cgne,
@@ -375,7 +378,7 @@ def test_noisy_desk_run_collapses_radius(desk):
 def test_cgne_identity_single_iteration(rng):
     rhs = rng.standard_normal(9)
     residuals = []
-    s = cgne(lambda v: v, rhs, tol=1e-12, callback=residuals.append)
+    s, _ = cgne(lambda v: v, rhs, tol=1e-12, callback=residuals.append)
     np.testing.assert_allclose(s, rhs, rtol=1e-14)
     assert len(residuals) == 1
 
@@ -384,7 +387,7 @@ def test_cgne_diagonal_exact(rng):
     d = np.arange(1.0, 6.0)
     rhs = rng.standard_normal(5)
     residuals = []
-    s = cgne(lambda v: d * v, rhs, tol=1e-12, callback=residuals.append)
+    s, _ = cgne(lambda v: d * v, rhs, tol=1e-12, callback=residuals.append)
     np.testing.assert_allclose(s, rhs / d, rtol=1e-10)
     assert len(residuals) <= 5
 
@@ -396,7 +399,7 @@ def test_cgne_spd_matches_dense_solve():
         a = b.T @ b + 20.0 * np.eye(20)
         rhs = rng.standard_normal(20)
         residuals = []
-        s = cgne(lambda v: a @ v, rhs, tol=1e-10, callback=residuals.append)
+        s, _ = cgne(lambda v: a @ v, rhs, tol=1e-10, callback=residuals.append)
         want = np.linalg.solve(a, rhs)
         assert np.linalg.norm(s - want) <= 1e-8 * np.linalg.norm(want)
         for before, after in zip(residuals, residuals[1:]):
@@ -410,20 +413,29 @@ def test_cgne_one_dot_per_iteration_is_bitwise_the_two_dot_loop(tol, max_iterati
     a = b.T @ b + np.eye(50)
     rhs = rng.standard_normal(50)
     got, want = [], []
-    s = cgne(lambda v: a @ v, rhs, tol, max_iterations, callback=got.append)
+    s, stats = cgne(lambda v: a @ v, rhs, tol, max_iterations, callback=got.append)
     s_want = helpers.cgne_two_dots(lambda v: a @ v, rhs, tol, max_iterations, want.append)
     assert len(got) > 5
     assert got == want
     assert s.tobytes() == s_want.tobytes()
+    assert stats.iterations == len(got)
+    assert stats.residual == got[-1]
+    # a zero tolerance cannot be met, so only the capped solve hits its cap
+    assert stats.hit_cap == (tol == 0.0)
 
 
 def test_cgne_zero_rhs_and_stall():
     residuals = []
-    s = cgne(lambda v: v, np.zeros(4), callback=residuals.append)
+    s, stats = cgne(lambda v: v, np.zeros(4), callback=residuals.append)
     np.testing.assert_array_equal(s, np.zeros(4))
     assert residuals == []
-    s = cgne(lambda v: 0.0 * v, np.array([1.0, 2.0]))
+    assert stats == InnerSolveStats(iterations=0, residual=0.0, hit_cap=False)
+    rhs = np.array([1.0, 2.0])
+    s, stats = cgne(lambda v: 0.0 * v, rhs, callback=residuals.append)
     np.testing.assert_array_equal(s, np.zeros(2))
+    assert residuals == []
+    stalled = InnerSolveStats(iterations=0, residual=float(np.linalg.norm(rhs)), hit_cap=False)
+    assert stats == stalled
 
 
 def test_cgne_rejects_indefinite_map_and_bad_cap():
@@ -463,7 +475,7 @@ def test_ldfp_outer_steps_solve_lagged_system(desk):
     one = ldfp(obj, phi0, inner_tol=inner_tol, max_iterations=1).field.values
     two = ldfp(obj, phi0, inner_tol=inner_tol, max_iterations=2).field.values
     for start, stop in ((phi0, one), (one, two)):
-        gamma = smoothing_weights(Field(grid=desk.grid, values=start), obj.beta)
+        gamma = smoothing_weights(start, desk.grid, obj.beta)
         _, grad = obj.eval(start)
         step = stop - start
         applied = desk.op.apply_adjoint(desk.op.apply(step)) + alpha * apply_weights(
@@ -527,3 +539,39 @@ def test_plain_array_solutions_for_plain_objectives(rng):
     obj = quadratic_objective(np.ones(6), rng.standard_normal(6))
     result = lbfgs_trust_region(obj, np.zeros(6), LbfgsOptions(max_iterations=20))
     assert isinstance(result.field, np.ndarray)
+
+
+def test_tv_solves_build_one_field_the_result(desk, monkeypatch):
+    # TV takes the solver's node vector and grid; only the result is a Field
+    built = []
+    post_init = Field.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    obj = Objective(desk.op, desk.f_true, 1e-6, desk.grid)
+    phi0 = np.zeros(desk.grid.n_nodes)
+    options = LbfgsOptions(max_iterations=20)
+    for solve in (
+        lambda: lbfgs_trust_region(obj, phi0, options, truth=desk.truth),
+        lambda: ldfp(obj, phi0, max_iterations=2, truth=desk.truth),
+    ):
+        built.clear()
+        result = solve()
+        assert result.iterations > 1
+        assert len(built) == 1 and built[0] is result.field
+    for module in (atmtomo.tv, atmtomo.objective):
+        assert Field not in vars(module).values()
+
+
+@pytest.mark.parametrize("solve", [lbfgs_trust_region, ldfp])
+def test_tv_solvers_reject_a_nan_start(desk, solve):
+    # the NaN reaches the objective value, which the solver checks; warnings
+    # are errors in this suite, so none may be raised before it
+    obj = Objective(desk.op, desk.f_true, 1e-6, desk.grid)
+    phi0 = np.zeros(desk.grid.n_nodes)
+    phi0[5] = math.nan
+    with pytest.raises(ValueError, match="^objective value is not finite at the starting point$"):
+        solve(obj, phi0)

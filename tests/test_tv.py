@@ -25,7 +25,7 @@ def test_beta_validation():
     f = random_field(3, 3, 3, (0, 1, 0, 1, 0, 1), 0)
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            tv_value_and_gradient(f, bad)
+            tv_value_and_gradient(f.values, f.grid, bad)
 
 
 def test_difference_blocks_match_dense_kronecker_oracle():
@@ -72,16 +72,18 @@ def test_tv_value_constant_field():
     g = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
     f = Field(grid=g, values=np.full(g.n_nodes, 123.0))
     expected = 27000 * math.sqrt(1e-2) * g.cell_volume
-    assert tv_value_and_gradient(f, 1e-2)[0] == pytest.approx(expected, rel=1e-12)
+    assert tv_value_and_gradient(f.values, f.grid, 1e-2)[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.6605846898191806, rel=1e-12)
 
 
 def test_tv_value_shift_invariance_and_beta_monotonicity():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 3)
-    shifted = Field(grid=f.grid, values=f.values + 17.5)
-    value = tv_value_and_gradient(f, 1e-2)[0]
-    assert tv_value_and_gradient(shifted, 1e-2)[0] == pytest.approx(value, rel=1e-14)
-    assert tv_value_and_gradient(f, 2e-2)[0] > value > tv_value_and_gradient(f, 5e-3)[0]
+    value = tv_value_and_gradient(f.values, f.grid, 1e-2)[0]
+    shifted = tv_value_and_gradient(f.values + 17.5, f.grid, 1e-2)[0]
+    assert shifted == pytest.approx(value, rel=1e-14)
+    wider = tv_value_and_gradient(f.values, f.grid, 2e-2)[0]
+    narrower = tv_value_and_gradient(f.values, f.grid, 5e-3)[0]
+    assert wider > value > narrower
 
 
 def test_tv_value_matches_triple_loops():
@@ -90,12 +92,12 @@ def test_tv_value_matches_triple_loops():
         (2, (5, 5, 5), (0, 1, 0, 1, 0, 15)),
     ):
         f = random_field(*dims, bounds, seed)
-        assert tv_value_and_gradient(f, 1e-2)[0] == pytest.approx(
+        assert tv_value_and_gradient(f.values, f.grid, 1e-2)[0] == pytest.approx(
             helpers.tv_value_loops(f, 1e-2), rel=1e-12
         )
     g5 = make_grid(5, 5, 5, (0, 1, 0, 1, 0, 15))
     phantom = true_profile(g5)
-    assert tv_value_and_gradient(phantom, 1e-2)[0] == pytest.approx(
+    assert tv_value_and_gradient(phantom.values, phantom.grid, 1e-2)[0] == pytest.approx(
         helpers.tv_value_loops(phantom, 1e-2), rel=1e-12
     )
 
@@ -121,7 +123,7 @@ def test_tv_gradient_matches_dense_oracle():
 )
 def test_value_and_gradient_bitwise_per_call_transpose(dims, bounds):
     f = random_field(*dims, bounds, 12)
-    value, grad = tv_value_and_gradient(f, 1e-2)
+    value, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
     want_value, want_grad = helpers.tv_value_and_gradient_transposing(f, 1e-2)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
@@ -151,10 +153,10 @@ def test_shifted_slices_equal_sparse_products(dims, bounds, kind):
     }[kind]
     f = Field(grid=grid, values=values)
     want_value, want_grad = helpers.tv_value_and_gradient_csr(f, 1e-2)
-    value, grad = tv_value_and_gradient(f, 1e-2)
+    value, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
-    weights = smoothing_weights(f, 1e-2)
+    weights = smoothing_weights(f.values, f.grid, 1e-2)
     assert weights.shape == (grid.nz, grid.ny, grid.nx)
     assert np.array_equal(weights, helpers.smoothing_weights_csr(f, 1e-2))
     # without -0.0 in the field the zeros' signs agree too (the solves start at +0.0)
@@ -170,7 +172,7 @@ def test_tv_gradient_constant_field_is_zero():
 
 def test_value_and_gradient_consistent():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 6)
-    _, grad = tv_value_and_gradient(f, 1e-2)
+    _, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
     np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
     np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
 
@@ -185,8 +187,8 @@ def test_directional_derivative():
     for _ in range(20):
         v = rng.standard_normal(g.n_nodes)
         v /= np.linalg.norm(v)
-        plus = tv_value_and_gradient(Field(grid=g, values=f.values + step * v), 1e-2)[0]
-        minus = tv_value_and_gradient(Field(grid=g, values=f.values - step * v), 1e-2)[0]
+        plus = tv_value_and_gradient(f.values + step * v, g, 1e-2)[0]
+        minus = tv_value_and_gradient(f.values - step * v, g, 1e-2)[0]
         fd = (plus - minus) / (2 * step)
         worst = max(worst, abs(fd - float(grad @ v)) / max(abs(fd), 1e-300))
     assert worst <= 1e-5
@@ -199,7 +201,7 @@ def test_two_slab_beta_limit():
     arr = np.zeros((8, 5, 6))
     arr[4:] = 3.0
     f = Field(grid=g, values=arr.ravel())
-    vals = [tv_value_and_gradient(f, b)[0] for b in (1e-2, 1e-4, 1e-6)]
+    vals = [tv_value_and_gradient(f.values, f.grid, b)[0] for b in (1e-2, 1e-4, 1e-6)]
     analytic = 2 * (5 * 6) * (3.0 / (2 * g.dz)) * g.cell_volume
     assert vals[0] > vals[1] > vals[2] > analytic
     assert vals[2] == pytest.approx(analytic, rel=1e-2)
@@ -207,23 +209,30 @@ def test_two_slab_beta_limit():
 
 def test_smoothing_weights_shape_and_values():
     f = random_field(4, 3, 5, (0, 1, 0, 1, 0, 15), 7)
-    gamma = smoothing_weights(f, 1e-2)
+    gamma = smoothing_weights(f.values, f.grid, 1e-2)
     assert gamma.shape == (5, 3, 4)
     const = Field(grid=f.grid, values=np.zeros(f.grid.n_nodes))
-    np.testing.assert_allclose(smoothing_weights(const, 1e-2), 10.0)
+    np.testing.assert_allclose(smoothing_weights(const.values, const.grid, 1e-2), 10.0)
 
 
 def test_apply_weights_matches_apply_L():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 10)
-    frozen = diffusion_matrix(smoothing_weights(f, 1e-2), f.grid)
+    frozen = diffusion_matrix(smoothing_weights(f.values, f.grid, 1e-2), f.grid)
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(f.grid.n_nodes)
         want = helpers.apply_L(f, v, 1e-2)
         got = apply_weights(frozen, f.grid, v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    with pytest.raises(ValueError, match="does not match grid nodes"):
-        apply_weights(frozen, f.grid, np.zeros(5))
+    wrong = np.zeros(5)
+    for call in (
+        lambda: apply_weights(frozen, f.grid, wrong),
+        lambda: tv_value_and_gradient(wrong, f.grid, 1e-2),
+        lambda: smoothing_weights(wrong, f.grid, 1e-2),
+        lambda: diffusion_matrix(wrong, f.grid),
+    ):
+        with pytest.raises(ValueError, match="does not match grid nodes"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -292,7 +301,8 @@ def test_diffusion_operator_linear_symmetric_psd():
 
 def test_diffusion_matches_dense_matrix():
     f = random_field(3, 3, 4, (0, 1, 0, 1, 0, 4), 14)
-    dense = helpers.dense_diffusion_matrix(smoothing_weights(f, 1e-2).ravel(), f.grid)
+    gamma = smoothing_weights(f.values, f.grid, 1e-2).ravel()
+    dense = helpers.dense_diffusion_matrix(gamma, f.grid)
     rng = np.random.default_rng(15)
     v = rng.standard_normal(f.grid.n_nodes)
     np.testing.assert_allclose(helpers.apply_L(f, v, 1e-2), dense @ v, rtol=1e-12, atol=1e-14)
