@@ -276,16 +276,24 @@ def lbfgs_trust_region(
     1; when it is not a descent direction the step falls back to the Cauchy
     point.  A step whose actual/predicted reduction ratio is below 1/4 is
     rejected and the radius shrinks by a factor 4; a ratio of at least 3/4 with
-    the step on the boundary doubles the radius.  The solve ends with
-    radius-collapse once the radius falls below 1e-14.  Every attempted
-    iteration appends one convergence record.  The quasi-Newton direction is
-    computed at the start and after each accepted step only.
+    the step on the boundary doubles the radius.  Until the first rejection
+    such a step instead sets the radius to max(2 radius, |d|), d the next
+    quasi-Newton direction when it is a descent direction, so a radius far
+    below the scale of the problem catches up in one step rather than by
+    doubling (any radius >= the current one is admissible after a very
+    successful step: Conn, Gould & Toint, Trust-Region Methods, Alg. BTR).
+    The solve ends with radius-collapse once the radius falls below 1e-14.
+    Every attempted iteration appends one convergence record.  The
+    quasi-Newton direction is computed at the start and after each accepted
+    step only.
     """
     opts = options if options is not None else LbfgsOptions()
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
     history = LbfgsHistory(opts.memory)
     radius = _INITIAL_RADIUS
+    rejected = False
+    catch_up = False
     stagnant = 0
     iteration = 0
     termination = "max-iter"
@@ -305,6 +313,8 @@ def lbfgs_trust_region(
             d = two_loop_direction(history, grad)
             gd = float(grad @ d)
             dn = float(np.linalg.norm(d))
+            if catch_up and gd < 0.0:
+                radius = max(radius, dn)
         if gd < 0.0 and dn > 0.0:
             t = 1.0 if dn <= radius else radius / dn
             p = d if t == 1.0 else t * d
@@ -332,8 +342,11 @@ def lbfgs_trust_region(
             phi, value, grad = trial, trial_value, trial_grad
             grad_norm = float(np.linalg.norm(grad))
             d = None
-            if ratio >= _ETA_GROW and hit_boundary:
+            grow = ratio >= _ETA_GROW and hit_boundary
+            if grow:
                 radius *= _GROW
+            # the next direction's length may raise the radius further
+            catch_up = grow and not rejected
             recorder.push(iteration, phi, value, grad_norm, step_norm)
             if relative_move < _STAGNATION_TOL:
                 stagnant += 1
@@ -344,6 +357,7 @@ def lbfgs_trust_region(
                 stagnant = 0
         else:
             radius *= _SHRINK
+            rejected = True
             recorder.repeat(iteration)
             if radius < _RADIUS_FLOOR:
                 termination = "radius-collapse"
@@ -373,6 +387,9 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
         return s, InnerSolveStats(iterations=0, residual=rn, hit_cap=False)
     r = rhs.copy()
     p = r.copy()
+    # s, r and p are updated in place through one work vector, in numpy's
+    # operation order, so the iterates are bitwise those of fresh temporaries
+    work = np.empty_like(rhs)
     rr = float(r @ r)
     steps = 0
     while steps < max_iterations:
@@ -386,8 +403,8 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
                 )
             break
         a = rr / php
-        s += a * p
-        r -= a * hp
+        s += np.multiply(p, a, out=work)
+        r -= np.multiply(hp, a, out=work)
         steps += 1
         # numpy's 2-norm of a real vector is sqrt(r . r), so one dot serves both
         rr_new = float(r @ r)
@@ -396,7 +413,8 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
             callback(rn)
         if rn <= target:
             break
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     hit_cap = steps == max_iterations and rn > target
     return s, InnerSolveStats(iterations=steps, residual=rn, hit_cap=hit_cap)
@@ -434,7 +452,11 @@ def ldfp(
         frozen = diffusion_matrix(smoothing_weights(phi, grid, beta), grid)
 
         def apply_h(v):
-            return op.apply_adjoint(op.apply(v)) + alpha * apply_weights(frozen, grid, v)
+            h = op.apply_adjoint(op.apply(v))
+            lv = apply_weights(frozen, grid, v)
+            lv *= alpha
+            h += lv
+            return h
 
         step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
         del frozen, apply_h  # keep one frozen matrix alive at a time

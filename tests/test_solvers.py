@@ -236,15 +236,18 @@ def test_max_iter_termination(rng):
     assert len(result.records) == 6
 
 
-def test_radius_starts_at_one_and_doubles_on_the_boundary():
-    # identity quadratic: every step points straight at the target, so each is
-    # clipped to the radius with ratio >= 3/4 until the target is within reach
+@pytest.mark.parametrize("distance", [100.0, 1e6], ids=["target-100", "target-1e6"])
+def test_radius_starts_at_one_and_catches_up_with_the_next_direction(distance):
+    # identity quadratic: the first step points straight at the target and is
+    # clipped to the radius 1 with ratio 1; before any rejection the radius
+    # then takes the next quasi-Newton step's length, the rest of the way, in
+    # place of doubling (which took 20 iterations to cover 1e6)
     target = np.zeros(8)
-    target[0] = 100.0
+    target[0] = distance
     obj = quadratic_objective(np.ones(8), target)
-    options = LbfgsOptions(max_iterations=20, grad_tol=1e-12)
+    options = LbfgsOptions(max_iterations=30, grad_tol=1e-12)
     result = lbfgs_trust_region(obj, np.zeros(8), options)
-    assert [r.step_norm for r in result.records] == [0, 1, 2, 4, 8, 16, 32, 37]
+    assert [r.step_norm for r in result.records] == [0, 1, distance - 1]
     assert result.termination == "gradient-tol"
 
 
@@ -287,6 +290,39 @@ def test_rejected_steps_quarter_the_radius(monkeypatch):
     assert calls == [-1.0, -1.0]
 
 
+def test_the_radius_catches_up_only_after_a_step_it_cut_short(monkeypatch):
+    # on f(x) = -x every step is accepted with ratio >= 1; of the directions
+    # 10, 1.5 and 3, the first is cut to the radius 1, which then grows to
+    # max(2, 1.5); the second fits inside it, so the third is cut to the
+    # radius 2, which neither doubled nor caught up after the second step
+    directions = iter([10.0, 1.5, 3.0])
+    monkeypatch.setattr(
+        "atmtomo.solvers.two_loop_direction", lambda history, g: np.array([next(directions)])
+    )
+    options = LbfgsOptions(max_iterations=3)
+    result = lbfgs_trust_region(
+        helpers.FnObjective(lambda x: (-float(x[0]), np.array([-1.0]))), np.zeros(1), options
+    )
+    assert [r.step_norm for r in result.records] == [0, 1, 1.5, 2]
+
+
+def test_a_rejection_ends_the_catch_up(monkeypatch):
+    # a direction of 1e3 |g| on f(x) = -x + 1e3 max(0, x - 3/2)^2 from 0: the
+    # unit step is accepted on the boundary and the radius catches up to 1e3;
+    # that step and its quarters down to 1e3 / 4^5 overshoot the wall and are
+    # rejected, and from then on an accepted boundary step only doubles the
+    # radius: 1e3 / 4^6 is accepted, twice it rejected, the quarter accepted
+    def fn(x):
+        wall = max(0.0, float(x[0]) - 1.5)
+        return -float(x[0]) + 1e3 * wall**2, np.array([-1.0 + 2e3 * wall])
+
+    monkeypatch.setattr("atmtomo.solvers.two_loop_direction", lambda history, g: -1e3 * g)
+    options = LbfgsOptions(max_iterations=10)
+    result = lbfgs_trust_region(helpers.FnObjective(fn), np.zeros(1), options)
+    expected = [0, 1] + [0] * 6 + [1e3 / 4**6, 0, 1e3 / 4**6 / 2]
+    assert [r.step_norm for r in result.records] == pytest.approx(expected, rel=1e-15)
+
+
 def test_uphill_direction_falls_back_to_the_cauchy_point(monkeypatch):
     # a direction of +g is uphill, so every step is -tau*g with
     # tau = min(1/curvature, radius/||g||): the curvature of the newest pair
@@ -310,6 +346,11 @@ def test_uphill_direction_falls_back_to_the_cauchy_point(monkeypatch):
     assert calls == [0]
     assert np.array_equal(result.field, x0 + (-tau * g0))
     assert result.records[1].step_norm == pytest.approx(1.0, rel=1e-15)
+    # that step is on the boundary and doubles the radius; the uphill
+    # direction that follows is no quasi-Newton step for the radius to catch
+    # up with, so the second step stops at 2
+    result = lbfgs_trust_region(obj, x0, replace(options, max_iterations=2))
+    assert [r.step_norm for r in result.records] == pytest.approx([0, 1, 2], rel=1e-15)
 
     # near it the unit curvature bounds the first step, the stored pair's
     # curvature (y.y)/(y.s) the second
