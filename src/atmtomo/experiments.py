@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .diagnostics import write_csv
+from .diagnostics import _values_of, relative_error, write_csv
 from .forward import SparseOperator, assemble_operator
 from .forward import dump_operator as write_operator_dump
 from .geometry import (
@@ -272,6 +272,29 @@ def _noisy_data(config: ExperimentConfig, f_true, rays: int, noise: float):
     return add_noise(f_true, noise, derive_noise_seed(config.seed, rays, noise))
 
 
+def _seen_mask(op: SparseOperator) -> np.ndarray:
+    """The nodes with a nonzero column in T: those some ray samples."""
+    return np.bincount(op.matrix.indices, minlength=op.n_cols) > 0
+
+
+def _split_errors(field, truth, seen: np.ndarray) -> dict:
+    """The seen fraction and the final relative errors on the seen and unseen nodes.
+
+    Each error is relative_error on the masked values, None (JSON null) for
+    an empty set.
+    """
+    phi, true = _values_of(field), truth.values
+
+    def error(mask):
+        return relative_error(phi[mask], true[mask]) if mask.any() else None
+
+    return {
+        "seen_fraction": float(np.count_nonzero(seen)) / seen.size,
+        "final_relative_error_seen": error(seen),
+        "final_relative_error_unseen": error(~seen),
+    }
+
+
 def run_sweep(
     config: ExperimentConfig,
     dump_network: bool = False,
@@ -313,6 +336,7 @@ def run_sweep(
     failures = 0
     for rays in config.ray_counts:
         op = SparseOperator(full.matrix[:rays])
+        seen = _seen_mask(op)
         if dump_operator:
             write_operator_dump(op, os.path.join(out, f"operator_{rays}rays.txt"))
         f_true = op.apply(truth.values)
@@ -346,6 +370,7 @@ def run_sweep(
                         entry["iterations"] = result.iterations
                         entry["termination"] = result.termination
                         entry["final_relative_error"] = result.records[-1].relative_error
+                        entry.update(_split_errors(result.field, truth, seen))
                         _say(
                             progress,
                             f"{name}: {result.iterations} iterations, "
@@ -406,6 +431,7 @@ def run_benchmark(config: ExperimentConfig, progress=None) -> dict:
     grid, truth, network = _build_scene(config)
     op = assemble_operator(take_rays(network, rays), config.samples_per_ray)
     f_delta, delta = _noisy_data(config, op.apply(truth.values), rays, noise)
+    seen = _seen_mask(op)
     budgets = replace(
         config,
         lbfgs_max_iterations=config.benchmark_lbfgs_iterations,
@@ -433,6 +459,7 @@ def run_benchmark(config: ExperimentConfig, progress=None) -> dict:
             "seconds_per_iteration": result.seconds / max(1, result.iterations),
             "final_relative_error": result.records[-1].relative_error,
             "final_discrepancy": result.records[-1].discrepancy,
+            **_split_errors(result.field, truth, seen),
         }
 
     lbfgs_per_iter = report["lbfgs"]["seconds_per_iteration"]

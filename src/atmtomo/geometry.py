@@ -185,8 +185,9 @@ def sample_rays(rays: Rays, grid: Grid3, n_samples: int):
             f"station altitude {float(z0[above[0]])!r} is not below the top plane {grid.z_max!r}"
         )
     # the scalar ladder's operations in its order, so each ray samples bit for
-    # bit as it would alone
-    t = np.linspace(z0, grid.z_max, n_samples, axis=1)
+    # bit as it would alone; linspace lays an axis=1 ladder out transposed,
+    # and the planar product below reads it along rows
+    t = np.ascontiguousarray(np.linspace(z0, grid.z_max, n_samples, axis=1))
     t -= z0[:, None]
     t /= sin_e[:, None]
     # planar C order: numpy would lay a broadcast product out like directions

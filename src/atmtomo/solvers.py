@@ -66,7 +66,6 @@ class LbfgsHistory:
         self._block = None
         self._sy = np.zeros((memory, memory))
         self._yy = np.zeros((memory, memory))
-        self._rho = [0.0] * memory
         self._count = 0
         self._next = 0
         self._pending = []
@@ -85,7 +84,6 @@ class LbfgsHistory:
         slot = self._next
         self._block[2 * slot + 1] = s
         self._block[2 * slot + 2] = y
-        self._rho[slot] = 1.0 / sy
         if slot not in self._pending:
             self._pending.append(slot)
         self._next = (slot + 1) % self._memory
@@ -99,18 +97,11 @@ class LbfgsHistory:
     @property
     def pairs(self):
         """Copies of the stored (s, y, 1/(y.s)), oldest first."""
-        return tuple(
-            (self._block[2 * i + 1].copy(), self._block[2 * i + 2].copy(), self._rho[i])
+        copies = [
+            (self._block[2 * i + 1].copy(), self._block[2 * i + 2].copy())
             for i in self._slots().tolist()
-        )
-
-    def curvature_estimate(self) -> float:
-        """Rayleigh estimate (y.y)/(y.s) from the most recent pair, 1 if empty."""
-        if not self._count:
-            return 1.0
-        newest = (self._next - 1) % self._memory
-        y = self._block[2 * newest + 2]
-        return float(y @ y) * self._rho[newest]
+        ]
+        return tuple((s, y, 1.0 / float(s @ y)) for s, y in copies)
 
     def _products(self, gradient: np.ndarray) -> np.ndarray:
         """Products of gradient with the rows in use: g, then s_i and y_i by slot.
@@ -272,16 +263,19 @@ def lbfgs_trust_region(
 ) -> SolveResult:
     """Minimize objective.eval with a trust-region limited-memory BFGS iteration.
 
-    The quasi-Newton direction is clipped to the trust radius, which starts at
-    1; when it is not a descent direction the step falls back to the Cauchy
-    point.  A step whose actual/predicted reduction ratio is below 1/4 is
-    rejected and the radius shrinks by a factor 4; a ratio of at least 3/4 with
-    the step on the boundary doubles the radius.  Until the first rejection
-    such a step instead sets the radius to max(2 radius, |d|), d the next
-    quasi-Newton direction when it is a descent direction, so a radius far
-    below the scale of the problem catches up in one step rather than by
-    doubling (any radius >= the current one is admissible after a very
-    successful step: Conn, Gould & Toint, Trust-Region Methods, Alg. BTR).
+    Every step is the quasi-Newton direction d = -H g clipped to the trust
+    radius, which starts at 1: p = t d with t = min(1, radius / |d|), and the
+    model predicts the reduction -g.p (1 - t/2).  When a newly computed d is
+    not a descent direction (rounding, or a NaN), the history is dropped and
+    d = -g, the same rule with H = I (Nocedal & Wright, Numerical
+    Optimization, sec. 7.2).  A step whose actual/predicted reduction ratio
+    is below 1/4 is rejected and the radius shrinks by a factor 4; a ratio of
+    at least 3/4 with the step on the boundary doubles the radius.  Until the
+    first rejection such a step instead sets the radius to max(2 radius, |d|),
+    d the next quasi-Newton direction unless the history was just dropped, so
+    a radius far below the scale of the problem catches up in one step rather
+    than by doubling (any radius >= the current one is admissible after a
+    very successful step: Conn, Gould & Toint, Trust-Region Methods, Alg. BTR).
     The solve ends with radius-collapse once the radius falls below 1e-14.
     Every attempted iteration appends one convergence record.  The
     quasi-Newton direction is computed at the start and after each accepted
@@ -311,24 +305,19 @@ def lbfgs_trust_region(
         if d is None:
             # a rejected step changes only the radius, so d stands until a step is taken
             d = two_loop_direction(history, grad)
-            gd = float(grad @ d)
             dn = float(np.linalg.norm(d))
-            if catch_up and gd < 0.0:
+            if not float(grad @ d) < 0.0:
+                # H is positive definite, so only rounding (or a NaN) gets here:
+                # restart from steepest descent, the model with B = I
+                history = LbfgsHistory(opts.memory)
+                d, dn = -grad, grad_norm
+            elif catch_up:
                 radius = max(radius, dn)
-        if gd < 0.0 and dn > 0.0:
-            t = 1.0 if dn <= radius else radius / dn
-            p = d if t == 1.0 else t * d
-            hit_boundary = t < 1.0
-            # model curvature along the clipped quasi-Newton step: B p = -t g
-            # exactly (B = I with no stored pair), so the quadratic term is closed-form
-            predicted = -float(grad @ p) * (1.0 - 0.5 * t)
-        else:
-            # uphill or zero direction: dogleg collapses to the Cauchy point
-            curvature = history.curvature_estimate()
-            tau = min(1.0 / curvature, radius / grad_norm)
-            p = -tau * grad
-            hit_boundary = tau >= radius / grad_norm
-            predicted = tau * grad_norm**2 - 0.5 * curvature * (tau * grad_norm) ** 2
+        t = 1.0 if dn <= radius else radius / dn
+        p = d if t == 1.0 else t * d
+        # model curvature along the clipped quasi-Newton step: B p = -t g
+        # exactly (B = I with no stored pair), so the quadratic term is closed-form
+        predicted = -float(grad @ p) * (1.0 - 0.5 * t)
 
         trial = phi + p
         trial_value, trial_grad = _checked_eval(objective, trial, f"at iteration {iteration}")
@@ -342,7 +331,7 @@ def lbfgs_trust_region(
             phi, value, grad = trial, trial_value, trial_grad
             grad_norm = float(np.linalg.norm(grad))
             d = None
-            grow = ratio >= _ETA_GROW and hit_boundary
+            grow = ratio >= _ETA_GROW and t < 1.0
             if grow:
                 radius *= _GROW
             # the next direction's length may raise the radius further

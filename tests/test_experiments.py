@@ -9,11 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atmtomo import assemble_operator, operator_listing, read_field, take_rays
+from atmtomo import (
+    assemble_operator,
+    operator_listing,
+    place_network,
+    read_field,
+    take_rays,
+    true_profile,
+)
 from atmtomo.cli import main
 from atmtomo.diagnostics import read_csv
 from atmtomo.experiments import (
     ExperimentConfig,
+    _split_errors,
     config_hash,
     default_config,
     derive_noise_seed,
@@ -513,6 +521,39 @@ def test_run_benchmark_report(tmp_path):
     )
     on_disk = json.loads((tmp_path / "out" / "benchmark.json").read_text())
     assert on_disk == report
+
+
+def test_seen_unseen_split_adds_up_to_the_total(tmp_path):
+    # a node is seen when its column of T is nonzero; the split errors share
+    # the total's squared norm: total^2 |truth|^2 is the sum over both sets of
+    # error^2 |truth on the set|^2
+    config = tiny_config(tmp_path / "out")
+    grid = config.make_grid()
+    truth = true_profile(grid, config.make_phantom_params()).values
+    network = place_network(grid, config.stations, config.emitters, config.seed)
+    manifest = run_sweep(config)
+    report = run_benchmark(config)
+    ok = [e for e in manifest["outputs"] if e["status"] == "ok"]
+    blocks = ok + [dict(report[solver], rays=report["rays"]) for solver in ("lbfgs", "ldfp")]
+    assert len(blocks) == 8
+    for block in blocks:
+        dense = assemble_operator(take_rays(network, block["rays"])).matrix.toarray()
+        seen = (dense != 0.0).any(axis=0)
+        assert 0.0 < block["seen_fraction"] == seen.mean() < 1.0
+        total = block["final_relative_error"] ** 2 * float(truth @ truth)
+        parts = (
+            block["final_relative_error_seen"] ** 2 * float(truth[seen] @ truth[seen])
+            + block["final_relative_error_unseen"] ** 2 * float(truth[~seen] @ truth[~seen])
+        )
+        assert parts == pytest.approx(total, rel=1e-12)
+    # an empty set has no relative error: JSON null
+    every = np.ones(grid.n_nodes, dtype=bool)
+    split = _split_errors(np.zeros(grid.n_nodes), true_profile(grid), every)
+    assert split == {
+        "seen_fraction": 1.0,
+        "final_relative_error_seen": 1.0,
+        "final_relative_error_unseen": None,
+    }
 
 
 def test_run_benchmark_matches_sweep_combination(tmp_path):

@@ -46,8 +46,8 @@ def spd_pairs(rng, n, count):
 def test_options_validation():
     LbfgsOptions()
     LbfgsOptions(grad_tol=0.0)
-    # a grad_tol below zero or NaN never fires, so an exactly zero gradient
-    # would reach the Cauchy step's radius / ||g||
+    # a grad_tol below zero or NaN never fires, so a solve at an exactly zero
+    # gradient would run on, rejecting zero steps until the radius collapses
     bad = ({"memory": 0}, {"max_iterations": -1}, {"grad_tol": -1.0}, {"grad_tol": float("nan")})
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -323,17 +323,22 @@ def test_a_rejection_ends_the_catch_up(monkeypatch):
     assert [r.step_norm for r in result.records] == pytest.approx(expected, rel=1e-15)
 
 
-def test_uphill_direction_falls_back_to_the_cauchy_point(monkeypatch):
-    # a direction of +g is uphill, so every step is -tau*g with
-    # tau = min(1/curvature, radius/||g||): the curvature of the newest pair
-    # (1 with none) against a radius that starts at 1
+def _fake_direction(monkeypatch, direction):
+    """Make every quasi-Newton direction direction(gradient); return the history lengths seen."""
     calls = []
 
-    def uphill(history, gradient):
+    def fake(history, gradient):
         calls.append(len(history))
-        return gradient.copy()
+        return direction(gradient)
 
-    monkeypatch.setattr("atmtomo.solvers.two_loop_direction", uphill)
+    monkeypatch.setattr("atmtomo.solvers.two_loop_direction", fake)
+    return calls
+
+
+def test_uphill_direction_resets_to_steepest_descent(monkeypatch):
+    # a direction of +g is uphill, so each one drops the history and the step
+    # is -t g, t = min(1, radius/||g||)
+    calls = _fake_direction(monkeypatch, lambda g: g.copy())
     diag = np.array([0.5, 0.8, 1.2, 1.5])
     obj = quadratic_objective(diag, np.zeros(4))
     options = LbfgsOptions(max_iterations=1, grad_tol=0.0)
@@ -341,38 +346,46 @@ def test_uphill_direction_falls_back_to_the_cauchy_point(monkeypatch):
     # far from the minimum the radius bounds the step
     x0 = np.array([8.0, -6.0, 4.0, 5.0])
     g0 = diag * x0
-    tau = 1.0 / float(np.linalg.norm(g0))
+    t = 1.0 / float(np.linalg.norm(g0))
     result = lbfgs_trust_region(obj, x0, options)
     assert calls == [0]
-    assert np.array_equal(result.field, x0 + (-tau * g0))
+    assert np.array_equal(result.field, x0 + t * -g0)
     assert result.records[1].step_norm == pytest.approx(1.0, rel=1e-15)
-    # that step is on the boundary and doubles the radius; the uphill
-    # direction that follows is no quasi-Newton step for the radius to catch
-    # up with, so the second step stops at 2
+    # that step is on the boundary and doubles the radius; steepest descent
+    # after a reset is no quasi-Newton step for the radius to catch up with,
+    # so the second step stops at 2
     result = lbfgs_trust_region(obj, x0, replace(options, max_iterations=2))
     assert [r.step_norm for r in result.records] == pytest.approx([0, 1, 2], rel=1e-15)
 
-    # near it the unit curvature bounds the first step, the stored pair's
-    # curvature (y.y)/(y.s) the second
+    # near it both steps are the full -g: the reset left no pair to scale them
     x0 = np.array([0.4, -0.3, 0.2, 0.1])
     g0 = diag * x0
     assert np.linalg.norm(g0) < 1.0
     first = lbfgs_trust_region(obj, x0, options).field
-    assert np.array_equal(first, x0 + (-1.0 * g0))
+    assert np.array_equal(first, x0 - g0)
     g1 = diag * first
-    s, y = first - x0, g1 - g0
-    curvature = float(y @ y) / float(y @ s)
-    tau = min(1.0 / curvature, 1.0 / float(np.linalg.norm(g1)))
-    assert tau == 1.0 / curvature != 1.0
     calls.clear()
     result = lbfgs_trust_region(obj, x0, replace(options, max_iterations=2))
     assert calls == [0, 1]
-    np.testing.assert_allclose(result.field, first - tau * g1, rtol=1e-14)
+    assert np.array_equal(result.field, first - g1)
     steps = [r.step_norm for r in result.records]
     # both steps accepted: a rejection records a zero step and leaves phi
     assert steps[1] == pytest.approx(float(np.linalg.norm(g0)), rel=1e-15)
-    assert steps[2] == pytest.approx(tau * float(np.linalg.norm(g1)), rel=1e-13)
+    assert steps[2] == pytest.approx(float(np.linalg.norm(g1)), rel=1e-15)
     assert result.records[2].objective < result.records[1].objective < result.records[0].objective
+
+    # each accepted step stores its pair in the fresh history, which the
+    # next direction drops again
+    calls.clear()
+    uphill = lbfgs_trust_region(obj, x0, replace(options, max_iterations=5))
+    assert all(r.step_norm > 0.0 for r in uphill.records[1:])
+    assert calls == [0, 1, 1, 1, 1]
+
+    # a NaN direction fails the descent test as the uphill one does
+    _fake_direction(monkeypatch, lambda g: np.full_like(g, np.nan))
+    nan = lbfgs_trust_region(obj, x0, replace(options, max_iterations=5))
+    assert nan.field.tobytes() == uphill.field.tobytes()
+    assert [r.step_norm for r in nan.records] == [r.step_norm for r in uphill.records]
 
 
 def test_rejected_step_repeats_the_last_record():
