@@ -65,7 +65,7 @@ from .solvers import (
 )
 from .tv import (
     apply_weights,
-    diffusion_matrix,
+    frozen_diffusion,
     smoothing_weights,
     tv_value_and_gradient,
 )

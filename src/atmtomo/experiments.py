@@ -244,8 +244,12 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def derive_noise_seed(base_seed: int, rays: int, noise: float) -> int:
-    """Stable per-combination seed; crc32 keeps it reproducible across runs."""
-    return (base_seed ^ zlib.crc32(f"{rays}:{noise!r}".encode())) & 0x7FFFFFFF
+    """Stable per-combination seed; crc32 keeps it reproducible across runs.
+
+    The key holds int(rays) and repr(float(noise)), so a numpy scalar seeds
+    as the Python number it equals.
+    """
+    return (base_seed ^ zlib.crc32(f"{int(rays)}:{float(noise)!r}".encode())) & 0x7FFFFFFF
 
 
 def _combo_name(solver: str, penalty: str, rays: int, noise: float) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
-from .tv import apply_weights, diffusion_matrix, smoothing_weights
+from .tv import apply_weights, frozen_diffusion, smoothing_weights
 
 # an accepted step this small, five times in a row, means the iterates froze
 _STAGNATION_TOL = 1e-14
@@ -421,10 +421,10 @@ def ldfp(
     """Lagged-diffusivity fixed-point iteration for the smoothed-TV objective.
 
     Each outer step freezes the diffusion weights at the current iterate,
-    assembles the frozen operator L once as a sparse matrix, solves
-    (T^T T + alpha L) s = -gradient with conjugate gradients, and takes the
-    full step.  It runs max_iterations (>= 0) outer steps and ends with max-iter.
-    The result's inner_solves holds cgne's InnerSolveStats of each outer step.
+    solves (T^T T + alpha L) s = -gradient with conjugate gradients, applying
+    the frozen operator L matrix-free, and takes the full step.  It runs
+    max_iterations (>= 0) outer steps and ends with max-iter.  The result's
+    inner_solves holds cgne's InnerSolveStats of each outer step.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -438,7 +438,7 @@ def ldfp(
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
     for iteration in range(1, max_iterations + 1):
-        frozen = diffusion_matrix(smoothing_weights(phi, grid, beta), grid)
+        frozen = frozen_diffusion(smoothing_weights(phi, grid, beta), grid)
 
         def apply_h(v):
             h = op.apply_adjoint(op.apply(v))
@@ -448,7 +448,6 @@ def ldfp(
             return h
 
         step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
-        del frozen, apply_h  # keep one frozen matrix alive at a time
         inner_solves.append(stats)
         phi = phi + step
         value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")

@@ -1,9 +1,8 @@
-"""Smoothed total variation: value, gradient, and the lagged diffusion operator."""
+"""Smoothed total variation on one stencil: value, gradient, lagged diffusion operator."""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import Grid3
 
@@ -109,39 +108,35 @@ def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
     return value, grad.ravel()
 
 
-def diffusion_matrix(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
-    """The diffusion operator frozen at weights gamma, assembled once as CSR.
+def frozen_diffusion(gamma, grid: Grid3):
+    """The diffusion operator frozen at weights gamma, as one coefficient array per axis.
 
     L = cell_volume * sum_a D_a^T diag(gamma) D_a, symmetric positive
-    semidefinite, with exactly seven stored entries per row.  On each axis
-    line, row k of D_a holds -w_a at lower_k = max(k-1, 0) and +w_a at
-    upper_k = min(k+1, count-1), so node i meets the rows k in (lower_i,
-    upper_i), each coupling it to lower_k + upper_k - i with weight
-    -cell_volume w_a^2 gamma[k].  A row holds the z, y, x couplings through
-    lower_i, the diagonal, minus their sum, then the x, y, z couplings
-    through upper_i.  On a 2-node axis both couplings fall in one column
-    and are kept as two entries.
+    semidefinite.  With D_a v = -w_a * _shifted(v) and D_a^T u =
+    _shifted(w_a * u, adjoint), axis a contributes
+    _shifted(c_a * _shifted(v), adjoint) with c_a = -cell_volume w_a^2 gamma.
+    Returns [(axis, c_a)] in x, y, z order, for apply_weights.
     """
-    gamma = _node_vector(np.ravel(gamma), grid, "weights")
-    n = grid.n_nodes
-    g = gamma.reshape(grid.nz, grid.ny, grid.nx)
-    node = np.arange(n, dtype=np.int32).reshape(g.shape)
-    data = np.zeros(g.shape + (7,))
-    columns = np.empty(g.shape + (7,), dtype=np.int32)
-    columns[..., 3] = node
-    for a, (axis, w) in enumerate(_axes(grid)):
-        pos = np.arange(g.shape[axis])
-        lower = np.maximum(pos - 1, 0)
-        upper = np.minimum(pos + 1, pos.size - 1)
-        for slot, k in ((2 - a, lower), (4 + a, upper)):
-            data[..., slot] = -grid.cell_volume * w**2 * np.take(g, k, axis)
-            columns[..., slot] = np.take(node, lower[k] + upper[k] - pos, axis)
-    # L annihilates constants, so each diagonal is minus its row's couplings
-    data[..., 3] = -data.sum(axis=-1)
-    indptr = np.arange(0, 7 * n + 1, 7, dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), columns.ravel(), indptr), shape=(n, n))
+    g = _node_vector(np.ravel(gamma), grid, "weights").reshape(grid.nz, grid.ny, grid.nx)
+    return [(axis, -grid.cell_volume * w**2 * g) for axis, w in _axes(grid)]
 
 
-def apply_weights(frozen: sp.csr_matrix, grid: Grid3, vector: np.ndarray) -> np.ndarray:
-    """Apply a diffusion_matrix to a flat vector (one freeze, many applies)."""
-    return frozen @ _node_vector(vector, grid, "vector")
+def apply_weights(frozen, grid: Grid3, vector: np.ndarray) -> np.ndarray:
+    """Apply a frozen_diffusion operator to a flat vector, matrix-free.
+
+    One freeze serves many applies.  Each apply takes, per axis, two
+    _shifted passes, a product with the coefficients and a sum, in three
+    field-sized arrays.
+    """
+    # _shifted steps through the flat buffer, so a strided vector is copied first
+    v = np.ascontiguousarray(_node_vector(vector, grid, "vector"))
+    v = v.reshape(grid.nz, grid.ny, grid.nx)
+    out, scratch, term = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    for i, (axis, c) in enumerate(frozen):
+        _shifted(v, axis, adjoint=False, out=scratch)
+        scratch *= c
+        # the first axis lands straight in the output
+        _shifted(scratch, axis, adjoint=True, out=term if i else out)
+        if i:
+            out += term
+    return out.ravel()

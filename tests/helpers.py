@@ -407,44 +407,6 @@ def difference_blocks(grid: Grid3) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr
     return tuple(blocks)
 
 
-def _diffusion_columns(grid: Grid3) -> np.ndarray:
-    """Column layout of diffusion_matrix_blocks, (n_nodes, 7) int32.
-
-    Node i sits in rows lower_i and upper_i of each D_a; row k couples i to
-    lower_k + upper_k - i.  Per row: the z, y, x partners through lower_i,
-    the node itself, then the x, y, z partners through upper_i.
-    """
-    node = np.arange(grid.n_nodes, dtype=np.int32)
-    partners = []
-    for d in difference_blocks(grid):
-        pairs = d.indices.reshape(-1, 2)
-        partners.append(pairs.sum(axis=1, dtype=np.int32)[pairs] - node[:, None])
-    x, y, z = partners
-    return np.column_stack([z[:, 0], y[:, 0], x[:, 0], node, x[:, 1], y[:, 1], z[:, 1]])
-
-
-def diffusion_matrix_blocks(gamma: np.ndarray, grid: Grid3) -> sp.csr_matrix:
-    """The frozen diffusion operator read off the CSR difference blocks.
-
-    Seven entries per row: per axis (with D_a's entries +-w_a) the two
-    couplings -cell_volume w_a^2 gamma[k] for k in (lower_i, upper_i), and
-    the diagonal, minus their sum.  diffusion_matrix must equal it bitwise.
-    """
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    n = grid.n_nodes
-    if gamma.shape != (n,):
-        raise ValueError(f"weights length {gamma.shape} does not match grid nodes {n}")
-    data = np.zeros((n, 7))
-    for a, d in enumerate(difference_blocks(grid)):
-        couplings = -grid.cell_volume * d.data[1] ** 2 * gamma[d.indices.reshape(-1, 2)]
-        data[:, 2 - a] = couplings[:, 0]
-        data[:, 4 + a] = couplings[:, 1]
-    # L annihilates constants, so each diagonal is minus its row's couplings
-    data[:, 3] = -data.sum(axis=1)
-    indptr = np.arange(0, 7 * n + 1, 7, dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), _diffusion_columns(grid).ravel(), indptr), shape=(n, n))
-
-
 def diff_axis(field, axis):
     """Nodal derivative of the field along 'x', 'y' or 'z'."""
     blocks = dict(zip("xyz", difference_blocks(field.grid)))

@@ -336,6 +336,9 @@ def test_derive_noise_seed_is_stable_and_spread():
     }
     assert len(seeds) == 9
     assert all(0 <= s < 2**31 for s in seeds)
+    # a noise list read off a numpy array seeds as the Python numbers it holds
+    numpy_seed = derive_noise_seed(7, np.int64(360), np.float64(0.001))
+    assert numpy_seed == derive_noise_seed(7, 360, 0.001)
 
 
 def test_run_sweep_outputs(tmp_path):

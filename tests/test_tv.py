@@ -9,7 +9,7 @@ import helpers
 from atmtomo import Field, make_grid, true_profile
 from atmtomo.tv import (
     apply_weights,
-    diffusion_matrix,
+    frozen_diffusion,
     smoothing_weights,
     tv_value_and_gradient,
 )
@@ -171,10 +171,14 @@ def test_tv_gradient_constant_field_is_zero():
 
 
 def test_value_and_gradient_consistent():
-    f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 6)
-    _, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
-    np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
-    np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
+    # TV's gradient is the frozen operator at its own iterate, also on a 2-node axis
+    for dims, bounds in (((4, 4, 4), (0, 1, 0, 1, 0, 15)), ((3, 2, 5), (0, 1, 0, 2, 0, 3))):
+        f = random_field(*dims, bounds, 6)
+        _, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
+        np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
+        np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
+        frozen = frozen_diffusion(smoothing_weights(f.values, f.grid, 1e-2), f.grid)
+        np.testing.assert_allclose(apply_weights(frozen, f.grid, f.values), grad, rtol=1e-13)
 
 
 def test_directional_derivative():
@@ -217,7 +221,7 @@ def test_smoothing_weights_shape_and_values():
 
 def test_apply_weights_matches_apply_L():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 10)
-    frozen = diffusion_matrix(smoothing_weights(f.values, f.grid, 1e-2), f.grid)
+    frozen = frozen_diffusion(smoothing_weights(f.values, f.grid, 1e-2), f.grid)
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(f.grid.n_nodes)
@@ -229,7 +233,7 @@ def test_apply_weights_matches_apply_L():
         lambda: apply_weights(frozen, f.grid, wrong),
         lambda: tv_value_and_gradient(wrong, f.grid, 1e-2),
         lambda: smoothing_weights(wrong, f.grid, 1e-2),
-        lambda: diffusion_matrix(wrong, f.grid),
+        lambda: frozen_diffusion(wrong, f.grid),
     ):
         with pytest.raises(ValueError, match="does not match grid nodes"):
             call()
@@ -245,42 +249,31 @@ def test_apply_weights_matches_apply_L():
     ],
 )
 def test_diffusion_matrix_matches_oracles(dims, bounds):
-    # on a 2-node axis both couplings of a row fall in one column
+    # on a 2-node axis both couplings of a row fall on one neighbour
     grid = make_grid(*dims, bounds)
     n = grid.n_nodes
     rng = np.random.default_rng(sum(dims))
     gamma = rng.uniform(0.1, 10.0, n)
-    frozen = diffusion_matrix(gamma, grid)
-    assert frozen.shape == (n, n)
-    assert frozen.nnz == 7 * n
-    assert np.all(np.diff(frozen.indptr) == 7)
-    dense = frozen.toarray()
+    frozen = frozen_diffusion(gamma, grid)
+
+    def apply(v):
+        return apply_weights(frozen, grid, v)
+
+    dense = np.column_stack([apply(e) for e in np.eye(n)])
     oracle = helpers.dense_diffusion_matrix(gamma, grid)
     np.testing.assert_allclose(dense, oracle, rtol=1e-13, atol=0)
-    np.testing.assert_array_equal(dense, dense.T)
     for _ in range(5):
         v = rng.standard_normal(n)
         want = helpers.apply_weights_products(gamma, grid, v)
-        assert np.linalg.norm(frozen @ v - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(apply(v) - want) <= 1e-13 * np.linalg.norm(want)
+    for _ in range(5):
+        u, w = rng.standard_normal(n), rng.standard_normal(n)
+        assert float(u @ apply(w)) == pytest.approx(float(w @ apply(u)), rel=1e-12)
     for _ in range(100):
         u = rng.standard_normal(n)
-        assert float(u @ (frozen @ u)) >= -1e-12
+        assert float(u @ apply(u)) >= -1e-12
     with pytest.raises(ValueError, match="does not match grid nodes"):
-        diffusion_matrix(gamma[:-1], grid)
-
-
-@pytest.mark.parametrize(
-    "dims",
-    [(30, 30, 30), (60, 60, 30), (2, 3, 5), (5, 2, 7), (4, 4, 4), (2, 2, 2)],
-)
-def test_diffusion_matrix_equals_block_construction(dims):
-    # the per-axis neighbour assembly repeats the CSR-block one bit for bit
-    grid = make_grid(*dims, (0, 1, 0, 2, 0, 15))
-    gamma = np.random.default_rng(sum(dims)).uniform(0.1, 10.0, grid.n_nodes)
-    got = diffusion_matrix(gamma, grid)
-    want = helpers.diffusion_matrix_blocks(gamma, grid)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        frozen_diffusion(gamma[:-1], grid)
 
 
 def test_diffusion_operator_linear_symmetric_psd():
