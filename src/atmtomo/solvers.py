@@ -184,6 +184,11 @@ class SolveResult:
     inner_solves: list = field(default_factory=list)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits; -0.0 differs from 0.0."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _checked_eval(objective, phi: np.ndarray, where: str):
     value, grad = objective.eval(phi)
     if not math.isfinite(value):
@@ -279,7 +284,8 @@ def lbfgs_trust_region(
     The solve ends with radius-collapse once the radius falls below 1e-14.
     Every attempted iteration appends one convergence record.  The
     quasi-Newton direction is computed at the start and after each accepted
-    step only.
+    step only, and a trial equal bit for bit to the one just rejected is not
+    evaluated again.
     """
     opts = options if options is not None else LbfgsOptions()
     recorder = _Recorder(objective, truth, callback)
@@ -287,6 +293,7 @@ def lbfgs_trust_region(
     history = LbfgsHistory(opts.memory)
     radius = _INITIAL_RADIUS
     rejected = False
+    rejected_trial = None
     catch_up = False
     stagnant = 0
     iteration = 0
@@ -320,7 +327,12 @@ def lbfgs_trust_region(
         predicted = -float(grad @ p) * (1.0 - 0.5 * t)
 
         trial = phi + p
-        trial_value, trial_grad = _checked_eval(objective, trial, f"at iteration {iteration}")
+        # phi and d stand after a rejection, so the trial can come back bit for
+        # bit (the full step again, or a step lost in phi's rounding); the
+        # rejected trial's evaluation is then this one's
+        if rejected_trial is None or not _same_bits(trial, rejected_trial):
+            rejected_trial = None  # not kept alive through the eval
+            trial_value, trial_grad = _checked_eval(objective, trial, f"at iteration {iteration}")
         actual = value - trial_value
         ratio = actual / predicted if predicted > 0.0 else -math.inf
 
@@ -331,6 +343,7 @@ def lbfgs_trust_region(
             phi, value, grad = trial, trial_value, trial_grad
             grad_norm = float(np.linalg.norm(grad))
             d = None
+            rejected_trial = None
             grow = ratio >= _ETA_GROW and t < 1.0
             if grow:
                 radius *= _GROW
@@ -347,6 +360,7 @@ def lbfgs_trust_region(
         else:
             radius *= _SHRINK
             rejected = True
+            rejected_trial = trial
             recorder.repeat(iteration)
             if radius < _RADIUS_FLOOR:
                 termination = "radius-collapse"

@@ -1,10 +1,20 @@
-"""Smoothed total variation on one stencil: value, gradient, lagged diffusion operator."""
+"""Smoothed total variation on one stencil: value, gradient, lagged diffusion operator.
+
+The stencil runs as one compiled kernel (_stencil.c) when it builds and
+loads, and otherwise as the numpy stencil here, which is its reference: each
+node performs the same operations in the same order on both, so the results
+are the same bits.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _kernel
 from .geometry import Grid3
+
+# the compiled stencil, or None when it did not build or load
+_STENCIL = _kernel.load()
 
 
 def _check_beta(beta: float) -> float:
@@ -20,6 +30,35 @@ def _node_vector(values, grid: Grid3, what: str) -> np.ndarray:
     if values.shape != (grid.n_nodes,):
         raise ValueError(f"{what} length {values.shape} does not match grid nodes {grid.n_nodes}")
     return values
+
+
+def _field(values, grid: Grid3, what: str) -> np.ndarray:
+    """values as a checked (z, y, x) array, copied if strided.
+
+    Both stencils step through its flat buffer.
+    """
+    v = np.ascontiguousarray(_node_vector(values, grid, what))
+    return v.reshape(grid.nz, grid.ny, grid.nx)
+
+
+def _compiled(grid: Grid3, *arrays) -> bool:
+    """Whether the compiled stencil may take these (z, y, x) arrays.
+
+    It checks no bounds itself: each array must be float64, C-contiguous and
+    of the grid's shape, and each axis at least 2 nodes long.
+    """
+    shape = (grid.nz, grid.ny, grid.nx)
+    return (
+        _STENCIL is not None
+        and min(shape) >= 2
+        and all(
+            isinstance(a, np.ndarray)
+            and a.dtype == np.float64
+            and a.shape == shape
+            and a.flags.c_contiguous
+            for a in arrays
+        )
+    )
 
 
 # per axis of a 3-D array, the index tuples of its faces at positions 0, 1, -2, -1
@@ -58,13 +97,12 @@ def _axes(grid: Grid3):
     return ((2, 1.0 / (2.0 * grid.dx)), (1, 1.0 / (2.0 * grid.dy)), (0, 1.0 / (2.0 * grid.dz)))
 
 
-def _root_of_differences(values, grid: Grid3, beta: float):
-    """([D_x v, D_y v, D_z v], sqrt(|grad|^2 + beta)) as (z, y, x) arrays.
+def _root_of_differences(v: np.ndarray, grid: Grid3, beta: float):
+    """([D_x v, D_y v, D_z v], sqrt(|grad|^2 + beta)) for a (z, y, x) array v.
 
     The squares are summed in x, y, z order.  Besides the four results only
     one scratch array of the field's size is allocated.
     """
-    v = _node_vector(values, grid, "values").reshape(grid.nz, grid.ny, grid.nx)
     scratch = np.empty_like(v)
     parts = [
         _shifted(np.multiply(-w, v, out=scratch), axis, adjoint=False, out=np.empty_like(v))
@@ -77,10 +115,25 @@ def _root_of_differences(values, grid: Grid3, beta: float):
     return parts, np.sqrt(root, out=root)
 
 
+def _compiled_root(v: np.ndarray, grid: Grid3, beta: float):
+    """_root_of_differences by the compiled stencil, the same bits."""
+    parts, root = [np.empty_like(v) for _ in range(3)], np.empty_like(v)
+    _STENCIL.tv_root(
+        v.ctypes.data, *_dimensions(grid), beta, *(p.ctypes.data for p in parts), root.ctypes.data
+    )
+    return parts, root
+
+
+def _dimensions(grid: Grid3) -> tuple:
+    """nz, ny, nx and 1/(2h) along x, y, z: the grid as the compiled stencil takes it."""
+    return (grid.nz, grid.ny, grid.nx, *(w for _, w in _axes(grid)))
+
+
 def smoothing_weights(values, grid: Grid3, beta: float = 1e-2) -> np.ndarray:
     """Diffusion weights 1/sqrt(|grad|^2 + beta) at the node vector values, (z,y,x)."""
     beta = _check_beta(beta)
-    root = _root_of_differences(values, grid, beta)[1]
+    v = _field(values, grid, "values")
+    root = (_compiled_root if _compiled(grid, v) else _root_of_differences)(v, grid, beta)[1]
     return np.divide(1.0, root, out=root)
 
 
@@ -88,12 +141,21 @@ def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
     """Smoothed TV of the node vector v and its gradient L(v) @ v, from one set of differences.
 
     The value is the cell-volume weighted sum of sqrt(|grad|^2 + beta) over
-    all nodes.  The gradient is cell_volume * sum_a D_a^T (gamma * D_a v), the
-    axes accumulated in x, y, z order into one buffer.
+    all nodes, numpy's pairwise sum on either stencil.  The gradient is
+    cell_volume * sum_a D_a^T (gamma * D_a v), the axes accumulated in x, y,
+    z order into one buffer.
     """
     beta = _check_beta(beta)
-    parts, root = _root_of_differences(values, grid, beta)
+    v = _field(values, grid, "values")
+    compiled = _compiled(grid, v)
+    parts, root = (_compiled_root if compiled else _root_of_differences)(v, grid, beta)
     value = float(root.ravel().sum() * grid.cell_volume)
+    if compiled:
+        # the gradient takes the place of root, which the kernel spends first
+        _STENCIL.tv_grad(
+            *(p.ctypes.data for p in parts), root.ctypes.data, *_dimensions(grid), grid.cell_volume
+        )
+        return value, root.ravel()
     gamma = np.divide(1.0, root, out=root)
     # the y and z terms land in the x and y differences, spent by then
     terms = [np.empty_like(gamma), parts[0], parts[1]]
@@ -124,13 +186,22 @@ def frozen_diffusion(gamma, grid: Grid3):
 def apply_weights(frozen, grid: Grid3, vector: np.ndarray) -> np.ndarray:
     """Apply a frozen_diffusion operator to a flat vector, matrix-free.
 
-    One freeze serves many applies.  Each apply takes, per axis, two
-    _shifted passes, a product with the coefficients and a sum, in three
-    field-sized arrays.
+    One freeze serves many applies.  On the numpy stencil each apply takes,
+    per axis, two _shifted passes, a product with the coefficients and a sum,
+    in three field-sized arrays.
     """
-    # _shifted steps through the flat buffer, so a strided vector is copied first
-    v = np.ascontiguousarray(_node_vector(vector, grid, "vector"))
-    v = v.reshape(grid.nz, grid.ny, grid.nx)
+    v = _field(vector, grid, "vector")
+    axes, coefficients = [axis for axis, _ in frozen], [c for _, c in frozen]
+    if axes == [2, 1, 0] and _compiled(grid, v, *coefficients):
+        # S_y v and S_z v are kept whole and S_x v one row at a time: with out,
+        # three field-sized arrays, as on the numpy stencil
+        out, line = np.empty(grid.n_nodes), np.empty(grid.nx)
+        scratch = [np.empty_like(v), np.empty_like(v)]
+        _STENCIL.apply_l(
+            v.ctypes.data, grid.nz, grid.ny, grid.nx, *(c.ctypes.data for c in coefficients),
+            *(s.ctypes.data for s in scratch), line.ctypes.data, out.ctypes.data,
+        )
+        return out
     out, scratch, term = np.empty_like(v), np.empty_like(v), np.empty_like(v)
     for i, (axis, c) in enumerate(frozen):
         _shifted(v, axis, adjoint=False, out=scratch)

@@ -429,6 +429,28 @@ def test_noisy_desk_run_collapses_radius(desk):
     assert isinstance(result.field, Field)
 
 
+def test_a_trial_just_rejected_is_not_evaluated_again(desk, monkeypatch):
+    # a full step the quartered radius still holds, or a step lost in phi's
+    # rounding, is the trial just rejected: the solver must know that without an eval
+    data, _ = add_noise(desk.f_true, 0.02, seed=11)
+    obj = Objective(desk.op, data, 1e-12, desk.grid)
+    seen = []
+
+    def recorded(phi):
+        seen.append(np.asarray(phi).tobytes())
+        return Objective.eval(obj, phi)
+
+    monkeypatch.setattr(obj, "eval", recorded)
+    options = LbfgsOptions(memory=10, max_iterations=500, grad_tol=0.0)
+    result = lbfgs_trust_region(obj, np.zeros(desk.grid.n_nodes), options, truth=desk.truth)
+    assert result.termination == "radius-collapse"
+    assert all(before != after for before, after in zip(seen, seen[1:]))
+    # the start and one eval per iteration, less the repeats it skipped
+    rejected = sum(r.step_norm == 0.0 for r in result.records[1:])
+    assert len(seen) < 1 + result.iterations
+    assert len(seen) >= 1 + result.iterations - rejected
+
+
 def test_cgne_identity_single_iteration(rng):
     rhs = rng.standard_normal(9)
     residuals = []

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import atmtomo.tv
 import helpers
-from atmtomo import Field, make_grid, true_profile
+from atmtomo import Field, Grid3, make_grid, true_profile
 from atmtomo.tv import (
     apply_weights,
     frozen_diffusion,
@@ -162,6 +163,60 @@ def test_shifted_slices_equal_sparse_products(dims, bounds, kind):
     # without -0.0 in the field the zeros' signs agree too (the solves start at +0.0)
     if not np.signbit(values[values == 0.0]).any():
         assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "signed zeros", "constant", "integers"])
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2), (4, 3, 5), (2, 5, 3), (3, 2, 2), (30, 30, 30), (60, 60, 30)]
+)
+def test_compiled_stencil_is_bitwise_the_numpy_stencil(dims, kind, monkeypatch):
+    if atmtomo.tv._STENCIL is None:
+        pytest.skip("the compiled stencil did not build or load here")
+    grid = make_grid(*dims, (0, 1, 0, 2, 0, 15))
+    r = np.random.default_rng(7).standard_normal(grid.n_nodes)
+    values = {
+        "random": r,
+        "signed zeros": np.where(r > 0.0, 0.0, -0.0),
+        "constant": np.full(grid.n_nodes, -2.5),
+        "integers": np.round(3.0 * r),
+    }[kind]
+    assert atmtomo.tv._compiled(grid, values.reshape(grid.nz, grid.ny, grid.nx))
+
+    def results():
+        value, grad = tv_value_and_gradient(values, grid, 1e-2)
+        weights = smoothing_weights(values, grid, 1e-2)
+        frozen = frozen_diffusion(weights, grid)
+        applied = [apply_weights(frozen, grid, u) for u in (values, r[::-1])]
+        # tobytes tells -0.0 from 0.0, which array_equal does not
+        return [np.float64(value).tobytes()] + [a.tobytes() for a in (grad, weights, *applied)]
+
+    compiled = results()
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
+    assert results() == compiled
+
+
+def test_compiled_stencil_takes_only_what_it_can_bound(monkeypatch):
+    # the kernel checks no bounds, so anything but float64 C-ordered fields of
+    # the grid's shape with 2 or more nodes per axis stays on the numpy stencil
+    grid = make_grid(4, 3, 5, (0, 1, 0, 1, 0, 1))
+    field = np.zeros((5, 3, 4))
+    kernel = atmtomo.tv._STENCIL
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", object())
+    assert atmtomo.tv._compiled(grid, field, field)
+    for other in (field.astype(np.float32), field[:, :, ::-1], field[:, :, :3], field.ravel()):
+        assert not atmtomo.tv._compiled(grid, field, other)
+    flat = Grid3(1, 3, 5, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    assert not atmtomo.tv._compiled(flat, np.zeros((5, 3, 1)))
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
+    assert not atmtomo.tv._compiled(grid, field)
+    # a frozen operator it cannot take runs on the numpy stencil
+    frozen = frozen_diffusion(np.ones(grid.n_nodes), grid)
+    v = np.random.default_rng(3).standard_normal(grid.n_nodes)
+    want = apply_weights(frozen, grid, v)
+    strided = [(axis, np.repeat(c, 2, axis=2)[:, :, ::2]) for axis, c in frozen]
+    for stencil in (None, kernel):
+        monkeypatch.setattr(atmtomo.tv, "_STENCIL", stencil)
+        assert apply_weights(strided, grid, v).tobytes() == want.tobytes()
 
 
 def test_tv_gradient_constant_field_is_zero():
