@@ -1,14 +1,16 @@
-"""Compile the C stencil (_stencil.c) once per user and load it with ctypes.
+"""Compile the C kernels (_stencil.c) once per user and load them with ctypes.
 
-The library is cached under $XDG_CACHE_HOME/atmtomo (default ~/.cache/atmtomo),
-keyed by the source, the compiler command and the flags.  Without a compiler,
-or on any failure to build or load, load() returns None and tv.py runs its
-numpy stencil, which gives the same bits.
+The library holds the TV stencil of tv.py and the CSR products and
+canonicalization of forward.py.  It is cached under $XDG_CACHE_HOME/atmtomo
+(default ~/.cache/atmtomo), keyed by the source, the compiler command and the
+flags.  Without a compiler, or on any failure to build or load, load()
+returns None and both modules run their numpy code, which gives the same bits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -25,6 +27,9 @@ _SIGNATURES = {
     "tv_root": (_P, _N, _N, _N, _D, _D, _D, _D, _P, _P, _P, _P),
     "tv_grad": (_P, _P, _P, _P, _N, _N, _N, _D, _D, _D, _D),
     "apply_l": (_P, _N, _N, _N, _P, _P, _P, _P, _P, _P, _P),
+    "csr_apply": (_P, _P, _P, _N, _P, _P),
+    "csr_adjoint": (_P, _P, _P, _N, _P, _P),
+    "csr_canonical": (_P, _P, _P, _N),
 }
 
 
@@ -37,8 +42,14 @@ def cache_dir() -> str:
     return os.path.join(base, "atmtomo")
 
 
+@functools.cache
+def shared() -> ctypes.CDLL | None:
+    """The library tv.py and forward.py share: load() once per process."""
+    return load()
+
+
 def load() -> ctypes.CDLL | None:
-    """The compiled stencil library, built once per cache key; None on any failure."""
+    """The compiled kernel library, built once per cache key; None on any failure."""
     if os.name != "posix":
         return None
     try:

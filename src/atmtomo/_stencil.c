@@ -1,17 +1,25 @@
-/* The smoothed-TV stencil of tv.py as three compiled functions.
+/* The compiled kernels of atmtomo: the smoothed-TV stencil of tv.py as
+ * three functions, and the ray transform's row-compressed (CSR) arrays of
+ * forward.py as three more.
  *
- * Fields are C-ordered (z, y, x) arrays of nz * ny * nx doubles.  Every node
- * performs the operations of tv.py's numpy stencil in their order, so the
- * results are bitwise equal; build without floating-point contraction
- * (-ffp-contract=off), which would fuse a product and a sum into one FMA.
- * Along each axis the forward difference is a[lo] - a[hi] with the
- * neighbours replicate-clipped at the ends, and the adjoint difference of b
- * is (0 - b[0]) - b[1] at the first row, b[n-2] + b[n-1] at the last and
- * b[i-1] - b[i+1] inside.  Callers check the sizes: every axis holds at
- * least 2 nodes, and nothing here checks bounds.
+ * Each kernel performs the operations of its numpy reference in their order,
+ * so the results are bitwise equal; build without floating-point
+ * contraction (-ffp-contract=off), which would fuse a product and a sum into
+ * one FMA.  Callers check sizes, bounds and dtypes: nothing here does.
+ *
+ * TV: fields are C-ordered (z, y, x) arrays of nz * ny * nx doubles, every
+ * axis at least 2 nodes long.  Along each axis the forward difference is
+ * a[lo] - a[hi] with the neighbours replicate-clipped at the ends, and the
+ * adjoint difference of b is (0 - b[0]) - b[1] at the first row,
+ * b[n-2] + b[n-1] at the last and b[i-1] - b[i+1] inside.
+ *
+ * CSR: row i holds data[k] at column indices[k] for k in
+ * [indptr[i], indptr[i+1]), int32 indices and row pointers as scipy stores
+ * them.  The products sum as scipy's csr_matvec and csc_matvec do.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 typedef ptrdiff_t idx;
 
@@ -137,4 +145,64 @@ void apply_l(const double *restrict v, idx nz, idx ny, idx nx, const double *res
             line[nx - 1] = (x[nx - 2] - x[nx - 1]) * c[nx - 1];
             adjoint_row(out + row, line, sy, sz, k, j, nz, ny, nx);
         }
+}
+
+/* y[i] = sum over row i of data[k] * x[indices[k]], from +0.0 in stored order */
+void csr_apply(const double *restrict data, const int32_t *restrict indices,
+               const int32_t *restrict indptr, idx n_rows, const double *restrict x,
+               double *restrict y)
+{
+    for (idx i = 0; i < n_rows; i++) {
+        double sum = 0.0;
+        for (idx k = indptr[i]; k < indptr[i + 1]; k++)
+            sum += data[k] * x[indices[k]];
+        y[i] = sum;
+    }
+}
+
+/* y += T^T r: row i's entries scattered onto their columns, rows in
+ * ascending order; y holds zeros on entry */
+void csr_adjoint(const double *restrict data, const int32_t *restrict indices,
+                 const int32_t *restrict indptr, idx n_rows, const double *restrict r,
+                 double *restrict y)
+{
+    for (idx i = 0; i < n_rows; i++) {
+        double ri = r[i];
+        for (idx k = indptr[i]; k < indptr[i + 1]; k++)
+            y[indices[k]] += data[k] * ri;
+    }
+}
+
+/* Each row sorted by column (stable insertion sort), then the entries of one
+ * column summed in that order, all compacted in place toward the front:
+ * scipy's sort_indices then sum_duplicates.  indptr is rewritten, so the
+ * canonical arrays end at indptr[n_rows] */
+void csr_canonical(double *restrict data, int32_t *restrict indices, int32_t *restrict indptr,
+                   idx n_rows)
+{
+    idx nnz = 0, start = indptr[0];
+    for (idx i = 0; i < n_rows; i++) {
+        idx end = indptr[i + 1];
+        for (idx k = start + 1; k < end; k++) {
+            int32_t column = indices[k];
+            double value = data[k];
+            idx m = k;
+            for (; m > start && indices[m - 1] > column; m--) {
+                indices[m] = indices[m - 1];
+                data[m] = data[m - 1];
+            }
+            indices[m] = column;
+            data[m] = value;
+        }
+        for (idx k = start; k < end;) {
+            int32_t column = indices[k];
+            double sum = data[k++];
+            while (k < end && indices[k] == column)
+                sum += data[k++];
+            indices[nnz] = column;
+            data[nnz++] = sum;
+        }
+        indptr[i + 1] = (int32_t)nnz;
+        start = end;
+    }
 }

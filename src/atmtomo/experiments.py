@@ -339,7 +339,7 @@ def run_sweep(
     outputs = []
     failures = 0
     for rays in config.ray_counts:
-        op = SparseOperator(full.matrix[:rays])
+        op = full.first_rows(rays)
         seen = _seen_mask(op)
         if dump_operator:
             write_operator_dump(op, os.path.join(out, f"operator_{rays}rays.txt"))

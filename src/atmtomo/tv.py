@@ -14,7 +14,7 @@ from . import _kernel
 from .geometry import Grid3
 
 # the compiled stencil, or None when it did not build or load
-_STENCIL = _kernel.load()
+_STENCIL = _kernel.shared()
 
 
 def _check_beta(beta: float) -> float:

@@ -287,7 +287,7 @@ def assemble_objects(rays, grid, n_samples):
         (weights[inside], linear[inside.ravel()], indptr),
         shape=(n_rays, grid.n_nodes),
     )
-    return SparseOperator(matrix)
+    return scipy_operator(matrix)
 
 
 def linear_index(grid, i, j, k):
@@ -312,9 +312,31 @@ def nearest_node(point, grid):
     return int(linear[0]) if inside[0] else OUTSIDE
 
 
+def to_scipy(op):
+    """The operator's arrays as a scipy CSR matrix: the reference for its
+    products, its dense form and its slices."""
+    m = op.matrix
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def scipy_canonical(data, indices, indptr, n_cols):
+    """scipy's canonical CSR matrix of copies of these arrays: each row sorted
+    by column (sort_indices) and its duplicates summed (sum_duplicates)."""
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols), copy=True)
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    return matrix
+
+
+def scipy_operator(matrix):
+    """A SparseOperator on scipy's canonical form of a CSR matrix."""
+    m = scipy_canonical(matrix.data, matrix.indices, matrix.indptr, matrix.shape[1])
+    return SparseOperator(m.data, m.indices, m.indptr, m.shape[1])
+
+
 def adjoint_csr_copy(op, residual):
     """T^T r through a row-compressed copy of the transpose, built per call."""
-    return op.matrix.T.tocsr() @ residual
+    return to_scipy(op).T.tocsr() @ residual
 
 
 def walk_ray_matrix(network, n_samples):
@@ -371,7 +393,7 @@ def assemble_per_ray(network, n_samples):
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(network.rays), grid.n_nodes),
     )
-    return SparseOperator(matrix)
+    return scipy_operator(matrix)
 
 
 def stencil_1d(line, idx, spacing):

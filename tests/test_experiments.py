@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from atmtomo import (
     assemble_operator,
     operator_listing,
@@ -540,7 +541,8 @@ def test_seen_unseen_split_adds_up_to_the_total(tmp_path):
     blocks = ok + [dict(report[solver], rays=report["rays"]) for solver in ("lbfgs", "ldfp")]
     assert len(blocks) == 8
     for block in blocks:
-        dense = assemble_operator(take_rays(network, block["rays"])).matrix.toarray()
+        op = assemble_operator(take_rays(network, block["rays"]))
+        dense = helpers.to_scipy(op).toarray()
         seen = (dense != 0.0).any(axis=0)
         assert 0.0 < block["seen_fraction"] == seen.mean() < 1.0
         total = block["final_relative_error"] ** 2 * float(truth @ truth)

@@ -1,6 +1,10 @@
 """The package exports the names its submodules define, and only those."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import atmtomo
 
@@ -22,3 +26,13 @@ def test_export_list_matches_the_public_names():
         if not getattr(atmtomo, name).__module__.startswith("atmtomo.")
     ]
     assert foreign == []
+
+
+def test_the_runtime_imports_no_scipy():
+    # scipy serves the tests as an oracle; the package needs numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, atmtomo.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import atmtomo.forward
 import helpers
 from atmtomo import (
     SparseOperator,
@@ -46,7 +47,7 @@ def test_nearest_node_half_cell_inflation():
 
 def test_assembly_matches_reference_walker(desk):
     dense = helpers.walk_ray_matrix(desk.network, 8)
-    got = desk.op.matrix.toarray()
+    got = helpers.to_scipy(desk.op).toarray()
     np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-14)
 
 
@@ -62,7 +63,7 @@ def test_assembly_matches_walker_on_random_network():
     assert len(net.rays) >= 15
     op = assemble_operator(net, 13)
     np.testing.assert_allclose(
-        op.matrix.toarray(), helpers.walk_ray_matrix(net, 13), rtol=1e-12, atol=1e-14
+        helpers.to_scipy(op).toarray(), helpers.walk_ray_matrix(net, 13), rtol=1e-12, atol=1e-14
     )
 
 
@@ -121,7 +122,7 @@ def test_vertical_aligned_ray_row():
     g = make_grid(4, 4, 8, (0, 1, 0, 1, 0, 14))
     net = build_network(g, [(0.0, 0.0, 0.0)], [(0.0, 0.0, 14.0)])
     op = assemble_operator(net, 8)
-    row = op.matrix.toarray()[0]
+    row = helpers.to_scipy(op).toarray()[0]
     nodes = [helpers.linear_index(g, 0, 0, k) for k in range(8)]
     assert np.count_nonzero(row) == 8
     np.testing.assert_allclose(row[nodes[1:-1]], g.dz)
@@ -156,7 +157,7 @@ def test_duplicate_samples_accumulate():
     g = make_grid(3, 3, 2, (0, 1, 0, 1, 0, 1))
     net = build_network(g, [(0.5, 0.5, 0.0)], [(0.5, 0.5, 1.0)])
     op = assemble_operator(net, 21)
-    row = op.matrix.toarray()[0]
+    row = helpers.to_scipy(op).toarray()[0]
     assert np.count_nonzero(row) == 2
     assert op.row_sums()[0] == pytest.approx(1.0)
     assert op.nnz == 2
@@ -204,7 +205,7 @@ def test_apply_linearity_and_extraction(desk):
     op = desk.op
     rng = np.random.default_rng(7)
     assert np.all(op.apply(np.zeros(op.n_cols)) == 0.0)
-    dense = op.matrix.toarray()
+    dense = helpers.to_scipy(op).toarray()
     i_star = int(rng.integers(op.n_cols))
     e = np.zeros(op.n_cols)
     e[i_star] = 1.0
@@ -238,7 +239,7 @@ def test_adjoint_is_bitwise_the_csr_copy(desk):
         name: assemble_operator(net, n_samples)
         for name, (net, n_samples) in _bitwise_cases(desk).items()
     }
-    operators["prefix"] = SparseOperator(desk.op.matrix[:80])
+    operators["prefix"] = desk.op.first_rows(80)
     for name, op in operators.items():
         for _ in range(3):
             r = rng.standard_normal(op.n_rows)
@@ -253,8 +254,19 @@ def test_adding_rays_preserves_existing_rows(desk):
     small = assemble_operator(take_rays(desk.network, 80), 8)
     big = desk.op
     np.testing.assert_array_equal(
-        big.matrix.toarray()[:80], small.matrix.toarray()
+        helpers.to_scipy(big).toarray()[:80], helpers.to_scipy(small).toarray()
     )
+    # so the smaller operator is a prefix of the bigger one's arrays, in views
+    prefix = big.first_rows(80)
+    assert prefix.matrix.shape == small.matrix.shape
+    for attr in ("data", "indices", "indptr"):
+        got, want = getattr(prefix.matrix, attr), getattr(small.matrix, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        assert np.shares_memory(got, getattr(big.matrix, attr)), attr
+    assert big.first_rows(0).nnz == 0
+    for bad in (-1, big.n_rows + 1):
+        with pytest.raises(ValueError, match="row count must be in"):
+            big.first_rows(bad)
 
 
 def test_quadrature_refinement_converges():
@@ -276,8 +288,105 @@ def test_operator_listing_and_dump(tmp_path, desk):
     lines = text.strip().split("\n")
     assert len(lines) == op.nnz
     row, col, weight = lines[0].split()
-    dense = op.matrix.toarray()
+    dense = helpers.to_scipy(op).toarray()
     assert dense[int(row), int(col)] == float(weight)
     path = tmp_path / "op.txt"
     dump_operator(op, path)
     assert path.read_text() == text
+
+
+def _bits(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _operator_bits(op, fields, residuals):
+    """The arrays of op (scipy's or ours), T on each field and T^T on each residual."""
+    if isinstance(op, SparseOperator):
+        m, forward, adjoint = op.matrix, op.apply, op.apply_adjoint
+    else:
+        m, forward, adjoint = op, op.__matmul__, op.T.__matmul__
+    n_rows = m.shape[0]
+    return _bits(
+        m.data, m.indices, m.indptr,
+        *(forward(x) for x in fields), *(adjoint(r[:n_rows]) for r in residuals),
+    )
+
+
+SCENES = {
+    "default-15x30": ((30, 30, 30), 15, 30),
+    "dense-60x100": ((60, 60, 30), 60, 100),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("scene", SCENES)
+def test_compiled_numpy_and_scipy_operators_are_bitwise_equal(scene, seed, monkeypatch):
+    # assembly, T and T^T, also on a row prefix, against scipy's canonical
+    # CSR matrix and its CSR and CSC products
+    dims, stations, emitters = SCENES[scene]
+    grid = make_grid(*dims, (0, 1, 0, 1, 0, 15))
+    net = place_network(grid, stations, emitters, seed=seed)
+    matrix = helpers.to_scipy(
+        helpers.assemble_objects(helpers.ray_objects(net.rays), grid, 2 * grid.nz)
+    )
+    rng = np.random.default_rng(seed)
+    scales = np.logspace(-3, 5, 20)
+    fields = [scale * rng.standard_normal(grid.n_nodes) for scale in scales]
+    residuals = [scale * rng.standard_normal(len(net.rays)) for scale in scales]
+    rows = len(net.rays) // 3
+    want = [_operator_bits(m, fields, residuals) for m in (matrix, matrix[:rows])]
+    for kernel in ("compiled", "numpy"):
+        if kernel == "numpy":
+            monkeypatch.setattr(atmtomo.forward, "_KERNEL", None)
+        op = assemble_operator(net)
+        got = [_operator_bits(o, fields, residuals) for o in (op, op.first_rows(rows))]
+        assert got == want, kernel
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+def test_constructor_takes_scipys_canonical_form(kernel, monkeypatch):
+    # unsorted rows of up to 16 entries over 5 of 16 columns, so most columns
+    # repeat; scipy sorts rows this short by stable insertion, so both sum a
+    # column's entries in stored order.  Signed zeros keep their sign alone.
+    if kernel == "numpy":
+        monkeypatch.setattr(atmtomo.forward, "_KERNEL", None)
+    rng = np.random.default_rng(5)
+    indptr = np.concatenate(([0], np.cumsum(rng.integers(0, 17, size=300))))
+    nnz = int(indptr[-1])
+    indices = 3 * rng.integers(0, 5, size=nnz) + 1
+    data = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-3, 5, size=nnz)
+    data[rng.random(nnz) < 0.2] = -0.0
+    data[rng.random(nnz) < 0.05] = 0.0
+    inputs = _bits(data, indices, indptr)
+    op = SparseOperator(data, indices, indptr, 16)
+    want = helpers.scipy_canonical(data, indices, indptr, 16)
+    assert op.nnz < nnz
+    assert _bits(op.matrix.data, op.matrix.indices, op.matrix.indptr) == _bits(
+        want.data, want.indices, want.indptr
+    )
+    assert op.matrix.shape == want.shape == (300, 16)
+    assert _bits(data, indices, indptr) == inputs  # the constructor works on copies
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix.indices[0] = 99
+
+
+@pytest.mark.parametrize(
+    "data, indices, indptr, n_cols, message",
+    [
+        ([1.0, 2.0], [0, 4], [0, 1, 2], 4, r"column indices must lie in \[0, 3\]"),
+        ([1.0, 2.0], [0, -1], [0, 1, 2], 4, r"column indices must lie in"),
+        ([1.0, 2.0], [0.0, 3.0], [0, 1, 2], 4, "column indices must be a 1-D integer array"),
+        ([1.0, 2.0], [0, 3, 3], [0, 1, 2], 4, "3 column indices for 2 entries"),
+        ([1.0, 2.0], [0, 3], [0, 2, 1], 4, "row pointers must rise"),
+        ([1.0, 2.0], [0, 3], [1, 1, 2], 4, "row pointers must rise"),
+        ([1.0, 2.0], [0, 3], [0, 1], 4, "row pointers must rise"),
+        ([1.0, 2.0], [0, 3], [], 4, "row pointers must rise"),
+        ([1.0, 2.0], [0, 3], [0, 1, 3], 4, r"row pointers must lie in \[0, 2\]"),
+        ([[1.0, 2.0]], [0, 3], [0, 2], 4, "data must be a 1-D array"),
+        ([1.0], [0], [0, 1], 2**31, "do not fit int32 indices"),
+    ],
+)
+def test_constructor_rejects_malformed_arrays(data, indices, indptr, n_cols, message):
+    # the compiled products trust these arrays and check no bounds
+    with pytest.raises(ValueError, match=message):
+        SparseOperator(data, indices, indptr, n_cols)

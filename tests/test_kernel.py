@@ -1,4 +1,4 @@
-"""The compiled TV stencil: its build cache, its failure paths and its packaging."""
+"""The compiled kernels: their build cache, their failure paths and their packaging."""
 
 import shutil
 import stat
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import atmtomo.forward
 import atmtomo.tv
 from atmtomo import _kernel, read_csv
 from atmtomo.cli import main
@@ -44,11 +45,21 @@ ldfp_inner_max_iterations = 50
 def test_stencil_source_ships_with_the_package():
     source = resources.files("atmtomo").joinpath("_stencil.c")
     assert source.is_file()
-    assert b"void tv_root(" in source.read_bytes()
+    for name in _kernel._SIGNATURES:
+        assert f"void {name}(".encode() in source.read_bytes(), name
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
     assert "_stencil.c" in package_data["atmtomo"]
+
+
+@needs_kernel
+def test_library_exports_every_kernel_and_is_loaded_once():
+    library = _kernel.shared()
+    for name in ("tv_root", "tv_grad", "apply_l", "csr_apply", "csr_adjoint", "csr_canonical"):
+        assert name in _kernel._SIGNATURES
+        assert getattr(library, name).argtypes == _kernel._SIGNATURES[name], name
+    assert atmtomo.tv._STENCIL is atmtomo.forward._KERNEL is library
 
 
 @needs_kernel
@@ -136,6 +147,7 @@ def test_cli_output_is_the_same_without_the_compiled_stencil(tmp_path, monkeypat
     for stencil in ("compiled", "numpy"):
         if stencil == "numpy":
             monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
+            monkeypatch.setattr(atmtomo.forward, "_KERNEL", None)
         assert main(["--config", str(ini), "--out", str(out)]) == 0
         runs.append((capsys.readouterr(), _cli_outputs(out)))
         shutil.rmtree(out)
