@@ -65,7 +65,6 @@ from .solvers import (
 )
 from .tv import (
     apply_weights,
-    frozen_diffusion,
     smoothing_weights,
     tv_value_and_gradient,
 )

@@ -26,7 +26,7 @@ _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 _SIGNATURES = {
     "tv_root": (_P, _N, _N, _N, _D, _D, _D, _D, _P, _P, _P, _P),
     "tv_grad": (_P, _P, _P, _P, _N, _N, _N, _D, _D, _D, _D),
-    "apply_l": (_P, _N, _N, _N, _P, _P, _P, _P, _P, _P, _P),
+    "apply_l": (_P, _N, _N, _N, _P, _D, _D, _D, _P, _P, _P, _P),
     "csr_apply": (_P, _P, _P, _N, _P, _P),
     "csr_adjoint": (_P, _P, _P, _N, _P, _P),
     "csr_canonical": (_P, _P, _P, _N),

@@ -114,12 +114,13 @@ void tv_grad(double *restrict px, double *restrict py, double *restrict pz,
         }
 }
 
-/* out = sum_a S_a^T (c_a * S_a v), S_a v = v[lo] - v[hi] along axis a: the
- * frozen diffusion operator of tv.frozen_diffusion.  sy and sz are scratch
- * fields, line scratch for one row of nx */
-void apply_l(const double *restrict v, idx nz, idx ny, idx nx, const double *restrict cx,
-             const double *restrict cy, const double *restrict cz, double *restrict sy,
-             double *restrict sz, double *restrict line, double *restrict out)
+/* out = sum_a S_a^T ((k_a * g) * S_a v), S_a v = v[lo] - v[hi] along axis a:
+ * the diffusion operator at weights g of tv.apply_weights, k_a =
+ * -cell_volume w_a^2.  sy and sz are scratch fields, line scratch for one
+ * row of nx */
+void apply_l(const double *restrict v, idx nz, idx ny, idx nx, const double *restrict g,
+             double kx, double ky, double kz, double *restrict sy, double *restrict sz,
+             double *restrict line, double *restrict out)
 {
     idx plane = ny * nx;
     for (idx k = 0; k < nz; k++)
@@ -130,19 +131,20 @@ void apply_l(const double *restrict v, idx nz, idx ny, idx nx, const double *res
             const double *zlo = v + lower(k) * plane + j * nx;
             const double *zhi = v + upper(k, nz) * plane + j * nx;
             for (idx i = 0; i < nx; i++) {
-                sy[row + i] = (ylo[i] - yhi[i]) * cy[row + i];
-                sz[row + i] = (zlo[i] - zhi[i]) * cz[row + i];
+                double gi = g[row + i];
+                sy[row + i] = (ylo[i] - yhi[i]) * (ky * gi);
+                sz[row + i] = (zlo[i] - zhi[i]) * (kz * gi);
             }
         }
     /* the x terms need only their own row, so S_x v lives one row at a time */
     for (idx k = 0; k < nz; k++)
         for (idx j = 0; j < ny; j++) {
             idx row = k * plane + j * nx;
-            const double *x = v + row, *c = cx + row;
-            line[0] = (x[0] - x[1]) * c[0];
+            const double *x = v + row, *gr = g + row;
+            line[0] = (x[0] - x[1]) * (kx * gr[0]);
             for (idx i = 1; i < nx - 1; i++)
-                line[i] = (x[i - 1] - x[i + 1]) * c[i];
-            line[nx - 1] = (x[nx - 2] - x[nx - 1]) * c[nx - 1];
+                line[i] = (x[i - 1] - x[i + 1]) * (kx * gr[i]);
+            line[nx - 1] = (x[nx - 2] - x[nx - 1]) * (kx * gr[nx - 1]);
             adjoint_row(out + row, line, sy, sz, k, j, nz, ny, nx);
         }
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +161,15 @@ def read_field(path) -> Field:
             header = fh.readline().decode("ascii").split()
             if len(header) != 10 or header[0] != FIELD_MAGIC:
                 raise ValueError(f"{path}: not a field file (bad header)")
-            nx, ny, nz = (int(v) for v in header[1:4])
-            bounds = [float(v) for v in header[4:10]]
-            raw = fh.read(nx * ny * nz * 8)
-            if len(raw) != nx * ny * nz * 8:
+            grid = make_grid(*(int(v) for v in header[1:4]), [float(v) for v in header[4:10]])
+            # the header sizes the read only once the file is known to hold it
+            size = grid.n_nodes * 8
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > left:
                 raise ValueError(f"{path}: truncated field payload")
-            if fh.read(1):
+            if size < left:
                 raise ValueError(f"{path}: bytes follow the field payload")
-            values = np.frombuffer(raw, dtype="<f8").astype(float)
+            values = np.frombuffer(fh.read(size), dtype="<f8").astype(float)
     except OSError as exc:
         raise OSError(f"failed to read field file {path}: {exc}") from exc
-    grid = make_grid(nx, ny, nz, bounds)
     return Field(grid=grid, values=values)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
-from .tv import apply_weights, frozen_diffusion, smoothing_weights
+from .tv import apply_weights, smoothing_weights
 
 # an accepted step this small, five times in a row, means the iterates froze
 _STAGNATION_TOL = 1e-14
@@ -434,9 +434,9 @@ def ldfp(
 ) -> SolveResult:
     """Lagged-diffusivity fixed-point iteration for the smoothed-TV objective.
 
-    Each outer step freezes the diffusion weights at the current iterate,
-    solves (T^T T + alpha L) s = -gradient with conjugate gradients, applying
-    the frozen operator L matrix-free, and takes the full step.  It runs
+    Each outer step computes the diffusion weights gamma once, at the current
+    iterate, solves (T^T T + alpha L(gamma)) s = -gradient with conjugate
+    gradients, applying L(gamma) matrix-free, and takes the full step.  It runs
     max_iterations (>= 0) outer steps and ends with max-iter.  The result's
     inner_solves holds cgne's InnerSolveStats of each outer step.
     """
@@ -452,11 +452,11 @@ def ldfp(
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
     for iteration in range(1, max_iterations + 1):
-        frozen = frozen_diffusion(smoothing_weights(phi, grid, beta), grid)
+        gamma = smoothing_weights(phi, grid, beta)
 
         def apply_h(v):
             h = op.apply_adjoint(op.apply(v))
-            lv = apply_weights(frozen, grid, v)
+            lv = apply_weights(gamma, grid, v)
             lv *= alpha
             h += lv
             return h

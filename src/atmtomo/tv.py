@@ -24,41 +24,25 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _node_vector(values, grid: Grid3, what: str) -> np.ndarray:
-    """values as a float array, checked to hold one entry per grid node."""
+def _field(values, grid: Grid3, what: str) -> np.ndarray:
+    """The flat float vector values, one entry per grid node, as a (z, y, x) array.
+
+    It is copied if strided: both stencils step through its flat buffer.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError(f"{what} length {values.shape} does not match grid nodes {grid.n_nodes}")
-    return values
+    return np.ascontiguousarray(values).reshape(grid.nz, grid.ny, grid.nx)
 
 
-def _field(values, grid: Grid3, what: str) -> np.ndarray:
-    """values as a checked (z, y, x) array, copied if strided.
+def _compiled(grid: Grid3) -> bool:
+    """Whether the compiled stencil may take fields of this grid.
 
-    Both stencils step through its flat buffer.
+    It checks no bounds itself: each axis must be at least 2 nodes long.  The
+    arrays it sees come from _field or np.empty_like of one, so they are
+    float64, C-contiguous and of the grid's shape.
     """
-    v = np.ascontiguousarray(_node_vector(values, grid, what))
-    return v.reshape(grid.nz, grid.ny, grid.nx)
-
-
-def _compiled(grid: Grid3, *arrays) -> bool:
-    """Whether the compiled stencil may take these (z, y, x) arrays.
-
-    It checks no bounds itself: each array must be float64, C-contiguous and
-    of the grid's shape, and each axis at least 2 nodes long.
-    """
-    shape = (grid.nz, grid.ny, grid.nx)
-    return (
-        _STENCIL is not None
-        and min(shape) >= 2
-        and all(
-            isinstance(a, np.ndarray)
-            and a.dtype == np.float64
-            and a.shape == shape
-            and a.flags.c_contiguous
-            for a in arrays
-        )
-    )
+    return _STENCIL is not None and min(grid.nz, grid.ny, grid.nx) >= 2
 
 
 # per axis of a 3-D array, the index tuples of its faces at positions 0, 1, -2, -1
@@ -133,7 +117,7 @@ def smoothing_weights(values, grid: Grid3, beta: float = 1e-2) -> np.ndarray:
     """Diffusion weights 1/sqrt(|grad|^2 + beta) at the node vector values, (z,y,x)."""
     beta = _check_beta(beta)
     v = _field(values, grid, "values")
-    root = (_compiled_root if _compiled(grid, v) else _root_of_differences)(v, grid, beta)[1]
+    root = (_compiled_root if _compiled(grid) else _root_of_differences)(v, grid, beta)[1]
     return np.divide(1.0, root, out=root)
 
 
@@ -147,7 +131,7 @@ def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
     """
     beta = _check_beta(beta)
     v = _field(values, grid, "values")
-    compiled = _compiled(grid, v)
+    compiled = _compiled(grid)
     parts, root = (_compiled_root if compiled else _root_of_differences)(v, grid, beta)
     value = float(root.ravel().sum() * grid.cell_volume)
     if compiled:
@@ -170,42 +154,34 @@ def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
     return value, grad.ravel()
 
 
-def frozen_diffusion(gamma, grid: Grid3):
-    """The diffusion operator frozen at weights gamma, as one coefficient array per axis.
+def apply_weights(gamma, grid: Grid3, vector: np.ndarray) -> np.ndarray:
+    """Apply the diffusion operator at weights gamma to a flat vector, matrix-free.
 
     L = cell_volume * sum_a D_a^T diag(gamma) D_a, symmetric positive
-    semidefinite.  With D_a v = -w_a * _shifted(v) and D_a^T u =
-    _shifted(w_a * u, adjoint), axis a contributes
-    _shifted(c_a * _shifted(v), adjoint) with c_a = -cell_volume w_a^2 gamma.
-    Returns [(axis, c_a)] in x, y, z order, for apply_weights.
-    """
-    g = _node_vector(np.ravel(gamma), grid, "weights").reshape(grid.nz, grid.ny, grid.nx)
-    return [(axis, -grid.cell_volume * w**2 * g) for axis, w in _axes(grid)]
-
-
-def apply_weights(frozen, grid: Grid3, vector: np.ndarray) -> np.ndarray:
-    """Apply a frozen_diffusion operator to a flat vector, matrix-free.
-
-    One freeze serves many applies.  On the numpy stencil each apply takes,
-    per axis, two _shifted passes, a product with the coefficients and a sum,
-    in three field-sized arrays.
+    semidefinite, with gamma flat or (z, y, x) as smoothing_weights returns
+    it.  With D_a v = -w_a * _shifted(v) and D_a^T u = _shifted(w_a * u,
+    adjoint), axis a contributes _shifted(k_a * gamma * _shifted(v), adjoint)
+    with k_a = -cell_volume w_a^2, the axes summed in x, y, z order.  On the
+    numpy stencil each apply takes, per axis, two _shifted passes, two
+    products and a sum, in three field-sized arrays.
     """
     v = _field(vector, grid, "vector")
-    axes, coefficients = [axis for axis, _ in frozen], [c for _, c in frozen]
-    if axes == [2, 1, 0] and _compiled(grid, v, *coefficients):
+    g = _field(np.ravel(gamma), grid, "weights")
+    scales = [(axis, -grid.cell_volume * w**2) for axis, w in _axes(grid)]
+    if _compiled(grid):
         # S_y v and S_z v are kept whole and S_x v one row at a time: with out,
         # three field-sized arrays, as on the numpy stencil
         out, line = np.empty(grid.n_nodes), np.empty(grid.nx)
         scratch = [np.empty_like(v), np.empty_like(v)]
         _STENCIL.apply_l(
-            v.ctypes.data, grid.nz, grid.ny, grid.nx, *(c.ctypes.data for c in coefficients),
+            v.ctypes.data, grid.nz, grid.ny, grid.nx, g.ctypes.data, *(k for _, k in scales),
             *(s.ctypes.data for s in scratch), line.ctypes.data, out.ctypes.data,
         )
         return out
     out, scratch, term = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    for i, (axis, c) in enumerate(frozen):
+    for i, (axis, k) in enumerate(scales):
         _shifted(v, axis, adjoint=False, out=scratch)
-        scratch *= c
+        scratch *= np.multiply(k, g, out=term)
         # the first axis lands straight in the output
         _shifted(scratch, axis, adjoint=True, out=term if i else out)
         if i:

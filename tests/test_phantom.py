@@ -167,3 +167,14 @@ def test_field_file_errors(tmp_path):
     padded.write_bytes(padded.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="bytes follow the field payload"):
         read_field(padded)
+
+
+def test_field_file_header_cannot_size_an_allocation(tmp_path):
+    # a header claiming 100000^3 nodes on a 60-byte file is a truncated file,
+    # found before anything of the claimed size is allocated
+    huge = tmp_path / "huge.fld"
+    header = b"FLD1 100000 100000 100000 0 1 0 1 0 1\n"
+    huge.write_bytes(header + b"\x00" * (60 - len(header)))
+    assert huge.stat().st_size == 60
+    with pytest.raises(ValueError, match="truncated field payload"):
+        read_field(huge)

@@ -10,7 +10,6 @@ import helpers
 from atmtomo import Field, Grid3, make_grid, true_profile
 from atmtomo.tv import (
     apply_weights,
-    frozen_diffusion,
     smoothing_weights,
     tv_value_and_gradient,
 )
@@ -180,13 +179,12 @@ def test_compiled_stencil_is_bitwise_the_numpy_stencil(dims, kind, monkeypatch):
         "constant": np.full(grid.n_nodes, -2.5),
         "integers": np.round(3.0 * r),
     }[kind]
-    assert atmtomo.tv._compiled(grid, values.reshape(grid.nz, grid.ny, grid.nx))
+    assert atmtomo.tv._compiled(grid)
 
     def results():
         value, grad = tv_value_and_gradient(values, grid, 1e-2)
         weights = smoothing_weights(values, grid, 1e-2)
-        frozen = frozen_diffusion(weights, grid)
-        applied = [apply_weights(frozen, grid, u) for u in (values, r[::-1])]
+        applied = [apply_weights(weights, grid, u) for u in (values, r[::-1])]
         # tobytes tells -0.0 from 0.0, which array_equal does not
         return [np.float64(value).tobytes()] + [a.tobytes() for a in (grad, weights, *applied)]
 
@@ -196,27 +194,49 @@ def test_compiled_stencil_is_bitwise_the_numpy_stencil(dims, kind, monkeypatch):
 
 
 def test_compiled_stencil_takes_only_what_it_can_bound(monkeypatch):
-    # the kernel checks no bounds, so anything but float64 C-ordered fields of
-    # the grid's shape with 2 or more nodes per axis stays on the numpy stencil
-    grid = make_grid(4, 3, 5, (0, 1, 0, 1, 0, 1))
-    field = np.zeros((5, 3, 4))
+    # the kernel checks no bounds: every array it sees is _field's float64
+    # C-ordered copy of an input or shaped like one, whatever layout came in,
+    # and a grid with a 1-node axis stays on the numpy stencil
+    grid = make_grid(4, 3, 5, (0, 1, 0, 2, 0, 15))
+    rng = np.random.default_rng(3)
+    # float32-exact numbers, so every layout below holds the same values
+    values = rng.standard_normal(grid.n_nodes).astype(np.float32).astype(float)
+    v = rng.standard_normal(grid.n_nodes).astype(np.float32).astype(float)
+    gamma = rng.uniform(0.1, 10.0, grid.n_nodes).astype(np.float32).astype(float)
+
+    def flat_layouts(x):
+        return [x.astype(np.float32), np.repeat(x, 2)[::2]]
+
+    def gamma_layouts(x):
+        cube = x.reshape(grid.nz, grid.ny, grid.nx)
+        strided = np.repeat(cube, 2, axis=2)[:, :, ::2]
+        return [x, cube, np.asfortranarray(cube), strided, strided.astype(np.float32)]
+
+    def results(values, gamma, v):
+        value, grad = tv_value_and_gradient(values, grid, 1e-2)
+        weights = smoothing_weights(values, grid, 1e-2)
+        applied = apply_weights(gamma, grid, v)
+        return [np.float64(value).tobytes()] + [a.tobytes() for a in (grad, weights, applied)]
+
     kernel = atmtomo.tv._STENCIL
-    monkeypatch.setattr(atmtomo.tv, "_STENCIL", object())
-    assert atmtomo.tv._compiled(grid, field, field)
-    for other in (field.astype(np.float32), field[:, :, ::-1], field[:, :, :3], field.ravel()):
-        assert not atmtomo.tv._compiled(grid, field, other)
-    flat = Grid3(1, 3, 5, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-    assert not atmtomo.tv._compiled(flat, np.zeros((5, 3, 1)))
-    monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
-    assert not atmtomo.tv._compiled(grid, field)
-    # a frozen operator it cannot take runs on the numpy stencil
-    frozen = frozen_diffusion(np.ones(grid.n_nodes), grid)
-    v = np.random.default_rng(3).standard_normal(grid.n_nodes)
-    want = apply_weights(frozen, grid, v)
-    strided = [(axis, np.repeat(c, 2, axis=2)[:, :, ::2]) for axis, c in frozen]
-    for stencil in (None, kernel):
+    wanted = []
+    for stencil in (kernel, None):
         monkeypatch.setattr(atmtomo.tv, "_STENCIL", stencil)
-        assert apply_weights(strided, grid, v).tobytes() == want.tobytes()
+        want = results(values, gamma.reshape(grid.nz, grid.ny, grid.nx), v)
+        for other in flat_layouts(values):
+            assert results(other, gamma, v) == want
+        for other in flat_layouts(gamma) + gamma_layouts(gamma):
+            assert results(values, other, v) == want
+        for other in flat_layouts(v):
+            assert results(values, gamma, other) == want
+        wanted.append(want)
+    assert wanted[0] == wanted[1]
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", object())
+    assert atmtomo.tv._compiled(grid)
+    assert not atmtomo.tv._compiled(Grid3(1, 3, 5, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+    assert not atmtomo.tv._compiled(Grid3(4, 3, 1, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
+    assert not atmtomo.tv._compiled(grid)
 
 
 def test_tv_gradient_constant_field_is_zero():
@@ -226,14 +246,14 @@ def test_tv_gradient_constant_field_is_zero():
 
 
 def test_value_and_gradient_consistent():
-    # TV's gradient is the frozen operator at its own iterate, also on a 2-node axis
+    # TV's gradient is the diffusion operator at its own weights, also on a 2-node axis
     for dims, bounds in (((4, 4, 4), (0, 1, 0, 1, 0, 15)), ((3, 2, 5), (0, 1, 0, 2, 0, 3))):
         f = random_field(*dims, bounds, 6)
         _, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
         np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
         np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
-        frozen = frozen_diffusion(smoothing_weights(f.values, f.grid, 1e-2), f.grid)
-        np.testing.assert_allclose(apply_weights(frozen, f.grid, f.values), grad, rtol=1e-13)
+        gamma = smoothing_weights(f.values, f.grid, 1e-2)
+        np.testing.assert_allclose(apply_weights(gamma, f.grid, f.values), grad, rtol=1e-13)
 
 
 def test_directional_derivative():
@@ -276,19 +296,19 @@ def test_smoothing_weights_shape_and_values():
 
 def test_apply_weights_matches_apply_L():
     f = random_field(4, 4, 4, (0, 1, 0, 1, 0, 15), 10)
-    frozen = frozen_diffusion(smoothing_weights(f.values, f.grid, 1e-2), f.grid)
+    gamma = smoothing_weights(f.values, f.grid, 1e-2)
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(f.grid.n_nodes)
         want = helpers.apply_L(f, v, 1e-2)
-        got = apply_weights(frozen, f.grid, v)
+        got = apply_weights(gamma, f.grid, v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     wrong = np.zeros(5)
     for call in (
-        lambda: apply_weights(frozen, f.grid, wrong),
+        lambda: apply_weights(gamma, f.grid, wrong),
+        lambda: apply_weights(wrong, f.grid, f.values),
         lambda: tv_value_and_gradient(wrong, f.grid, 1e-2),
         lambda: smoothing_weights(wrong, f.grid, 1e-2),
-        lambda: frozen_diffusion(wrong, f.grid),
     ):
         with pytest.raises(ValueError, match="does not match grid nodes"):
             call()
@@ -309,10 +329,9 @@ def test_diffusion_matrix_matches_oracles(dims, bounds):
     n = grid.n_nodes
     rng = np.random.default_rng(sum(dims))
     gamma = rng.uniform(0.1, 10.0, n)
-    frozen = frozen_diffusion(gamma, grid)
 
     def apply(v):
-        return apply_weights(frozen, grid, v)
+        return apply_weights(gamma, grid, v)
 
     dense = np.column_stack([apply(e) for e in np.eye(n)])
     oracle = helpers.dense_diffusion_matrix(gamma, grid)
@@ -327,8 +346,8 @@ def test_diffusion_matrix_matches_oracles(dims, bounds):
     for _ in range(100):
         u = rng.standard_normal(n)
         assert float(u @ apply(u)) >= -1e-12
-    with pytest.raises(ValueError, match="does not match grid nodes"):
-        frozen_diffusion(gamma[:-1], grid)
+    with pytest.raises(ValueError, match="weights length .* does not match grid nodes"):
+        apply_weights(gamma[:-1], grid, np.zeros(n))
 
 
 def test_diffusion_operator_linear_symmetric_psd():
