@@ -1,6 +1,7 @@
 """Compile the C kernels (_stencil.c) once per user and load them with ctypes.
 
-The library holds the TV stencil of tv.py and the CSR products and
+The library holds the TV stencil of tv.py, its root and its diffusion apply
+(which at the field's own weights is TV's gradient), and the CSR products and
 canonicalization of forward.py.  It is cached under $XDG_CACHE_HOME/atmtomo
 (default ~/.cache/atmtomo), keyed by the source, the compiler command and the
 flags.  Without a compiler, or on any failure to build or load, load()
@@ -24,9 +25,8 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 _SIGNATURES = {
-    "tv_root": (_P, _N, _N, _N, _D, _D, _D, _D, _P, _P, _P, _P),
-    "tv_grad": (_P, _P, _P, _P, _N, _N, _N, _D, _D, _D, _D),
-    "apply_l": (_P, _N, _N, _N, _P, _D, _D, _D, _P, _P, _P, _P),
+    "tv_root": (_P, _N, _N, _N, _D, _D, _D, _D, _P, _P),
+    "apply_l": (_P, _P, _N, _N, _N, _D, _D, _D, _D, _P, _P, _P, _P),
     "csr_apply": (_P, _P, _P, _N, _P, _P),
     "csr_adjoint": (_P, _P, _P, _N, _P, _P),
     "csr_canonical": (_P, _P, _P, _N),

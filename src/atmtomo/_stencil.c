@@ -1,5 +1,6 @@
-/* The compiled kernels of atmtomo: the smoothed-TV stencil of tv.py as
- * three functions, and the ray transform's row-compressed (CSR) arrays of
+/* The compiled kernels of atmtomo: the smoothed-TV stencil of tv.py as two
+ * functions, the root sqrt(|grad|^2 + beta) and the diffusion apply that is
+ * also TV's gradient, and the ray transform's row-compressed (CSR) arrays of
  * forward.py as three more.
  *
  * Each kernel performs the operations of its numpy reference in their order,
@@ -58,11 +59,10 @@ static void adjoint_row(double *restrict g, const double *restrict x, const doub
     add_adjoint(g, bz + j * nx, k, nz, ny * nx, nx);
 }
 
-/* p_a = D_a v, each a difference of (-w_a) v, and root = sqrt(|p|^2 + beta),
- * the squares summed in x, y, z order */
+/* root = sqrt(|D v|^2 + beta), each D_a v a difference of (-w_a) v and the
+ * squares summed in x, y, z order; line is scratch for one row of nx */
 void tv_root(const double *restrict v, idx nz, idx ny, idx nx, double wx, double wy, double wz,
-             double beta, double *restrict px, double *restrict py, double *restrict pz,
-             double *restrict root)
+             double beta, double *restrict line, double *restrict root)
 {
     double ax = -wx, ay = -wy, az = -wz;
     idx plane = ny * nx;
@@ -74,54 +74,29 @@ void tv_root(const double *restrict v, idx nz, idx ny, idx nx, double wx, double
             const double *yhi = v + k * plane + upper(j, ny) * nx;
             const double *zlo = v + lower(k) * plane + j * nx;
             const double *zhi = v + upper(k, nz) * plane + j * nx;
-            double *qx = px + row, *qy = py + row, *qz = pz + row, *r = root + row;
-            qx[0] = ax * x[0] - ax * x[1];
+            double *r = root + row;
+            line[0] = ax * x[0] - ax * x[1];
             for (idx i = 1; i < nx - 1; i++)
-                qx[i] = ax * x[i - 1] - ax * x[i + 1];
-            qx[nx - 1] = ax * x[nx - 2] - ax * x[nx - 1];
+                line[i] = ax * x[i - 1] - ax * x[i + 1];
+            line[nx - 1] = ax * x[nx - 2] - ax * x[nx - 1];
             for (idx i = 0; i < nx; i++) {
-                double dx = qx[i];
+                double dx = line[i];
                 double dy = ay * ylo[i] - ay * yhi[i];
                 double dz = az * zlo[i] - az * zhi[i];
-                qy[i] = dy;
-                qz[i] = dz;
                 r[i] = sqrt(((dx * dx + dy * dy) + dz * dz) + beta);
             }
         }
 }
 
-/* grad = cell_volume * sum_a D_a^T (w_a (p_a / root)), from tv_root's
- * results, into root's buffer: root on entry, the gradient on return.  p_a
- * are overwritten with the scaled fluxes, which are all the adjoint reads */
-void tv_grad(double *restrict px, double *restrict py, double *restrict pz,
-             double *restrict root, idx nz, idx ny, idx nx, double wx, double wy, double wz,
-             double cell_volume)
+/* out = cell_volume * sum_a D_a^T (w_a ((D_a v) g)), the diffusion operator
+ * at weights g of tv.apply_weights, each D_a v a difference of (-w_a) v.
+ * At g = 1/root this is the TV gradient.  sy and sz are scratch fields,
+ * line scratch for one row of nx */
+void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny, idx nx,
+             double wx, double wy, double wz, double cell_volume, double *restrict sy,
+             double *restrict sz, double *restrict line, double *restrict out)
 {
-    idx n = nz * ny * nx;
-    for (idx i = 0; i < n; i++) {
-        double gamma = 1.0 / root[i];
-        px[i] = (px[i] * gamma) * wx;
-        py[i] = (py[i] * gamma) * wy;
-        pz[i] = (pz[i] * gamma) * wz;
-    }
-    for (idx k = 0; k < nz; k++)
-        for (idx j = 0; j < ny; j++) {
-            idx row = (k * ny + j) * nx;
-            double *g = root + row;
-            adjoint_row(g, px + row, py, pz, k, j, nz, ny, nx);
-            for (idx i = 0; i < nx; i++)
-                g[i] *= cell_volume;
-        }
-}
-
-/* out = sum_a S_a^T ((k_a * g) * S_a v), S_a v = v[lo] - v[hi] along axis a:
- * the diffusion operator at weights g of tv.apply_weights, k_a =
- * -cell_volume w_a^2.  sy and sz are scratch fields, line scratch for one
- * row of nx */
-void apply_l(const double *restrict v, idx nz, idx ny, idx nx, const double *restrict g,
-             double kx, double ky, double kz, double *restrict sy, double *restrict sz,
-             double *restrict line, double *restrict out)
-{
+    double ax = -wx, ay = -wy, az = -wz;
     idx plane = ny * nx;
     for (idx k = 0; k < nz; k++)
         for (idx j = 0; j < ny; j++) {
@@ -132,20 +107,23 @@ void apply_l(const double *restrict v, idx nz, idx ny, idx nx, const double *res
             const double *zhi = v + upper(k, nz) * plane + j * nx;
             for (idx i = 0; i < nx; i++) {
                 double gi = g[row + i];
-                sy[row + i] = (ylo[i] - yhi[i]) * (ky * gi);
-                sz[row + i] = (zlo[i] - zhi[i]) * (kz * gi);
+                sy[row + i] = ((ay * ylo[i] - ay * yhi[i]) * gi) * wy;
+                sz[row + i] = ((az * zlo[i] - az * zhi[i]) * gi) * wz;
             }
         }
-    /* the x terms need only their own row, so S_x v lives one row at a time */
+    /* the x terms need only their own row, so D_x v lives one row at a time */
     for (idx k = 0; k < nz; k++)
         for (idx j = 0; j < ny; j++) {
             idx row = k * plane + j * nx;
             const double *x = v + row, *gr = g + row;
-            line[0] = (x[0] - x[1]) * (kx * gr[0]);
+            double *o = out + row;
+            line[0] = ((ax * x[0] - ax * x[1]) * gr[0]) * wx;
             for (idx i = 1; i < nx - 1; i++)
-                line[i] = (x[i - 1] - x[i + 1]) * (kx * gr[i]);
-            line[nx - 1] = (x[nx - 2] - x[nx - 1]) * (kx * gr[nx - 1]);
-            adjoint_row(out + row, line, sy, sz, k, j, nz, ny, nx);
+                line[i] = ((ax * x[i - 1] - ax * x[i + 1]) * gr[i]) * wx;
+            line[nx - 1] = ((ax * x[nx - 2] - ax * x[nx - 1]) * gr[nx - 1]) * wx;
+            adjoint_row(o, line, sy, sz, k, j, nz, ny, nx);
+            for (idx i = 0; i < nx; i++)
+                o[i] *= cell_volume;
         }
 }
 

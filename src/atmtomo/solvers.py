@@ -436,9 +436,10 @@ def ldfp(
 
     Each outer step computes the diffusion weights gamma once, at the current
     iterate, solves (T^T T + alpha L(gamma)) s = -gradient with conjugate
-    gradients, applying L(gamma) matrix-free, and takes the full step.  It runs
-    max_iterations (>= 0) outer steps and ends with max-iter.  The result's
-    inner_solves holds cgne's InnerSolveStats of each outer step.
+    gradients, applying alpha L(gamma) matrix-free as L(alpha gamma), and takes
+    the full step.  It runs max_iterations (>= 0) outer steps and ends with
+    max-iter.  The result's inner_solves holds cgne's InnerSolveStats of each
+    outer step.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -452,13 +453,12 @@ def ldfp(
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
     for iteration in range(1, max_iterations + 1):
-        gamma = smoothing_weights(phi, grid, beta)
+        weights = smoothing_weights(phi, grid, beta)
+        weights *= alpha
 
         def apply_h(v):
             h = op.apply_adjoint(op.apply(v))
-            lv = apply_weights(gamma, grid, v)
-            lv *= alpha
-            h += lv
+            h += apply_weights(weights, grid, v)
             return h
 
         step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)

@@ -81,77 +81,81 @@ def _axes(grid: Grid3):
     return ((2, 1.0 / (2.0 * grid.dx)), (1, 1.0 / (2.0 * grid.dy)), (0, 1.0 / (2.0 * grid.dz)))
 
 
-def _root_of_differences(v: np.ndarray, grid: Grid3, beta: float):
-    """([D_x v, D_y v, D_z v], sqrt(|grad|^2 + beta)) for a (z, y, x) array v.
-
-    The squares are summed in x, y, z order.  Besides the four results only
-    one scratch array of the field's size is allocated.
-    """
-    scratch = np.empty_like(v)
-    parts = [
-        _shifted(np.multiply(-w, v, out=scratch), axis, adjoint=False, out=np.empty_like(v))
-        for axis, w in _axes(grid)
-    ]
-    root = np.square(parts[0])
-    for p in parts[1:]:
-        root += np.square(p, out=scratch)
-    root += beta
-    return parts, np.sqrt(root, out=root)
-
-
-def _compiled_root(v: np.ndarray, grid: Grid3, beta: float):
-    """_root_of_differences by the compiled stencil, the same bits."""
-    parts, root = [np.empty_like(v) for _ in range(3)], np.empty_like(v)
-    _STENCIL.tv_root(
-        v.ctypes.data, *_dimensions(grid), beta, *(p.ctypes.data for p in parts), root.ctypes.data
-    )
-    return parts, root
-
-
 def _dimensions(grid: Grid3) -> tuple:
     """nz, ny, nx and 1/(2h) along x, y, z: the grid as the compiled stencil takes it."""
     return (grid.nz, grid.ny, grid.nx, *(w for _, w in _axes(grid)))
 
 
+def _root(v: np.ndarray, grid: Grid3, beta: float) -> np.ndarray:
+    """sqrt(|grad|^2 + beta) of a (z, y, x) array v, on either stencil.
+
+    D_a v is the _shifted difference of (-w_a) v and the squares are summed
+    in x, y, z order.  The numpy stencil keeps one difference at a time.
+    """
+    root = np.empty_like(v)
+    if _compiled(grid):
+        line = np.empty(grid.nx)
+        _STENCIL.tv_root(v.ctypes.data, *_dimensions(grid), beta, line.ctypes.data, root.ctypes.data)
+        return root
+    scratch, diff = np.empty_like(v), np.empty_like(v)
+    for i, (axis, w) in enumerate(_axes(grid)):
+        # the first axis lands straight in root
+        d = _shifted(np.multiply(-w, v, out=scratch), axis, adjoint=False, out=diff if i else root)
+        np.square(d, out=d)
+        if i:
+            root += d
+    root += beta
+    return np.sqrt(root, out=root)
+
+
+def _apply(g: np.ndarray, grid: Grid3, v: np.ndarray) -> np.ndarray:
+    """cell_volume * sum_a D_a^T (w_a ((D_a v) g)) for (z, y, x) arrays g and v, flat.
+
+    D_a v is the _shifted difference of (-w_a) v and D_a^T u the adjoint
+    _shifted difference of u; the axes are summed in x, y, z order.  Both
+    stencils use two field-sized scratch arrays besides the output.
+    """
+    out = np.empty_like(v)
+    if _compiled(grid):
+        # D_y v and D_z v are kept whole and D_x v one row at a time
+        sy, sz, line = np.empty_like(v), np.empty_like(v), np.empty(grid.nx)
+        _STENCIL.apply_l(
+            v.ctypes.data, g.ctypes.data, *_dimensions(grid), grid.cell_volume,
+            sy.ctypes.data, sz.ctypes.data, line.ctypes.data, out.ctypes.data,
+        )
+        return out.ravel()
+    scratch, diff = np.empty_like(v), np.empty_like(v)
+    for i, (axis, w) in enumerate(_axes(grid)):
+        d = _shifted(np.multiply(-w, v, out=scratch), axis, adjoint=False, out=diff)
+        d *= g
+        d *= w
+        # the first axis lands straight in the output
+        _shifted(d, axis, adjoint=True, out=scratch if i else out)
+        if i:
+            out += scratch
+    out *= grid.cell_volume
+    return out.ravel()
+
+
 def smoothing_weights(values, grid: Grid3, beta: float = 1e-2) -> np.ndarray:
     """Diffusion weights 1/sqrt(|grad|^2 + beta) at the node vector values, (z,y,x)."""
     beta = _check_beta(beta)
-    v = _field(values, grid, "values")
-    root = (_compiled_root if _compiled(grid) else _root_of_differences)(v, grid, beta)[1]
+    root = _root(_field(values, grid, "values"), grid, beta)
     return np.divide(1.0, root, out=root)
 
 
 def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
-    """Smoothed TV of the node vector v and its gradient L(v) @ v, from one set of differences.
+    """Smoothed TV of the node vector v and its gradient L(gamma(v)) v.
 
     The value is the cell-volume weighted sum of sqrt(|grad|^2 + beta) over
     all nodes, numpy's pairwise sum on either stencil.  The gradient is
-    cell_volume * sum_a D_a^T (gamma * D_a v), the axes accumulated in x, y,
-    z order into one buffer.
+    apply_weights(smoothing_weights(v), grid, v), byte for byte.
     """
     beta = _check_beta(beta)
     v = _field(values, grid, "values")
-    compiled = _compiled(grid)
-    parts, root = (_compiled_root if compiled else _root_of_differences)(v, grid, beta)
+    root = _root(v, grid, beta)
     value = float(root.ravel().sum() * grid.cell_volume)
-    if compiled:
-        # the gradient takes the place of root, which the kernel spends first
-        _STENCIL.tv_grad(
-            *(p.ctypes.data for p in parts), root.ctypes.data, *_dimensions(grid), grid.cell_volume
-        )
-        return value, root.ravel()
-    gamma = np.divide(1.0, root, out=root)
-    # the y and z terms land in the x and y differences, spent by then
-    terms = [np.empty_like(gamma), parts[0], parts[1]]
-    for (axis, w), p, term in zip(_axes(grid), parts, terms):
-        p *= gamma
-        p *= w
-        _shifted(p, axis, adjoint=True, out=term)
-    grad = terms[0]
-    grad += terms[1]
-    grad += terms[2]
-    grad *= grid.cell_volume
-    return value, grad.ravel()
+    return value, _apply(np.divide(1.0, root, out=root), grid, v)
 
 
 def apply_weights(gamma, grid: Grid3, vector: np.ndarray) -> np.ndarray:
@@ -159,31 +163,7 @@ def apply_weights(gamma, grid: Grid3, vector: np.ndarray) -> np.ndarray:
 
     L = cell_volume * sum_a D_a^T diag(gamma) D_a, symmetric positive
     semidefinite, with gamma flat or (z, y, x) as smoothing_weights returns
-    it.  With D_a v = -w_a * _shifted(v) and D_a^T u = _shifted(w_a * u,
-    adjoint), axis a contributes _shifted(k_a * gamma * _shifted(v), adjoint)
-    with k_a = -cell_volume w_a^2, the axes summed in x, y, z order.  On the
-    numpy stencil each apply takes, per axis, two _shifted passes, two
-    products and a sum, in three field-sized arrays.
+    it.  L is linear in gamma: L(alpha gamma) = alpha L(gamma).
     """
     v = _field(vector, grid, "vector")
-    g = _field(np.ravel(gamma), grid, "weights")
-    scales = [(axis, -grid.cell_volume * w**2) for axis, w in _axes(grid)]
-    if _compiled(grid):
-        # S_y v and S_z v are kept whole and S_x v one row at a time: with out,
-        # three field-sized arrays, as on the numpy stencil
-        out, line = np.empty(grid.n_nodes), np.empty(grid.nx)
-        scratch = [np.empty_like(v), np.empty_like(v)]
-        _STENCIL.apply_l(
-            v.ctypes.data, grid.nz, grid.ny, grid.nx, g.ctypes.data, *(k for _, k in scales),
-            *(s.ctypes.data for s in scratch), line.ctypes.data, out.ctypes.data,
-        )
-        return out
-    out, scratch, term = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    for i, (axis, k) in enumerate(scales):
-        _shifted(v, axis, adjoint=False, out=scratch)
-        scratch *= np.multiply(k, g, out=term)
-        # the first axis lands straight in the output
-        _shifted(scratch, axis, adjoint=True, out=term if i else out)
-        if i:
-            out += term
-    return out.ravel()
+    return _apply(_field(np.ravel(gamma), grid, "weights"), grid, v)

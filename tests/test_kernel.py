@@ -1,5 +1,6 @@
 """The compiled kernels: their build cache, their failure paths and their packaging."""
 
+import re
 import shutil
 import stat
 from dataclasses import replace
@@ -55,9 +56,12 @@ def test_stencil_source_ships_with_the_package():
 
 @needs_kernel
 def test_library_exports_every_kernel_and_is_loaded_once():
+    # every exported function has a signature and every signature a function
+    source = resources.files("atmtomo").joinpath("_stencil.c").read_text()
+    exported = re.findall(r"^void (\w+)\(", source, flags=re.MULTILINE)
+    assert sorted(exported) == sorted(_kernel._SIGNATURES)
     library = _kernel.shared()
-    for name in ("tv_root", "tv_grad", "apply_l", "csr_apply", "csr_adjoint", "csr_canonical"):
-        assert name in _kernel._SIGNATURES
+    for name in exported:
         assert getattr(library, name).argtypes == _kernel._SIGNATURES[name], name
     assert atmtomo.tv._STENCIL is atmtomo.forward._KERNEL is library
 

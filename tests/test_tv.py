@@ -245,15 +245,18 @@ def test_tv_gradient_constant_field_is_zero():
     assert np.all(helpers.tv_gradient(f, 1e-2) == 0.0)
 
 
-def test_value_and_gradient_consistent():
-    # TV's gradient is the diffusion operator at its own weights, also on a 2-node axis
-    for dims, bounds in (((4, 4, 4), (0, 1, 0, 1, 0, 15)), ((3, 2, 5), (0, 1, 0, 2, 0, 3))):
-        f = random_field(*dims, bounds, 6)
-        _, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
-        np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
-        np.testing.assert_allclose(grad, helpers.apply_L(f, f.values, 1e-2), rtol=1e-13)
-        gamma = smoothing_weights(f.values, f.grid, 1e-2)
-        np.testing.assert_allclose(apply_weights(gamma, f.grid, f.values), grad, rtol=1e-13)
+def test_value_and_gradient_consistent(monkeypatch):
+    # TV's gradient is the diffusion operator at its own weights, byte for
+    # byte on either stencil, also on a 2-node axis
+    for stencil in (atmtomo.tv._STENCIL, None):
+        monkeypatch.setattr(atmtomo.tv, "_STENCIL", stencil)
+        for dims, bounds in (((4, 4, 4), (0, 1, 0, 1, 0, 15)), ((3, 2, 5), (0, 1, 0, 2, 0, 3))):
+            f = random_field(*dims, bounds, 6)
+            _, grad = tv_value_and_gradient(f.values, f.grid, 1e-2)
+            np.testing.assert_array_equal(grad, helpers.tv_gradient(f, 1e-2))
+            np.testing.assert_array_equal(grad, helpers.apply_L(f, f.values, 1e-2))
+            gamma = smoothing_weights(f.values, f.grid, 1e-2)
+            assert grad.tobytes() == apply_weights(gamma, f.grid, f.values).tobytes()
 
 
 def test_directional_derivative():
@@ -300,9 +303,7 @@ def test_apply_weights_matches_apply_L():
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(f.grid.n_nodes)
-        want = helpers.apply_L(f, v, 1e-2)
-        got = apply_weights(gamma, f.grid, v)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.array_equal(apply_weights(gamma, f.grid, v), helpers.apply_L(f, v, 1e-2))
     wrong = np.zeros(5)
     for call in (
         lambda: apply_weights(gamma, f.grid, wrong),
@@ -338,8 +339,7 @@ def test_diffusion_matrix_matches_oracles(dims, bounds):
     np.testing.assert_allclose(dense, oracle, rtol=1e-13, atol=0)
     for _ in range(5):
         v = rng.standard_normal(n)
-        want = helpers.apply_weights_products(gamma, grid, v)
-        assert np.linalg.norm(apply(v) - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.array_equal(apply(v), helpers.apply_weights_products(gamma, grid, v))
     for _ in range(5):
         u, w = rng.standard_normal(n), rng.standard_normal(n)
         assert float(u @ apply(w)) == pytest.approx(float(w @ apply(u)), rel=1e-12)
