@@ -1,12 +1,13 @@
 /* The compiled kernels of atmtomo: the smoothed-TV stencil of tv.py as two
  * functions, the root sqrt(|grad|^2 + beta) and the diffusion apply that is
- * also TV's gradient, and the ray transform's row-compressed (CSR) arrays of
- * forward.py as three more.
+ * also TV's gradient; the ray transform's row-compressed (CSR) arrays of
+ * forward.py as four more; and the two vector updates of solvers.cgne.
  *
  * Each kernel performs the operations of its numpy reference in their order,
  * so the results are bitwise equal; build without floating-point
  * contraction (-ffp-contract=off), which would fuse a product and a sum into
- * one FMA.  Callers check sizes, bounds and dtypes: nothing here does.
+ * one FMA.  Callers check sizes, bounds, dtypes and overlaps: nothing here
+ * does.  A pointer without restrict may alias the one its comment names.
  *
  * TV: fields are C-ordered (z, y, x) arrays of nz * ny * nx doubles, every
  * axis at least 2 nodes long.  Along each axis the forward difference is
@@ -90,11 +91,13 @@ void tv_root(const double *restrict v, idx nz, idx ny, idx nx, double wx, double
 
 /* out = cell_volume * sum_a D_a^T (w_a ((D_a v) g)), the diffusion operator
  * at weights g of tv.apply_weights, each D_a v a difference of (-w_a) v.
- * At g = 1/root this is the TV gradient.  sy and sz are scratch fields,
- * line scratch for one row of nx */
+ * At g = 1/root this is the TV gradient.  With base (not NULL) the result
+ * is added to it, out = base + cell_volume * (...) node by node, and base
+ * may be out itself.  sy and sz are scratch fields, line scratch for two
+ * rows of nx */
 void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny, idx nx,
              double wx, double wy, double wz, double cell_volume, double *restrict sy,
-             double *restrict sz, double *restrict line, double *restrict out)
+             double *restrict sz, double *restrict line, const double *base, double *out)
 {
     double ax = -wx, ay = -wy, az = -wz;
     idx plane = ny * nx;
@@ -111,7 +114,9 @@ void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny,
                 sz[row + i] = ((az * zlo[i] - az * zhi[i]) * gi) * wz;
             }
         }
-    /* the x terms need only their own row, so D_x v lives one row at a time */
+    /* the x terms need only their own row, so D_x v lives one row at a time;
+     * with a base the row's sum waits in the second row of line */
+    double *sum = line + nx;
     for (idx k = 0; k < nz; k++)
         for (idx j = 0; j < ny; j++) {
             idx row = k * plane + j * nx;
@@ -121,9 +126,16 @@ void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny,
             for (idx i = 1; i < nx - 1; i++)
                 line[i] = ((ax * x[i - 1] - ax * x[i + 1]) * gr[i]) * wx;
             line[nx - 1] = ((ax * x[nx - 2] - ax * x[nx - 1]) * gr[nx - 1]) * wx;
-            adjoint_row(o, line, sy, sz, k, j, nz, ny, nx);
-            for (idx i = 0; i < nx; i++)
-                o[i] *= cell_volume;
+            if (base) {
+                const double *b = base + row;
+                adjoint_row(sum, line, sy, sz, k, j, nz, ny, nx);
+                for (idx i = 0; i < nx; i++)
+                    o[i] = b[i] + sum[i] * cell_volume;
+            } else {
+                adjoint_row(o, line, sy, sz, k, j, nz, ny, nx);
+                for (idx i = 0; i < nx; i++)
+                    o[i] *= cell_volume;
+            }
         }
 }
 
@@ -150,6 +162,24 @@ void csr_adjoint(const double *restrict data, const int32_t *restrict indices,
         double ri = r[i];
         for (idx k = indptr[i]; k < indptr[i + 1]; k++)
             y[indices[k]] += data[k] * ri;
+    }
+}
+
+/* y = T^T (T x) in one pass over the rows: each row's sum as csr_apply
+ * forms it, scattered at once as csr_adjoint scatters it, so y is bitwise
+ * csr_adjoint of csr_apply.  y (n_cols, zeroed here) must not overlap x */
+void csr_normal(const double *restrict data, const int32_t *restrict indices,
+                const int32_t *restrict indptr, idx n_rows, idx n_cols,
+                const double *restrict x, double *restrict y)
+{
+    for (idx j = 0; j < n_cols; j++)
+        y[j] = 0.0;
+    for (idx i = 0; i < n_rows; i++) {
+        double sum = 0.0;
+        for (idx k = indptr[i]; k < indptr[i + 1]; k++)
+            sum += data[k] * x[indices[k]];
+        for (idx k = indptr[i]; k < indptr[i + 1]; k++)
+            y[indices[k]] += data[k] * sum;
     }
 }
 
@@ -185,4 +215,22 @@ void csr_canonical(double *restrict data, int32_t *restrict indices, int32_t *re
         indptr[i + 1] = (int32_t)nnz;
         start = end;
     }
+}
+
+/* One conjugate-gradient step, s += p * a and r -= hp * a, as numpy's
+ * in-place ops on the products; hp may be p */
+void cg_step(double *restrict s, double *restrict r, const double *p, const double *hp, double a,
+             idx n)
+{
+    for (idx i = 0; i < n; i++) {
+        s[i] += p[i] * a;
+        r[i] -= hp[i] * a;
+    }
+}
+
+/* The next conjugate direction, p = p * c + r, as numpy's p *= c; p += r */
+void cg_direction(double *restrict p, const double *restrict r, double c, idx n)
+{
+    for (idx i = 0; i < n; i++)
+        p[i] = p[i] * c + r[i];
 }

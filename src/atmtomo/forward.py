@@ -141,6 +141,15 @@ class SparseOperator:
         # taken once: looking them up on every product costs as much as a
         # small product
         self._pointers = (data.ctypes.data, indices.ctypes.data, indptr.ctypes.data)
+        self._normal = _kernel.Binding()
+
+    def __getstate__(self):
+        m = self.matrix
+        return m.data, m.indices, m.indptr, self.n_cols
+
+    def __setstate__(self, state):
+        # a copy or an unpickled operator takes its own arrays' pointers
+        self._bind(*state)
 
     def first_rows(self, n_rows: int) -> SparseOperator:
         """The operator of the first n_rows rows, on views of these arrays."""
@@ -169,13 +178,17 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Forward map: per-ray weighted sums of nodal values."""
+    def _field(self, values) -> np.ndarray:
         values = np.ascontiguousarray(values, dtype=float)
         if values.shape != (self.n_cols,):
             raise ValueError(
                 f"field length {values.shape} does not match operator columns {self.n_cols}"
             )
+        return values
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Forward map: per-ray weighted sums of nodal values."""
+        values = self._field(values)
         if _KERNEL is None:
             m = self.matrix
             terms = m.data * np.take(values, m.indices)
@@ -197,6 +210,40 @@ class SparseOperator:
             return np.bincount(m.indices, terms, minlength=self.n_cols)
         out = np.zeros(self.n_cols)
         _KERNEL.csr_adjoint(*self._pointers, self.n_rows, residual.ctypes.data, out.ctypes.data)
+        return out
+
+    def apply_normal(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Normal map Tᵀ(T values), bitwise apply_adjoint(apply(values)).
+
+        The compiled kernel forms it in one pass over the rows, scattering
+        each ray's sum as soon as it is formed.  out, if given, receives the
+        result and is returned: a writable float64 C-contiguous array of one
+        entry per column that does not overlap values.  The operator keeps
+        its last call on out, so a loop passing the same values and out again
+        repeats it without checks or pointer lookups.
+        """
+        if out is not None:
+            call = self._normal.get(_KERNEL, values, out)
+            if call is not None:
+                call()
+                return out
+        checked = self._field(values)
+        # only a call on the caller's arrays, no checked copy, may be repeated
+        bind = out is not None and checked is values
+        if out is None:
+            out = np.empty(self.n_cols)
+        else:
+            _kernel.check_out(out, self.n_cols, checked)
+        if _KERNEL is None:
+            out[...] = self.apply_adjoint(self.apply(checked))
+            return out
+        call = functools.partial(
+            _KERNEL.csr_normal, *self._pointers, self.n_rows, self.n_cols,
+            checked.ctypes.data, out.ctypes.data,
+        )
+        call()
+        if bind:
+            self._normal.bind((_KERNEL, values, out), call)
         return out
 
     def row_sums(self) -> np.ndarray:

@@ -8,9 +8,13 @@ from time import perf_counter
 
 import numpy as np
 
+from . import _kernel
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
-from .tv import apply_weights, smoothing_weights
+from .tv import Workspace, apply_weights, smoothing_weights
+
+# the compiled CG updates, or None when they did not build or load
+_KERNEL = _kernel.shared()
 
 # an accepted step this small, five times in a row, means the iterates froze
 _STAGNATION_TOL = 1e-14
@@ -377,26 +381,40 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     negative curvature p.Hp signals a non-PSD map and raises; a numerically
     zero one stalls and returns the current iterate.  Returns the iterate and
     an InnerSolveStats; callback, if given, sees each step's residual norm.
+    rhs is a vector of n entries, and apply_matrix(p) must return n entries
+    in any shape, dtype or layout; it may return p itself.
     """
     rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 1:
+        raise ValueError(f"rhs must be a vector, got shape {rhs.shape}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    s = np.zeros_like(rhs)
+    n = len(rhs)
+    s = np.zeros(n)
     rn = float(np.linalg.norm(rhs))
     target = tol * rn
     if rn <= target:
         return s, InnerSolveStats(iterations=0, residual=rn, hit_cap=False)
     r = rhs.copy()
     p = r.copy()
-    # s, r and p are updated in place through one work vector, in numpy's
-    # operation order, so the iterates are bitwise those of fresh temporaries
-    work = np.empty_like(rhs)
+    # s, r and p are updated in place, in numpy's operation order, so the
+    # iterates are bitwise those of fresh temporaries: by the compiled loops
+    # on pointers taken once, or through one work vector
+    if _KERNEL is not None:
+        s_at, r_at, p_at = (a.ctypes.data for a in (s, r, p))
+        last_hp, hp_at = None, None
+    else:
+        work = np.empty(n)
     rr = float(r @ r)
     steps = 0
     while steps < max_iterations:
-        hp = apply_matrix(p)
+        hp = np.ascontiguousarray(apply_matrix(p), dtype=float)
+        if hp.shape != (n,):
+            if hp.size != n:
+                raise ValueError(f"apply_matrix(p) returned {hp.size} entries for {n}")
+            hp = hp.reshape(n)
         php = float(p @ hp)
         if php <= 0.0:
             scale = float(np.linalg.norm(p) * np.linalg.norm(hp))
@@ -406,8 +424,14 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
                 )
             break
         a = rr / php
-        s += np.multiply(p, a, out=work)
-        r -= np.multiply(hp, a, out=work)
+        if _KERNEL is not None:
+            # held, so a returned buffer keeps its pointer while it is in use
+            if hp is not last_hp:
+                last_hp, hp_at = hp, hp.ctypes.data
+            _KERNEL.cg_step(s_at, r_at, p_at, hp_at, a, n)
+        else:
+            s += np.multiply(p, a, out=work)
+            r -= np.multiply(hp, a, out=work)
         steps += 1
         # numpy's 2-norm of a real vector is sqrt(r . r), so one dot serves both
         rr_new = float(r @ r)
@@ -416,8 +440,11 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
             callback(rn)
         if rn <= target:
             break
-        p *= rr_new / rr
-        p += r
+        if _KERNEL is not None:
+            _KERNEL.cg_direction(p_at, r_at, rr_new / rr, n)
+        else:
+            p *= rr_new / rr
+            p += r
         rr = rr_new
     hit_cap = steps == max_iterations and rn > target
     return s, InnerSolveStats(iterations=steps, residual=rn, hit_cap=hit_cap)
@@ -439,7 +466,9 @@ def ldfp(
     gradients, applying alpha L(gamma) matrix-free as L(alpha gamma), and takes
     the full step.  It runs max_iterations (>= 0) outer steps and ends with
     max-iter.  The result's inner_solves holds cgne's InnerSolveStats of each
-    outer step.
+    outer step.  One buffer takes every CG product, T^T T v with
+    L(alpha gamma) v then added into it, and one Workspace lends the stencil
+    its scratch, so a CG iteration allocates no field.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -452,14 +481,15 @@ def ldfp(
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
+    h = np.empty(grid.n_nodes)
+    workspace = Workspace(grid)
     for iteration in range(1, max_iterations + 1):
         weights = smoothing_weights(phi, grid, beta)
         weights *= alpha
 
         def apply_h(v):
-            h = op.apply_adjoint(op.apply(v))
-            h += apply_weights(weights, grid, v)
-            return h
+            op.apply_normal(v, out=h)
+            return apply_weights(weights, grid, v, out=h, workspace=workspace)
 
         step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
         inner_solves.append(stats)

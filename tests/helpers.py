@@ -10,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+import atmtomo.forward
+import atmtomo.solvers
+import atmtomo.tv
 from atmtomo import (
     Field,
     SparseOperator,
@@ -24,6 +27,13 @@ from atmtomo.geometry import _LATERAL_EXTENSION, Grid3
 from atmtomo.tv import _check_beta, smoothing_weights, tv_value_and_gradient
 
 _criteria_lines = []
+
+
+def without_kernels(monkeypatch):
+    """Make every module with a compiled path run its numpy code instead."""
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
+    monkeypatch.setattr(atmtomo.forward, "_KERNEL", None)
+    monkeypatch.setattr(atmtomo.solvers, "_KERNEL", None)
 
 
 def record_criterion(number, label, ok, detail):

@@ -1,6 +1,9 @@
 """Discrete ray transform: snapping, assembly, products and dumps."""
 
+import copy
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -300,15 +303,21 @@ def _bits(*arrays):
 
 
 def _operator_bits(op, fields, residuals):
-    """The arrays of op (scipy's or ours), T on each field and T^T on each residual."""
+    """The arrays of op (scipy's or ours), T on each field, T^T on each residual
+    and T^T T on each field."""
     if isinstance(op, SparseOperator):
-        m, forward, adjoint = op.matrix, op.apply, op.apply_adjoint
+        m, forward, adjoint, normal = op.matrix, op.apply, op.apply_adjoint, op.apply_normal
     else:
         m, forward, adjoint = op, op.__matmul__, op.T.__matmul__
+
+        def normal(x):
+            return op.T @ (op @ x)
+
     n_rows = m.shape[0]
     return _bits(
         m.data, m.indices, m.indptr,
         *(forward(x) for x in fields), *(adjoint(r[:n_rows]) for r in residuals),
+        *(normal(x) for x in fields),
     )
 
 
@@ -321,8 +330,8 @@ SCENES = {
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("scene", SCENES)
 def test_compiled_numpy_and_scipy_operators_are_bitwise_equal(scene, seed, monkeypatch):
-    # assembly, T and T^T, also on a row prefix, against scipy's canonical
-    # CSR matrix and its CSR and CSC products
+    # assembly, T, T^T and T^T T, also on a row prefix, against scipy's
+    # canonical CSR matrix and its CSR and CSC products
     dims, stations, emitters = SCENES[scene]
     grid = make_grid(*dims, (0, 1, 0, 1, 0, 15))
     net = place_network(grid, stations, emitters, seed=seed)
@@ -333,6 +342,9 @@ def test_compiled_numpy_and_scipy_operators_are_bitwise_equal(scene, seed, monke
     scales = np.logspace(-3, 5, 20)
     fields = [scale * rng.standard_normal(grid.n_nodes) for scale in scales]
     residuals = [scale * rng.standard_normal(len(net.rays)) for scale in scales]
+    # signed zeros: all of them, and among random values
+    signs = rng.standard_normal(grid.n_nodes)
+    fields += [np.where(signs > 0.0, 0.0, -0.0), np.where(signs > 1.0, -0.0, signs)]
     rows = len(net.rays) // 3
     want = [_operator_bits(m, fields, residuals) for m in (matrix, matrix[:rows])]
     for kernel in ("compiled", "numpy"):
@@ -341,6 +353,64 @@ def test_compiled_numpy_and_scipy_operators_are_bitwise_equal(scene, seed, monke
         op = assemble_operator(net)
         got = [_operator_bits(o, fields, residuals) for o in (op, op.first_rows(rows))]
         assert got == want, kernel
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+def test_apply_normal_into_out(desk, kernel, monkeypatch):
+    # out takes the bits of apply_adjoint(apply(v)), also when the same v and
+    # out come back after v changed in place, or v is a copy that changes
+    if kernel == "numpy":
+        helpers.without_kernels(monkeypatch)
+    op, rng = desk.op, np.random.default_rng(8)
+    v, out = rng.standard_normal(op.n_cols), np.empty(op.n_cols)
+
+    def want(x):
+        return op.apply_adjoint(op.apply(x)).tobytes()
+
+    for _ in range(2):
+        assert op.apply_normal(v, out=out) is out
+        assert out.tobytes() == want(v)
+        v *= -3.0
+    single = v.astype(np.float32)
+    for _ in range(2):
+        op.apply_normal(single, out=out)
+        assert out.tobytes() == want(single)
+        single *= 2.0
+    other = rng.standard_normal(op.n_cols)
+    assert op.apply_normal(other, out=out).tobytes() == want(other)
+    assert op.apply_normal(v).tobytes() == want(v)
+    bad_outs = [
+        np.empty(op.n_cols, dtype=np.float32),
+        np.empty(op.n_cols + 1),
+        np.empty((op.n_cols, 1)),
+        np.empty(2 * op.n_cols)[::2],
+        np.frombuffer(bytes(8 * op.n_cols)),
+        [0.0] * op.n_cols,
+    ]
+    for bad in bad_outs:
+        with pytest.raises(ValueError, match="out must be a writable C-contiguous float64"):
+            op.apply_normal(v, out=bad)
+    with pytest.raises(ValueError, match="out must not overlap"):
+        op.apply_normal(v, out=v)
+    with pytest.raises(ValueError, match="field length"):
+        op.apply_normal(v[:-1], out=out)
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))])
+def test_operator_copies_point_at_their_own_arrays(copy_of):
+    # the compiled products read raw pointers: a copy must not keep the
+    # original's, which dangle once the original is gone
+    grid = make_grid(6, 5, 4, (0, 1, 0, 1, 0, 15))
+    op = assemble_operator(place_network(grid, 4, 5, seed=3))
+    v, out = np.random.default_rng(12).standard_normal(grid.n_nodes), np.empty(grid.n_nodes)
+    want = [op.apply(v).tobytes(), op.apply_normal(v, out=out).tobytes()]
+    other = copy_of(op)
+    del op
+    gc.collect()
+    # blocks the original's freed arrays may be handed out to
+    filler = [np.full(4096, np.nan) for _ in range(64)]
+    assert [other.apply(v).tobytes(), other.apply_normal(v, out=out).tobytes()] == want
+    assert len(filler) == 64
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "numpy"])

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import atmtomo.forward
+import atmtomo.solvers
 import atmtomo.tv
+import helpers
 from atmtomo import _kernel, read_csv
 from atmtomo.cli import main
 
@@ -63,7 +65,7 @@ def test_library_exports_every_kernel_and_is_loaded_once():
     library = _kernel.shared()
     for name in exported:
         assert getattr(library, name).argtypes == _kernel._SIGNATURES[name], name
-    assert atmtomo.tv._STENCIL is atmtomo.forward._KERNEL is library
+    assert atmtomo.tv._STENCIL is atmtomo.forward._KERNEL is atmtomo.solvers._KERNEL is library
 
 
 @needs_kernel
@@ -150,8 +152,7 @@ def test_cli_output_is_the_same_without_the_compiled_stencil(tmp_path, monkeypat
     runs = []
     for stencil in ("compiled", "numpy"):
         if stencil == "numpy":
-            monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
-            monkeypatch.setattr(atmtomo.forward, "_KERNEL", None)
+            helpers.without_kernels(monkeypatch)
         assert main(["--config", str(ini), "--out", str(out)]) == 0
         runs.append((capsys.readouterr(), _cli_outputs(out)))
         shutil.rmtree(out)

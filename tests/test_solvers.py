@@ -1,15 +1,27 @@
 """Trust-region L-BFGS, conjugate gradients, and lagged diffusivity."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import atmtomo.objective
+import atmtomo.solvers
 import atmtomo.tv
 import helpers
-from atmtomo import Field, Objective, add_noise, true_profile
+from atmtomo import (
+    Field,
+    Objective,
+    add_noise,
+    assemble_operator,
+    default_config,
+    make_grid,
+    place_network,
+    take_rays,
+    true_profile,
+)
 from atmtomo.solvers import (
     InnerSolveStats,
     LbfgsHistory,
@@ -483,21 +495,26 @@ def test_cgne_spd_matches_dense_solve():
 
 
 @pytest.mark.parametrize("tol, max_iterations", [(1e-12, 200), (0.0, 10)])
-def test_cgne_one_dot_per_iteration_is_bitwise_the_two_dot_loop(tol, max_iterations):
+def test_cgne_one_dot_per_iteration_is_bitwise_the_two_dot_loop(tol, max_iterations, monkeypatch):
     rng = np.random.default_rng(50)
     b = rng.standard_normal((50, 50))
     a = b.T @ b + np.eye(50)
     rhs = rng.standard_normal(50)
-    got, want = [], []
-    s, stats = cgne(lambda v: a @ v, rhs, tol, max_iterations, callback=got.append)
+    want = []
     s_want = helpers.cgne_two_dots(lambda v: a @ v, rhs, tol, max_iterations, want.append)
-    assert len(got) > 5
-    assert got == want
-    assert s.tobytes() == s_want.tobytes()
-    assert stats.iterations == len(got)
-    assert stats.residual == got[-1]
-    # a zero tolerance cannot be met, so only the capped solve hits its cap
-    assert stats.hit_cap == (tol == 0.0)
+    # the compiled updates, then numpy's
+    for path in ("compiled", "numpy"):
+        if path == "numpy":
+            helpers.without_kernels(monkeypatch)
+        got = []
+        s, stats = cgne(lambda v: a @ v, rhs, tol, max_iterations, callback=got.append)
+        assert len(got) > 5
+        assert got == want
+        assert s.tobytes() == s_want.tobytes()
+        assert stats.iterations == len(got)
+        assert stats.residual == got[-1]
+        # a zero tolerance cannot be met, so only the capped solve hits its cap
+        assert stats.hit_cap == (tol == 0.0)
 
 
 def test_cgne_zero_rhs_and_stall():
@@ -523,6 +540,128 @@ def test_cgne_rejects_indefinite_map_and_bad_cap():
     for bad in (math.nan, -1.0):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             cgne(lambda v: v, np.ones(3), tol=bad)
+
+
+# what apply_matrix may hand back: any layout, dtype or shape of n entries, or p itself
+ODD_PRODUCTS = {
+    "float32": lambda a, v: (a @ v).astype(np.float32),
+    "strided": lambda a, v: np.repeat(a @ v, 2)[::2],
+    "column": lambda a, v: (a @ v)[:, None],
+    "p itself": lambda a, v: v,
+}
+
+
+@pytest.mark.parametrize("kind", ODD_PRODUCTS)
+def test_cgne_takes_any_product_layout_bitwise_on_both_paths(kind, monkeypatch):
+    rng = np.random.default_rng(51)
+    b = rng.standard_normal((40, 40))
+    a = b.T @ b + np.eye(40)
+    rhs = rng.standard_normal(40)
+    product = ODD_PRODUCTS[kind]
+    runs = []
+    for path in ("compiled", "numpy"):
+        if path == "numpy":
+            helpers.without_kernels(monkeypatch)
+        residuals = []
+        s, stats = cgne(lambda v: product(a, v), rhs, 0.0, 12, callback=residuals.append)
+        runs.append((s.tobytes(), stats, residuals))
+    assert runs[0] == runs[1]
+    assert runs[0][1].iterations >= 1
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+def test_cgne_rejects_a_product_of_the_wrong_length(kernel, monkeypatch):
+    if kernel == "numpy":
+        helpers.without_kernels(monkeypatch)
+    for product in (lambda v: v[:-1], lambda v: np.append(v, 1.0), lambda v: np.ones((3, 2))):
+        with pytest.raises(ValueError, match=r"apply_matrix\(p\) returned"):
+            cgne(product, np.ones(3))
+    with pytest.raises(ValueError, match="rhs must be a vector"):
+        cgne(lambda v: v, np.ones((3, 1)))
+
+
+def _ldfp_scene(name):
+    """An objective and its truth: the benchmark's default LDFP problem, or a small odd grid."""
+    config = default_config()
+    if name == "default":
+        grid = config.make_grid()
+        network = place_network(grid, config.stations, config.emitters, config.seed)
+        network = take_rays(network, config.benchmark_rays)
+    else:
+        grid = make_grid(5, 4, 7, (0, 1, 0, 2, 0, 15))
+        network = place_network(grid, 4, 5, seed=3)
+    op = assemble_operator(network)
+    truth = true_profile(grid)
+    data, _ = add_noise(op.apply(truth.values), config.benchmark_noise, seed=7)
+    return Objective(op, data, config.alpha_tv, grid, beta=config.beta), truth
+
+
+def _ldfp_reference_field(obj, steps, inner_max_iterations):
+    """LDFP's iterate after steps outer steps, H v formed as Tᵀ(T v) + L(αγ) v in numpy."""
+    op, grid = obj.operator, obj.grid
+    phi = np.zeros(grid.n_nodes)
+    for _ in range(steps):
+        _, grad = obj.eval(phi)
+        weights = smoothing_weights(phi, grid, obj.beta)
+        weights *= obj.alpha
+
+        def apply_h(v):
+            h = op.apply_adjoint(op.apply(v))
+            h += apply_weights(weights, grid, v)
+            return h
+
+        phi = phi + helpers.cgne_two_dots(apply_h, -grad, 1e-8, inner_max_iterations)
+    return phi
+
+
+@pytest.mark.parametrize("scene", ["default", "odd grid"])
+def test_ldfp_is_bitwise_with_and_without_the_kernels(scene, monkeypatch):
+    # records outside seconds, inner solves and the field's bytes, and the
+    # field of the unfused formulation
+    obj, truth = _ldfp_scene(scene)
+    runs = []
+    for path in ("compiled", "numpy"):
+        if path == "numpy":
+            helpers.without_kernels(monkeypatch)
+        result = ldfp(obj, np.zeros(obj.grid.n_nodes), max_iterations=3, truth=truth)
+        records = [replace(r, seconds=0.0) for r in result.records]
+        runs.append((records, result.inner_solves, result.field.values.tobytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == _ldfp_reference_field(obj, 3, 200).tobytes()
+    assert len(runs[0][0]) == 4
+
+
+def test_a_cg_iteration_of_ldfp_allocates_no_field(monkeypatch):
+    if atmtomo.solvers._KERNEL is None or atmtomo.tv._STENCIL is None:
+        pytest.skip("the compiled kernels did not build or load here")
+    obj, _ = _ldfp_scene("default")
+    n = obj.grid.n_nodes
+    rises = []
+    plain_cgne = atmtomo.solvers.cgne
+
+    def watched_cgne(apply_matrix, rhs, tol, max_iterations):
+        # numpy reports its data buffers to tracemalloc; the rise of the
+        # traced peak over one iteration bounds what that iteration allocated
+        start = []
+
+        def watch(rn):
+            peak = tracemalloc.get_traced_memory()[1]
+            if start:
+                rises.append(peak - start[0])
+            tracemalloc.reset_peak()
+            start[:] = [tracemalloc.get_traced_memory()[0]]
+
+        return plain_cgne(apply_matrix, rhs, tol, max_iterations, callback=watch)
+
+    monkeypatch.setattr(atmtomo.solvers, "cgne", watched_cgne)
+    tracemalloc.start()
+    try:
+        result = ldfp(obj, np.zeros(n), inner_max_iterations=20, max_iterations=2)
+    finally:
+        tracemalloc.stop()
+    assert [stats.iterations for stats in result.inner_solves] == [20, 20]
+    assert len(rises) == 38
+    assert max(rises) < 8 * n
 
 
 def test_ldfp_requires_tv_penalty(desk):

@@ -1,5 +1,7 @@
 """Smoothed total variation: stencils, value, gradient, diffusion operator."""
 
+import copy
+import gc
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ import atmtomo.tv
 import helpers
 from atmtomo import Field, Grid3, make_grid, true_profile
 from atmtomo.tv import (
+    Workspace,
     apply_weights,
     smoothing_weights,
     tv_value_and_gradient,
@@ -237,6 +240,78 @@ def test_compiled_stencil_takes_only_what_it_can_bound(monkeypatch):
     assert not atmtomo.tv._compiled(Grid3(4, 3, 1, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
     monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
     assert not atmtomo.tv._compiled(grid)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (30, 30, 30)])
+def test_apply_weights_adds_into_out_bitwise(dims, monkeypatch):
+    # out + L v node by node, with signed zeros in out and in L v, with and
+    # without a workspace, and the same bits on both stencils
+    grid = make_grid(*dims, (0, 1, 0, 2, 0, 15))
+    r = np.random.default_rng(9).standard_normal(grid.n_nodes)
+    base = np.where(r > 0.5, -0.0, np.where(r < -0.5, 0.0, r))
+    base[-2:] = -0.0
+
+    def results():
+        gamma = smoothing_weights(r, grid, 1e-2)
+        got = []
+        # +0.0 but for -0.0 at the last corner, where L v is then -0.0 too
+        corner = np.zeros(grid.n_nodes)
+        corner[-1] = -0.0
+        for v in (r[::-1].copy(), corner):
+            lv = apply_weights(gamma, grid, v)
+            out = base.copy()
+            assert apply_weights(gamma, grid, v, out=out) is out
+            assert out.tobytes() == (base + lv).tobytes()
+            got += [lv.tobytes(), out.tobytes()]
+            # the second and third calls repeat the call bound to gamma, v and
+            # out, and see what changed in them in place
+            workspace = Workspace(grid)
+            for _ in range(3):
+                want = (base + apply_weights(gamma, grid, v)).tobytes()
+                out[...] = base
+                assert apply_weights(gamma, grid, v, out=out, workspace=workspace) is out
+                assert out.tobytes() == want
+                got.append(want)
+                v *= -2.0
+                gamma *= 3.0
+        return got, lv
+
+    compiled, signed = results()
+    assert np.signbit(signed).tolist() == [False] * (grid.n_nodes - 1) + [True]
+    assert not signed.any()
+    monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
+    assert results()[0] == compiled
+
+
+def test_apply_weights_out_and_workspace_are_checked():
+    grid = make_grid(4, 3, 5, (0, 1, 0, 2, 0, 15))
+    rng = np.random.default_rng(10)
+    v, gamma = rng.standard_normal(grid.n_nodes), rng.uniform(0.1, 1.0, grid.n_nodes)
+    out = np.zeros(grid.n_nodes)
+    for bad in (out.astype(np.float32), out[:-1], np.zeros(2 * grid.n_nodes)[::2], [0.0] * 60):
+        with pytest.raises(ValueError, match="out must be a writable C-contiguous float64"):
+            apply_weights(gamma, grid, v, out=bad)
+    for overlapping in (v, gamma):
+        with pytest.raises(ValueError, match="out must not overlap"):
+            apply_weights(gamma, grid, v, out=overlapping)
+    other = Workspace(make_grid(4, 5, 3, (0, 1, 0, 2, 0, 15)))
+    with pytest.raises(ValueError, match="workspace of shape"):
+        apply_weights(gamma, grid, v, out=out, workspace=other)
+    # a checked copy of gamma is made again on every call, never repeated stale
+    workspace, single = Workspace(grid), gamma.astype(np.float32)
+    for _ in range(2):
+        out[...] = 0.0
+        apply_weights(single, grid, v, out=out, workspace=workspace)
+        assert out.tobytes() == (0.0 + apply_weights(single, grid, v)).tobytes()
+        single *= 2.0
+    # a copy of a bound workspace has its own scratch and starts unbound
+    apply_weights(gamma, grid, v, out=out, workspace=workspace)
+    twin = copy.deepcopy(workspace)
+    del workspace
+    gc.collect()
+    out[...] = 0.0
+    apply_weights(gamma, grid, v, out=out, workspace=twin)
+    assert out.tobytes() == (0.0 + apply_weights(gamma, grid, v)).tobytes()
 
 
 def test_tv_gradient_constant_field_is_zero():
