@@ -2,7 +2,8 @@
 
 The library holds the TV stencil of tv.py, its root and its diffusion apply
 (which at the field's own weights is TV's gradient, and which can add its
-result into a base), the CSR products T, T^T and T^T T and the
+result into a base), each one pass over the rows with a row or two of
+scratch the caller makes, the CSR products T, T^T and T^T T and the
 canonicalization of forward.py, and the fused vector updates of
 solvers.cgne.  It is cached under $XDG_CACHE_HOME/atmtomo
 (default ~/.cache/atmtomo), keyed by the source, the compiler command and the
@@ -32,7 +33,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 _SIGNATURES = {
     "tv_root": (_P, _N, _N, _N, _D, _D, _D, _D, _P, _P),
-    "apply_l": (_P, _P, _N, _N, _N, _D, _D, _D, _D, _P, _P, _P, _P, _P),
+    "apply_l": (_P, _P, _N, _N, _N, _D, _D, _D, _D, _P, _P, _P),
     "csr_apply": (_P, _P, _P, _N, _P, _P),
     "csr_adjoint": (_P, _P, _P, _N, _P, _P),
     "csr_normal": (_P, _P, _P, _N, _N, _P, _P),
@@ -62,25 +63,27 @@ class Binding:
     A loop that hands a kernel the same arrays on every call pays for their
     checks and pointers (a.ctypes.data, 1.3-2.1 us each) once: get() returns
     the bound call while every key is the very object it was bound with.
-    The entry holds those objects, so their buffers, and the pointers the
-    call carries, stay valid; bind only arrays the call reads or writes in
-    place, never a checked copy.  One tuple holds key and call, so a
-    concurrent bind never pairs one call's key with another's pointers.
+    The entry holds those objects and the scratch the call was made with,
+    so their buffers, and the pointers the call carries, stay valid; bind
+    only arrays the call reads or writes in place, never a checked copy,
+    and scratch made for this call alone.  One tuple holds key, call and
+    scratch, so a concurrent bind never pairs one call's key with another's
+    pointers.
     """
 
     __slots__ = ("_entry",)
 
     def __init__(self):
-        self._entry = ((), None)
+        self._entry = ((), None, ())
 
     def get(self, *key):
-        bound, call = self._entry
+        bound, call, _ = self._entry
         if len(bound) == len(key) and all(map(operator.is_, bound, key)):
             return call
         return None
 
-    def bind(self, key: tuple, call) -> None:
-        self._entry = (key, call)
+    def bind(self, key: tuple, call, *scratch) -> None:
+        self._entry = (key, call, scratch)
 
     def __reduce__(self):
         # a copy starts unbound: the call carries this entry's pointers

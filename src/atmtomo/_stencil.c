@@ -1,7 +1,9 @@
 /* The compiled kernels of atmtomo: the smoothed-TV stencil of tv.py as two
  * functions, the root sqrt(|grad|^2 + beta) and the diffusion apply that is
- * also TV's gradient; the ray transform's row-compressed (CSR) arrays of
- * forward.py as four more; and the two vector updates of solvers.cgne.
+ * also TV's gradient, each one pass over the field's rows with a row or two
+ * of scratch; the ray transform's row-compressed (CSR) arrays of forward.py
+ * as four more; and the two vector updates of solvers.cgne.  No kernel
+ * allocates: the caller makes what scratch one needs.
  *
  * Each kernel performs the operations of its numpy reference in their order,
  * so the results are bitwise equal; build without floating-point
@@ -28,36 +30,32 @@ typedef ptrdiff_t idx;
 static idx lower(idx i) { return i > 0 ? i - 1 : 0; }
 static idx upper(idx i, idx n) { return i < n - 1 ? i + 1 : n - 1; }
 
-/* g[i] += the adjoint difference of the lines through position pos of an
- * axis of count lines stride apart, b pointing at the line at position 0 */
-static void add_adjoint(double *restrict g, const double *restrict b, idx pos, idx count,
-                        idx stride, idx nx)
+/* the flux ((a lo[i] - a hi[i]) g[i]) w of a line, lo and hi its neighbours */
+static double flux(const double *lo, const double *hi, const double *g, idx i, double a, double w)
 {
-    if (pos == 0) {
-        const double *lo = b, *hi = b + stride;
-        for (idx i = 0; i < nx; i++)
-            g[i] += (0.0 - lo[i]) - hi[i];
-    } else if (pos == count - 1) {
-        const double *lo = b + (count - 2) * stride, *hi = lo + stride;
-        for (idx i = 0; i < nx; i++)
-            g[i] += lo[i] + hi[i];
-    } else {
-        const double *lo = b + (pos - 1) * stride, *hi = b + (pos + 1) * stride;
-        for (idx i = 0; i < nx; i++)
-            g[i] += lo[i] - hi[i];
-    }
+    return ((a * lo[i] - a * hi[i]) * g[i]) * w;
 }
 
-/* g = (Dx^T x + Dy^T by) + Dz^T bz on row (k, j), x that row of bx */
-static void adjoint_row(double *restrict g, const double *restrict x, const double *restrict by,
-                        const double *restrict bz, idx k, idx j, idx nz, idx ny, idx nx)
+/* s[i] += the adjoint difference at position pos of an axis of count lines
+ * stride apart, of the fluxes of v at weights g on the two lines it reads;
+ * v and g point at the line at position 0 */
+static void add_adjoint(double *restrict s, const double *restrict v, const double *restrict g,
+                        idx pos, idx count, idx stride, double a, double w, idx nx)
 {
-    g[0] = (0.0 - x[0]) - x[1];
-    for (idx i = 1; i < nx - 1; i++)
-        g[i] = x[i - 1] - x[i + 1];
-    g[nx - 1] = x[nx - 2] + x[nx - 1];
-    add_adjoint(g, by + k * ny * nx, j, ny, nx, nx);
-    add_adjoint(g, bz + j * nx, k, nz, ny * nx, nx);
+    idx m0 = pos == 0 ? 0 : pos == count - 1 ? count - 2 : pos - 1;
+    idx m1 = pos == 0 ? 1 : pos == count - 1 ? count - 1 : pos + 1;
+    const double *lo0 = v + lower(m0) * stride, *hi0 = v + upper(m0, count) * stride;
+    const double *lo1 = v + lower(m1) * stride, *hi1 = v + upper(m1, count) * stride;
+    const double *g0 = g + m0 * stride, *g1 = g + m1 * stride;
+    if (pos == 0)
+        for (idx i = 0; i < nx; i++)
+            s[i] += (0.0 - flux(lo0, hi0, g0, i, a, w)) - flux(lo1, hi1, g1, i, a, w);
+    else if (pos == count - 1)
+        for (idx i = 0; i < nx; i++)
+            s[i] += flux(lo0, hi0, g0, i, a, w) + flux(lo1, hi1, g1, i, a, w);
+    else
+        for (idx i = 0; i < nx; i++)
+            s[i] += flux(lo0, hi0, g0, i, a, w) - flux(lo1, hi1, g1, i, a, w);
 }
 
 /* root = sqrt(|D v|^2 + beta), each D_a v a difference of (-w_a) v and the
@@ -93,46 +91,37 @@ void tv_root(const double *restrict v, idx nz, idx ny, idx nx, double wx, double
  * at weights g of tv.apply_weights, each D_a v a difference of (-w_a) v.
  * At g = 1/root this is the TV gradient.  With base (not NULL) the result
  * is added to it, out = base + cell_volume * (...) node by node, and base
- * may be out itself.  sy and sz are scratch fields, line scratch for two
- * rows of nx */
+ * may be out itself.  One pass over the rows: a row's x fluxes go to the
+ * first row of line, and the y and z fluxes its adjoint reads are formed
+ * where they are added, each from v and g.  With a base the row's sum waits
+ * in the second row of line, which holds two rows of nx */
 void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny, idx nx,
-             double wx, double wy, double wz, double cell_volume, double *restrict sy,
-             double *restrict sz, double *restrict line, const double *base, double *out)
+             double wx, double wy, double wz, double cell_volume, double *restrict line,
+             const double *base, double *out)
 {
     double ax = -wx, ay = -wy, az = -wz;
     idx plane = ny * nx;
-    for (idx k = 0; k < nz; k++)
-        for (idx j = 0; j < ny; j++) {
-            idx row = k * plane + j * nx;
-            const double *ylo = v + k * plane + lower(j) * nx;
-            const double *yhi = v + k * plane + upper(j, ny) * nx;
-            const double *zlo = v + lower(k) * plane + j * nx;
-            const double *zhi = v + upper(k, nz) * plane + j * nx;
-            for (idx i = 0; i < nx; i++) {
-                double gi = g[row + i];
-                sy[row + i] = ((ay * ylo[i] - ay * yhi[i]) * gi) * wy;
-                sz[row + i] = ((az * zlo[i] - az * zhi[i]) * gi) * wz;
-            }
-        }
-    /* the x terms need only their own row, so D_x v lives one row at a time;
-     * with a base the row's sum waits in the second row of line */
     double *sum = line + nx;
     for (idx k = 0; k < nz; k++)
         for (idx j = 0; j < ny; j++) {
             idx row = k * plane + j * nx;
             const double *x = v + row, *gr = g + row;
-            double *o = out + row;
+            double *o = out + row, *s = base ? sum : o;
             line[0] = ((ax * x[0] - ax * x[1]) * gr[0]) * wx;
             for (idx i = 1; i < nx - 1; i++)
                 line[i] = ((ax * x[i - 1] - ax * x[i + 1]) * gr[i]) * wx;
             line[nx - 1] = ((ax * x[nx - 2] - ax * x[nx - 1]) * gr[nx - 1]) * wx;
+            s[0] = (0.0 - line[0]) - line[1];
+            for (idx i = 1; i < nx - 1; i++)
+                s[i] = line[i - 1] - line[i + 1];
+            s[nx - 1] = line[nx - 2] + line[nx - 1];
+            add_adjoint(s, v + k * plane, g + k * plane, j, ny, nx, ay, wy, nx);
+            add_adjoint(s, v + j * nx, g + j * nx, k, nz, plane, az, wz, nx);
             if (base) {
                 const double *b = base + row;
-                adjoint_row(sum, line, sy, sz, k, j, nz, ny, nx);
                 for (idx i = 0; i < nx; i++)
-                    o[i] = b[i] + sum[i] * cell_volume;
+                    o[i] = b[i] + s[i] * cell_volume;
             } else {
-                adjoint_row(o, line, sy, sz, k, j, nz, ny, nx);
                 for (idx i = 0; i < nx; i++)
                     o[i] *= cell_volume;
             }

@@ -28,7 +28,13 @@ from .geometry import (
 )
 from .objective import PENALTIES, Objective
 from .phantom import PhantomParams, add_noise, true_profile, write_field
-from .solvers import LbfgsOptions, _check_max_iterations, lbfgs_trust_region, ldfp
+from .solvers import (
+    LbfgsOptions,
+    _check_cg_settings,
+    _check_max_iterations,
+    lbfgs_trust_region,
+    ldfp,
+)
 from .tv import _check_beta
 
 SOLVERS = ("lbfgs", "ldfp")
@@ -429,8 +435,13 @@ def run_benchmark(config: ExperimentConfig, progress=None) -> dict:
     """Time LDFP against trust-region L-BFGS on one identical problem instance.
 
     Each solver runs as the sweep's TV combination at the benchmark's ray
-    count and noise, under the benchmark's iteration budget.
+    count and noise, under the benchmark's iteration budget.  LDFP's inner
+    settings are checked before anything is built or solved: the sweep
+    records them as a failed solve, which here would end the run after the
+    L-BFGS solve.
     """
+    names = ("[solver] ldfp_inner_tol", "[solver] ldfp_inner_max_iterations")
+    _check_cg_settings(config.ldfp_inner_tol, config.ldfp_inner_max_iterations, names)
     rays, noise = config.benchmark_rays, config.benchmark_noise
     grid, truth, network = _build_scene(config)
     op = assemble_operator(take_rays(network, rays), config.samples_per_ray)

@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernel
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
-from .tv import Workspace, apply_weights, smoothing_weights
+from .tv import apply_weights, smoothing_weights
 
 # the compiled CG updates, or None when they did not build or load
 _KERNEL = _kernel.shared()
@@ -38,6 +38,14 @@ def _check_max_iterations(max_iterations: int) -> None:
     """The rule both solvers apply to their iteration budget."""
     if max_iterations < 0:
         raise ValueError("max_iterations must be >= 0")
+
+
+def _check_cg_settings(tol: float, max_iterations: int, names=("tol", "max_iterations")) -> None:
+    """The rules cgne applies to its tolerance and iteration cap, each named as given."""
+    if not tol >= 0.0:
+        raise ValueError(f"{names[0]} must be >= 0, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"{names[1]} must be >= 1")
 
 
 @dataclass
@@ -81,7 +89,8 @@ class LbfgsHistory:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
         sy = float(s @ y)
         bound = _CURVATURE_THRESHOLD * float(np.linalg.norm(s) * np.linalg.norm(y))
-        if sy <= bound:
+        # a NaN curvature is not above the bound either
+        if not sy > bound:
             return False
         if self._block is None:
             self._block = np.empty((2 * self._memory + 1, s.size))
@@ -387,10 +396,7 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1:
         raise ValueError(f"rhs must be a vector, got shape {rhs.shape}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    _check_cg_settings(tol, max_iterations)
     n = len(rhs)
     s = np.zeros(n)
     rn = float(np.linalg.norm(rhs))
@@ -467,8 +473,7 @@ def ldfp(
     the full step.  It runs max_iterations (>= 0) outer steps and ends with
     max-iter.  The result's inner_solves holds cgne's InnerSolveStats of each
     outer step.  One buffer takes every CG product, T^T T v with
-    L(alpha gamma) v then added into it, and one Workspace lends the stencil
-    its scratch, so a CG iteration allocates no field.
+    L(alpha gamma) v then added into it, so a CG iteration allocates no field.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -482,14 +487,13 @@ def ldfp(
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
     h = np.empty(grid.n_nodes)
-    workspace = Workspace(grid)
     for iteration in range(1, max_iterations + 1):
         weights = smoothing_weights(phi, grid, beta)
         weights *= alpha
 
         def apply_h(v):
             op.apply_normal(v, out=h)
-            return apply_weights(weights, grid, v, out=h, workspace=workspace)
+            return apply_weights(weights, grid, v, out=h)
 
         step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
         inner_solves.append(stats)

@@ -17,6 +17,8 @@ from .geometry import Grid3
 
 # the compiled stencil, or None when it did not build or load
 _STENCIL = _kernel.shared()
+# apply_weights' last compiled call with out, kept for a loop that repeats it
+_BINDING = _kernel.Binding()
 
 
 def _check_beta(beta: float) -> float:
@@ -110,45 +112,26 @@ def _root(v: np.ndarray, grid: Grid3, beta: float) -> np.ndarray:
     return np.sqrt(root, out=root)
 
 
-class Workspace:
-    """The compiled stencil's scratch for apply_weights on one grid shape, made once.
-
-    The stencil keeps D_y v and D_z v whole and D_x v a row at a time.  A
-    loop that hands one Workspace to every apply_weights call allocates no
-    scratch; fresh field-sized blocks cost page faults at 30^3, as glibc
-    hands them back on free.  Called with out, the stencil's call is bound
-    here to gamma, vector and out, so a loop passing the same three arrays
-    again repeats it without checks or pointer lookups.  One thread at a time.
-    """
-
-    def __init__(self, grid: Grid3):
-        self._shape = (grid.nz, grid.ny, grid.nx)
-        self._scratch = (np.empty(grid.n_nodes), np.empty(grid.n_nodes), np.empty(2 * grid.nx))
-        self._binding = _kernel.Binding()
-
-
-def _apply(g, grid: Grid3, v, out=None, workspace=None, bind=None) -> np.ndarray:
+def _apply(g, grid: Grid3, v, out=None, bind=None) -> np.ndarray:
     """cell_volume * sum_a D_a^T (w_a ((D_a v) g)) for (z, y, x) arrays g and v, flat.
 
     D_a v is the _shifted difference of (-w_a) v and D_a^T u the adjoint
-    _shifted difference of u; the axes are summed in x, y, z order.  Both
-    stencils use two field-sized scratch arrays besides the output, the
-    compiled one workspace's when given.  With out (flat, checked) the
+    _shifted difference of u; the axes are summed in x, y, z order.  The
+    compiled stencil's scratch is two rows, made for each call, the numpy
+    stencil's two fields besides the output.  With out (flat, checked) the
     result is added into it, out + result node by node, and out returned.
-    The compiled call is bound in workspace under the key bind, if given.
+    The compiled call is bound, with its scratch, under the key bind, if given.
     """
     if _compiled(grid):
         result = np.empty(grid.n_nodes) if out is None else out
-        if workspace is None:
-            workspace = Workspace(grid)
+        line = np.empty(2 * grid.nx)
         call = functools.partial(
             _STENCIL.apply_l, v.ctypes.data, g.ctypes.data, *_dimensions(grid), grid.cell_volume,
-            *(a.ctypes.data for a in workspace._scratch),
-            None if out is None else out.ctypes.data, result.ctypes.data,
+            line.ctypes.data, None if out is None else out.ctypes.data, result.ctypes.data,
         )
         call()
         if bind is not None:
-            workspace._binding.bind(bind, call)
+            _BINDING.bind(bind, call, line)
         return result
     result, scratch, diff = np.empty_like(v), np.empty_like(v), np.empty_like(v)
     for i, (axis, w) in enumerate(_axes(grid)):
@@ -187,7 +170,7 @@ def tv_value_and_gradient(values, grid: Grid3, beta: float = 1e-2):
     return value, _apply(np.divide(1.0, root, out=root), grid, v)
 
 
-def apply_weights(gamma, grid: Grid3, vector, out=None, workspace: Workspace | None = None):
+def apply_weights(gamma, grid: Grid3, vector, out=None):
     """Apply the diffusion operator at weights gamma to a flat vector, matrix-free.
 
     L = cell_volume * sum_a D_a^T diag(gamma) D_a, symmetric positive
@@ -197,23 +180,21 @@ def apply_weights(gamma, grid: Grid3, vector, out=None, workspace: Workspace | N
     With out, L vector is added into it in place and out is returned,
     bitwise out + apply_weights(gamma, grid, vector): out must be a writable
     float64 C-contiguous array of grid.n_nodes entries that overlaps neither
-    gamma nor vector.  workspace, a Workspace of this grid's shape, lends
-    the compiled stencil its scratch and keeps its call for the next one.
+    gamma nor vector.  The last such call is kept, holding its three
+    arrays, so a loop passing the same gamma, vector and out again repeats
+    it without checks or pointer lookups.
     """
-    if workspace is not None:
-        call = workspace._binding.get(_STENCIL, grid, gamma, vector, out)
+    if out is not None:
+        call = _BINDING.get(_STENCIL, grid, gamma, vector, out)
         if call is not None:
             call()
             return out
     v = _field(vector, grid, "vector")
     g = _field(np.ravel(gamma), grid, "weights")
+    bind = None
     if out is not None:
         _kernel.check_out(out, grid.n_nodes, v, g)
-    bind = None
-    if workspace is not None:
-        if workspace._shape != (grid.nz, grid.ny, grid.nx):
-            raise ValueError(f"workspace of shape {workspace._shape} does not match the grid")
         # only a call on the arrays themselves, no checked copy, may be repeated
-        if out is not None and np.may_share_memory(v, vector) and np.may_share_memory(g, gamma):
+        if np.may_share_memory(v, vector) and np.may_share_memory(g, gamma):
             bind = (_STENCIL, grid, gamma, vector, out)
-    return _apply(g, grid, v, out, workspace, bind)
+    return _apply(g, grid, v, out, bind)

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 import atmtomo.forward
@@ -347,6 +348,19 @@ def scipy_operator(matrix):
 def adjoint_csr_copy(op, residual):
     """T^T r through a row-compressed copy of the transpose, built per call."""
     return to_scipy(op).T.tocsr() @ residual
+
+
+def minimum_norm_solution(op, data):
+    """x_mn = T^T (T T^T)^-1 f, the least-squares point in the range of T^T.
+
+    T T^T is only rays x rays: formed by scipy's sparse product, never from
+    a dense T, and solved by Cholesky, each step a triangular solve.
+    """
+    t = to_scipy(op)
+    lower = np.linalg.cholesky((t @ t.T).toarray())
+    z = scipy.linalg.solve_triangular(lower, data, lower=True)
+    z = scipy.linalg.solve_triangular(lower.T, z, lower=False)
+    return op.apply_adjoint(z)
 
 
 def walk_ray_matrix(network, n_samples):

@@ -20,6 +20,7 @@ from atmtomo import (
     build_network,
     make_grid,
     place_network,
+    read_field,
     take_rays,
     true_profile,
     tv_value_and_gradient,
@@ -305,6 +306,29 @@ def test_criterion_07_more_rays_reconstruct_better(sweep_result):
         f"1 ray {rels[1]:.4f}, sweep took {elapsed:.1f}s",
     )
     assert ok
+
+
+def test_sweep_returns_the_minimum_norm_solution(scene, sweep_result):
+    # At the paper's alpha every sweep field is x_mn = T^T (T T^T)^-1 f, the
+    # least-squares point in the range of T^T: the TV term is too weak to
+    # pull iterates from zero out of that range.  The measured deviations,
+    # 3.2e-12 at 1 ray to 1.9e-10 at 240-450, are L-BFGS's own stopping point,
+    # not TV's pull: at 450 rays they hold up to alpha = 1e-9 and read
+    # 6.5e-10 at 1e-8, where alpha = 1e-6 moves the field by 0.33.  The bound
+    # leaves 50x the largest for rounding on other BLAS builds and compilers.
+    config, truth = sweep_result["config"], scene["truth"]
+    deviations = {}
+    for entry in sweep_result["manifest"]["outputs"]:
+        rays, noise = entry["rays"], entry["noise"]
+        op = scene["operator"](rays)
+        data, _ = add_noise(
+            op.apply(truth.values), noise, derive_noise_seed(config.seed, rays, noise)
+        )
+        x_mn = helpers.minimum_norm_solution(op, data)
+        field = read_field(sweep_result["out"] / entry["field"]).values
+        deviations[rays] = float(np.linalg.norm(field - x_mn) / np.linalg.norm(x_mn))
+    assert sorted(deviations) == sorted(config.ray_counts)
+    assert max(deviations.values()) <= 1e-8, deviations
 
 
 def test_criterion_08_noise_level_ordering(noise_runs):

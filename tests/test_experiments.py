@@ -703,3 +703,25 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
     assert main(["--config", str(ini), "--mode", "benchmark", "--out", str(out)]) == 1
     assert "451" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "tol, cap, message",
+    [
+        ("1e-8", "0", "ldfp_inner_max_iterations must be >= 1"),
+        ("-1", "50", "ldfp_inner_tol must be >= 0, got -1.0"),
+        ("nan", "50", "ldfp_inner_tol must be >= 0, got nan"),
+    ],
+)
+def test_cli_benchmark_rejects_a_bad_inner_cg_setting_before_it_writes(
+    tmp_path, capsys, tol, cap, message
+):
+    # the sweep records such a setting as failed LDFP solves; the benchmark
+    # would meet it only after its L-BFGS solve, so it names the key first
+    ini = tmp_path / "bad.ini"
+    settings = f"ldfp_inner_max_iterations = {cap}\nldfp_inner_tol = {tol}"
+    ini.write_text(TINY_INI.replace("ldfp_inner_max_iterations = 50", settings))
+    out = tmp_path / "bench"
+    assert main(["--config", str(ini), "--mode", "benchmark", "--out", str(out)]) == 1
+    assert f"atmtomo: [solver] {message}\n" in capsys.readouterr().err
+    assert not out.exists()

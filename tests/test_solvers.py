@@ -103,6 +103,19 @@ def test_history_curvature_filter_and_memory():
     assert len(history) == 3
 
 
+def test_history_refuses_a_pair_of_nan_curvature():
+    history = LbfgsHistory(memory=3)
+    s, y = np.ones(4), np.array([1.0, 2.0, 0.5, 1.0])
+    g = np.array([1.0, -1.0, 2.0, 0.5])
+    assert history.push(s, y)
+    before = two_loop_direction(history, g)
+    for bad in (np.full(4, np.nan), np.array([1.0, np.nan, 1.0, 1.0]), np.full(4, np.inf)):
+        assert not history.push(s, bad)
+    assert len(history) == 1
+    assert np.isfinite(before).all()
+    assert two_loop_direction(history, g).tobytes() == before.tobytes()
+
+
 def _scaled_pairs(rng, n, count):
     # y = A s for a fixed SPD A: a diagonal plus a rank-one coupling
     diag = rng.uniform(1.0, 100.0, n)

@@ -1,6 +1,5 @@
 """Smoothed total variation: stencils, value, gradient, diffusion operator."""
 
-import copy
 import gc
 import math
 
@@ -10,12 +9,7 @@ import pytest
 import atmtomo.tv
 import helpers
 from atmtomo import Field, Grid3, make_grid, true_profile
-from atmtomo.tv import (
-    Workspace,
-    apply_weights,
-    smoothing_weights,
-    tv_value_and_gradient,
-)
+from atmtomo.tv import apply_weights, smoothing_weights, tv_value_and_gradient
 
 
 def random_field(nx, ny, nz, bounds, seed):
@@ -244,8 +238,8 @@ def test_compiled_stencil_takes_only_what_it_can_bound(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (30, 30, 30)])
 def test_apply_weights_adds_into_out_bitwise(dims, monkeypatch):
-    # out + L v node by node, with signed zeros in out and in L v, with and
-    # without a workspace, and the same bits on both stencils
+    # out + L v node by node, with signed zeros in out and in L v, called
+    # afresh and repeated, and the same bits on both stencils
     grid = make_grid(*dims, (0, 1, 0, 2, 0, 15))
     r = np.random.default_rng(9).standard_normal(grid.n_nodes)
     base = np.where(r > 0.5, -0.0, np.where(r < -0.5, 0.0, r))
@@ -263,13 +257,12 @@ def test_apply_weights_adds_into_out_bitwise(dims, monkeypatch):
             assert apply_weights(gamma, grid, v, out=out) is out
             assert out.tobytes() == (base + lv).tobytes()
             got += [lv.tobytes(), out.tobytes()]
-            # the second and third calls repeat the call bound to gamma, v and
-            # out, and see what changed in them in place
-            workspace = Workspace(grid)
+            # these calls repeat the call bound to gamma, v and out, and see
+            # what changed in them in place
             for _ in range(3):
                 want = (base + apply_weights(gamma, grid, v)).tobytes()
                 out[...] = base
-                assert apply_weights(gamma, grid, v, out=out, workspace=workspace) is out
+                assert apply_weights(gamma, grid, v, out=out) is out
                 assert out.tobytes() == want
                 got.append(want)
                 v *= -2.0
@@ -283,7 +276,7 @@ def test_apply_weights_adds_into_out_bitwise(dims, monkeypatch):
     assert results()[0] == compiled
 
 
-def test_apply_weights_out_and_workspace_are_checked():
+def test_apply_weights_out_is_checked():
     grid = make_grid(4, 3, 5, (0, 1, 0, 2, 0, 15))
     rng = np.random.default_rng(10)
     v, gamma = rng.standard_normal(grid.n_nodes), rng.uniform(0.1, 1.0, grid.n_nodes)
@@ -294,24 +287,53 @@ def test_apply_weights_out_and_workspace_are_checked():
     for overlapping in (v, gamma):
         with pytest.raises(ValueError, match="out must not overlap"):
             apply_weights(gamma, grid, v, out=overlapping)
-    other = Workspace(make_grid(4, 5, 3, (0, 1, 0, 2, 0, 15)))
-    with pytest.raises(ValueError, match="workspace of shape"):
-        apply_weights(gamma, grid, v, out=out, workspace=other)
-    # a checked copy of gamma is made again on every call, never repeated stale
-    workspace, single = Workspace(grid), gamma.astype(np.float32)
-    for _ in range(2):
-        out[...] = 0.0
-        apply_weights(single, grid, v, out=out, workspace=workspace)
-        assert out.tobytes() == (0.0 + apply_weights(single, grid, v)).tobytes()
-        single *= 2.0
-    # a copy of a bound workspace has its own scratch and starts unbound
-    apply_weights(gamma, grid, v, out=out, workspace=workspace)
-    twin = copy.deepcopy(workspace)
-    del workspace
-    gc.collect()
-    out[...] = 0.0
-    apply_weights(gamma, grid, v, out=out, workspace=twin)
-    assert out.tobytes() == (0.0 + apply_weights(gamma, grid, v)).tobytes()
+    # a checked copy of gamma or v is made again on every call, never repeated stale
+    single, strided = gamma.astype(np.float32), np.repeat(v, 2)[::2]
+    for g, u, changed in ((single, v, single), (gamma, strided, strided)):
+        for _ in range(2):
+            out[...] = 0.0
+            apply_weights(g, grid, u, out=out)
+            assert out.tobytes() == (0.0 + apply_weights(g, grid, u)).tobytes()
+            changed *= -2.0
+
+
+def test_a_bound_call_holds_its_arrays_and_its_scratch(monkeypatch):
+    # arrays A, then B, then A again, every call with out byte for byte the
+    # call without it, on both stencils.  The caller drops B while it is
+    # bound, and blocks made after that and after A is bound again, of the
+    # sizes of B's arrays and of the compiled stencil's row scratch, see no
+    # write
+    grid = make_grid(5, 3, 4, (0, 1, 0, 2, 0, 15))
+    sizes = (grid.n_nodes,) * 3 + (2 * grid.nx,)
+
+    def arrays(seed):
+        rng = np.random.default_rng(seed)
+        v, gamma = rng.standard_normal(grid.n_nodes), rng.uniform(0.1, 1.0, grid.n_nodes)
+        return gamma, v, np.zeros(grid.n_nodes)
+
+    def check(gamma, v, out):
+        for _ in range(2):
+            want = (0.0 + apply_weights(gamma, grid, v)).tobytes()
+            out[...] = 0.0
+            assert apply_weights(gamma, grid, v, out=out) is out
+            assert out.tobytes() == want
+
+    def fresh_blocks():
+        gc.collect()
+        return [np.full(n, np.nan) for n in sizes]
+
+    for stencil in (atmtomo.tv._STENCIL, None):
+        monkeypatch.setattr(atmtomo.tv, "_STENCIL", stencil)
+        a = arrays(1)
+        check(*a)
+        b = arrays(2)
+        check(*b)
+        del b
+        blocks = fresh_blocks()
+        check(*a)
+        blocks += fresh_blocks()
+        check(*a)
+        assert all(np.isnan(block).all() for block in blocks)
 
 
 def test_tv_gradient_constant_field_is_zero():
