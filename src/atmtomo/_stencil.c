@@ -207,9 +207,9 @@ void csr_canonical(double *restrict data, int32_t *restrict indices, int32_t *re
 }
 
 /* One conjugate-gradient step, s += p * a and r -= hp * a, as numpy's
- * in-place ops on the products; hp may be p */
-void cg_step(double *restrict s, double *restrict r, const double *p, const double *hp, double a,
-             idx n)
+ * in-place ops on the products; s, r, p and hp are cgne's four buffers */
+void cg_step(double *restrict s, double *restrict r, const double *restrict p,
+             const double *restrict hp, double a, idx n)
 {
     for (idx i = 0; i < n; i++) {
         s[i] += p[i] * a;

@@ -133,14 +133,17 @@ class ExperimentConfig:
                 if pen not in PENALTIES:
                     raise ValueError(f"unknown penalty {pen!r}")
         # the validators a run would meet only after the CLI has created its
-        # output directory: the grid, the network, the samples, beta, memory
-        # and the benchmark's budgets
+        # output directory: the grid, the network and its seed, the samples,
+        # beta, memory and the benchmark's budgets
         with _rejecting("nx", "ny", "nz"):
             _check_node_counts((self.nx, self.ny, self.nz))
         with _rejecting("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
             self.make_grid()
         with _rejecting("stations", "emitters"):
             _check_network_counts(self.stations, self.emitters)
+        with _rejecting("seed"):
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
         with _rejecting("samples_per_ray"):
             if self.samples_per_ray is not None and self.samples_per_ray < 2:
                 raise ValueError(f"need at least 2 samples per ray, got {self.samples_per_ray}")

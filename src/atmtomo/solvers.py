@@ -390,8 +390,10 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     negative curvature p.Hp signals a non-PSD map and raises; a numerically
     zero one stalls and returns the current iterate.  Returns the iterate and
     an InnerSolveStats; callback, if given, sees each step's residual norm.
-    rhs is a vector of n entries, and apply_matrix(p) must return n entries
-    in any shape, dtype or layout; it may return p itself.
+    rhs is a vector of n entries.  apply_matrix(p, hp) writes H p into hp:
+    p and hp are float64 vectors of n entries that cgne owns, the same two
+    arrays on every iteration, updated in place, which is what apply_normal
+    and apply_weights key their kept calls on.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 1:
@@ -405,22 +407,18 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
         return s, InnerSolveStats(iterations=0, residual=rn, hit_cap=False)
     r = rhs.copy()
     p = r.copy()
+    hp = np.empty(n)
     # s, r and p are updated in place, in numpy's operation order, so the
     # iterates are bitwise those of fresh temporaries: by the compiled loops
-    # on pointers taken once, or through one work vector
+    # on pointers taken once, hp's with them, or through one work vector
     if _KERNEL is not None:
-        s_at, r_at, p_at = (a.ctypes.data for a in (s, r, p))
-        last_hp, hp_at = None, None
+        s_at, r_at, p_at, hp_at = (a.ctypes.data for a in (s, r, p, hp))
     else:
         work = np.empty(n)
     rr = float(r @ r)
     steps = 0
     while steps < max_iterations:
-        hp = np.ascontiguousarray(apply_matrix(p), dtype=float)
-        if hp.shape != (n,):
-            if hp.size != n:
-                raise ValueError(f"apply_matrix(p) returned {hp.size} entries for {n}")
-            hp = hp.reshape(n)
+        apply_matrix(p, hp)
         php = float(p @ hp)
         if php <= 0.0:
             scale = float(np.linalg.norm(p) * np.linalg.norm(hp))
@@ -431,9 +429,6 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
             break
         a = rr / php
         if _KERNEL is not None:
-            # held, so a returned buffer keeps its pointer while it is in use
-            if hp is not last_hp:
-                last_hp, hp_at = hp, hp.ctypes.data
             _KERNEL.cg_step(s_at, r_at, p_at, hp_at, a, n)
         else:
             s += np.multiply(p, a, out=work)
@@ -472,8 +467,8 @@ def ldfp(
     gradients, applying alpha L(gamma) matrix-free as L(alpha gamma), and takes
     the full step.  It runs max_iterations (>= 0) outer steps and ends with
     max-iter.  The result's inner_solves holds cgne's InnerSolveStats of each
-    outer step.  One buffer takes every CG product, T^T T v with
-    L(alpha gamma) v then added into it, so a CG iteration allocates no field.
+    outer step.  Each CG product, T^T T v with L(alpha gamma) v then added
+    into it, is written into cgne's buffer, so a CG iteration allocates no field.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -486,14 +481,13 @@ def ldfp(
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
-    h = np.empty(grid.n_nodes)
     for iteration in range(1, max_iterations + 1):
         weights = smoothing_weights(phi, grid, beta)
         weights *= alpha
 
-        def apply_h(v):
-            op.apply_normal(v, out=h)
-            return apply_weights(weights, grid, v, out=h)
+        def apply_h(v, out):
+            op.apply_normal(v, out=out)
+            apply_weights(weights, grid, v, out=out)
 
         step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
         inner_solves.append(stats)

@@ -350,14 +350,19 @@ def adjoint_csr_copy(op, residual):
     return to_scipy(op).T.tocsr() @ residual
 
 
-def minimum_norm_solution(op, data):
-    """x_mn = T^T (T T^T)^-1 f, the least-squares point in the range of T^T.
+def minimum_norm_solution(op, data, alpha=0.0):
+    """x = T^T (T T^T + alpha I)^-1 f.
 
-    T T^T is only rays x rays: formed by scipy's sparse product, never from
-    a dense T, and solved by Cholesky, each step a triangular solve.
+    At alpha = 0 this is x_mn, the least-squares point in the range of T^T;
+    at alpha > 0 it is the minimizer of 0.5*||T x - f||^2 + 0.5*alpha*||x||^2,
+    the objective's quadratic penalty.  T T^T is only rays x rays: formed by
+    scipy's sparse product, never from a dense T, and solved by Cholesky,
+    each step a triangular solve.
     """
     t = to_scipy(op)
-    lower = np.linalg.cholesky((t @ t.T).toarray())
+    gram = (t @ t.T).toarray()
+    gram.flat[:: len(gram) + 1] += alpha
+    lower = np.linalg.cholesky(gram)
     z = scipy.linalg.solve_triangular(lower, data, lower=True)
     z = scipy.linalg.solve_triangular(lower.T, z, lower=False)
     return op.apply_adjoint(z)

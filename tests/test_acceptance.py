@@ -262,7 +262,9 @@ def test_criterion_06_conjugate_gradient_oracle():
         matrix = basis.T @ basis + 20.0 * np.eye(20)
         rhs = rng.standard_normal(20)
         residuals = []
-        solution, _ = cgne(lambda v: matrix @ v, rhs, tol=1e-10, callback=residuals.append)
+        solution, _ = cgne(
+            lambda v, out: np.matmul(matrix, v, out=out), rhs, tol=1e-10, callback=residuals.append
+        )
         exact = np.linalg.solve(matrix, rhs)
         worst_rel = max(
             worst_rel, float(np.linalg.norm(solution - exact) / np.linalg.norm(exact))
@@ -329,6 +331,61 @@ def test_sweep_returns_the_minimum_norm_solution(scene, sweep_result):
         deviations[rays] = float(np.linalg.norm(field - x_mn) / np.linalg.norm(x_mn))
     assert sorted(deviations) == sorted(config.ray_counts)
     assert max(deviations.values()) <= 1e-8, deviations
+
+
+@pytest.fixture(scope="module")
+def sweep_problem(scene):
+    """The sweep's 450-ray data and its L-BFGS options."""
+    config, truth = scene["config"], scene["truth"]
+    op = scene["operator"](450)
+    data, _ = add_noise(op.apply(truth.values), 0.001, derive_noise_seed(config.seed, 450, 0.001))
+    options = LbfgsOptions(
+        memory=config.lbfgs_memory,
+        max_iterations=config.lbfgs_max_iterations,
+        grad_tol=config.lbfgs_grad_tol,
+    )
+    return op, data, options
+
+
+def test_lbfgs_passes_the_null_space_part_of_its_start_through(scene, sweep_problem):
+    # At the paper's alpha, L-BFGS from phi0 ends at x_mn + (I - P) phi0,
+    # P = T^T (T T^T)^-1 T the projector onto the range of T^T: the start's
+    # null-space part stays where it is.  Measured 1.8e-13 from the truth's
+    # level means, 3.0e-11 from half the truth and 6.5e-15 from the truth;
+    # the bound is the x_mn test's.
+    config, grid, truth = scene["config"], scene["grid"], scene["truth"]
+    op, data, options = sweep_problem
+    x_mn = helpers.minimum_norm_solution(op, data)
+    levels = truth.values.reshape(grid.nz, -1).mean(axis=1)
+    starts = {
+        "level means": np.repeat(levels, grid.ny * grid.nx),
+        "half the truth": 0.5 * truth.values,
+        "the truth": truth.values,
+    }
+    deviations = {}
+    for name, phi0 in starts.items():
+        objective = Objective(op, data, config.alpha_tv, grid, beta=config.beta)
+        result = lbfgs_trust_region(objective, phi0, options)
+        want = x_mn + phi0 - helpers.minimum_norm_solution(op, op.apply(phi0))
+        deviations[name] = float(np.linalg.norm(result.field.values - want) / np.linalg.norm(want))
+    assert max(deviations.values()) <= 1e-8, deviations
+
+
+@pytest.mark.parametrize("alpha, bound", [(1e-15, 1e-8), (1.0, 1e-6)], ids=["config", "one"])
+def test_quadratic_penalty_solve_is_its_closed_form(scene, sweep_problem, alpha, bound):
+    # The quadratic penalty's minimizer is x = T^T (T T^T + alpha I)^-1 f.
+    # At the config's alpha_quadratic (1e-15) L-BFGS ended 1.9e-10 from it,
+    # and the bound is the x_mn test's.  At alpha = 1, where the shift
+    # matters (T T^T's eigenvalues run 0.27-18.9), it ended 7.0e-9 away: F
+    # is read to about eps*F, so a step that closes a distance e to the
+    # minimizer, gaining e^2/2 along curvature >= 1, is lost in rounding once
+    # e < sqrt(2 eps F) = 1.6e-8 |x| there.  That floor, not the solver,
+    # sets the bound, at 60x it.
+    op, data, options = sweep_problem
+    objective = Objective(op, data, alpha, scene["grid"], penalty="quadratic")
+    result = lbfgs_trust_region(objective, np.zeros(op.n_cols), options)
+    x = helpers.minimum_norm_solution(op, data, alpha)
+    assert np.linalg.norm(result.field.values - x) <= bound * np.linalg.norm(x)
 
 
 def test_criterion_08_noise_level_ordering(noise_runs):

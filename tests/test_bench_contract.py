@@ -3,7 +3,9 @@
 ``bench/tracing.py`` wraps atmtomo's layers by module attribute.  A refactor
 that renames or unbinds one of them would leave that span silent and the
 per-layer metrics quietly at zero; one test runs a traced pass of the staged
-workload on a tiny two-solver TV problem and checks every span fires.
+workload on a tiny two-solver TV problem and checks every span fires, and
+another that the CG counts read from the spans are LDFP's own inner
+iterations, capped solves and outer steps.
 
 ``bench/workloads.py`` keeps its own copies of the sweep driver's combination
 names, scene and data setup, and solver wiring; the other test checks, bit
@@ -69,6 +71,41 @@ def test_traced_pass_fires_every_span(tmp_path):
     assert [name for _, _, name in tracing.TARGETS if name not in fired] == []
     assert [s.problem.name for s in p.solves] == ["lbfgs_10rays_0.01", "ldfp_10rays_0.01"]
     assert [s.error for s in p.solves] == [None, None]
+
+
+def test_traced_cg_counts_are_ldfps_own(tmp_path):
+    # the per-layer CG counts come from the spans: one solvers.cg span per
+    # outer step and one tv.apply_weights span inside it per CG iteration
+    config = ExperimentConfig(
+        nx=5,
+        ny=5,
+        nz=5,
+        stations=4,
+        emitters=5,
+        seed=3,
+        ray_counts=(10,),
+        noise_fractions=(0.01,),
+        solvers=("ldfp",),
+        ldfp_outer_iterations=3,
+        ldfp_inner_max_iterations=4,
+        benchmark_rays=10,
+        benchmark_noise=0.01,
+    )
+    tracer = tracing.Tracer()
+    try:
+        p = workloads.run_pass(config, config.seed, str(tmp_path))
+    finally:
+        tracer.close()
+    (result,) = [s.result for s in p.solves]
+    cap = config.ldfp_inner_max_iterations
+    m = tracing.layer_metrics(tracer.spans, result.records, cap)
+    inner = result.inner_solves
+    assert len(inner) == config.ldfp_outer_iterations
+    assert sum(stats.hit_cap for stats in inner) >= 1
+    assert m["solvers.cg_iterations"] == sum(stats.iterations for stats in inner)
+    assert m["tv.apply_weights_calls"] == m["solvers.cg_iterations"]
+    assert m["solvers.cg_cap_hits"] == sum(stats.hit_cap for stats in inner)
+    assert m["solvers.cg_calls"] == len(inner)
 
 
 def test_workloads_mirror_the_drivers(tmp_path, monkeypatch):

@@ -277,13 +277,14 @@ def test_unconvertible_config_value_is_one_error_line(tmp_path, capsys, section,
         ("grid", "z_max", "-1", "z bounds must satisfy max > min, got [0.0, -1.0]"),
         ("network", "stations", "0",
          "station and emitter counts must be integers >= 1, got 0 and 30"),
+        ("network", "seed", "-1", "seed must be >= 0, got -1"),
         ("regularization", "beta", "2", "smoothing parameter must lie in (0, 1), got 2.0"),
         ("benchmark", "lbfgs_iterations", "-1", "max_iterations must be >= 0"),
         ("benchmark", "ldfp_iterations", "-1", "max_iterations must be >= 0"),
     ],
     ids=[
         "unknown-solver", "one-sample", "no-samples", "no-memory", "one-node",
-        "negative-top", "no-stations", "beta-above-one", "negative-lbfgs-budget",
+        "negative-top", "no-stations", "negative-seed", "beta-above-one", "negative-lbfgs-budget",
         "negative-ldfp-budget",
     ],
 )
@@ -686,6 +687,16 @@ def test_cli_seed_override_changes_the_network(tmp_path):
     hash_a = json.loads((tmp_path / "s3" / "manifest.json").read_text())["config_hash"]
     hash_b = json.loads((tmp_path / "s4" / "manifest.json").read_text())["config_hash"]
     assert hash_a != hash_b
+
+
+@pytest.mark.parametrize("mode", ["sweep", "benchmark"])
+def test_cli_rejects_a_negative_seed_option_before_it_creates_anything(tmp_path, capsys, mode):
+    # numpy would reject it only once the network is placed, inside the
+    # output directory the run had already made
+    out = tmp_path / "out"
+    assert main(["--seed", "-1", "--mode", mode, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "atmtomo: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_missing_config(tmp_path, capsys):
