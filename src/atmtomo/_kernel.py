@@ -7,9 +7,13 @@ scratch the caller makes, the CSR products T, T^T and T^T T and the
 canonicalization of forward.py, and the fused vector updates of
 solvers.cgne.  It is cached under $XDG_CACHE_HOME/atmtomo
 (default ~/.cache/atmtomo), keyed by the source, the compiler command and the
-flags.  Without a compiler, or on any failure to build or load, load()
-returns None and the three modules run their numpy code, which gives the same
-bits.
+flags.  On x86-64 glibc, with a compiler that has target_clones, the
+diffusion apply and the CG updates carry an AVX2 clone and a baseline clone,
+and the dynamic loader picks one when the library loads, so a cached library
+runs on any x86-64; elsewhere the library holds the baseline kernels alone.
+Both clones give the same bits.  Without a compiler, or on any failure to
+build or load, load() returns None and the three modules run their numpy
+code, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from importlib import resources
 
 import numpy as np
 
-# no contraction to FMA, which would change the bits; no -ffast-math or -march
+# no contraction to FMA, which would change the bits; no -ffast-math, and no
+# -march: the source picks its AVX2 clones at load time, not at build time
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
@@ -74,6 +79,10 @@ class Binding:
     __slots__ = ("_entry",)
 
     def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop the bound call and the arrays and scratch it holds."""
         self._entry = ((), None, ())
 
     def get(self, *key):

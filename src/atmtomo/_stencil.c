@@ -20,6 +20,14 @@
  * CSR: row i holds data[k] at column indices[k] for k in
  * [indptr[i], indptr[i+1]), int32 indices and row pointers as scipy stores
  * them.  The products sum as scipy's csr_matvec and csc_matvec do.
+ *
+ * Width: on x86-64 glibc, with a compiler that has target_clones, apply_l,
+ * cg_step and cg_direction are built as an AVX2 clone and a baseline clone,
+ * and the loader's ifunc resolver picks one when the library loads, so the
+ * library needs no -march and runs on any x86-64.  The clones give the same
+ * bits: each vector lane rounds each sum and product as scalar code does,
+ * and AVX2 brings no FMA.  Any other platform or compiler builds the
+ * baseline kernels alone.
  */
 #include <math.h>
 #include <stddef.h>
@@ -27,11 +35,24 @@
 
 typedef ptrdiff_t idx;
 
-static idx lower(idx i) { return i > 0 ? i - 1 : 0; }
-static idx upper(idx i, idx n) { return i < n - 1 ? i + 1 : n - 1; }
+/* CLONED gives a kernel its AVX2 and baseline clones; INLINE puts the
+ * helpers inside each clone, which GCC does not do by itself for a clone */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#define INLINE static inline __attribute__((always_inline))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#define INLINE static inline
+#endif
+
+INLINE idx lower(idx i) { return i > 0 ? i - 1 : 0; }
+INLINE idx upper(idx i, idx n) { return i < n - 1 ? i + 1 : n - 1; }
 
 /* the flux ((a lo[i] - a hi[i]) g[i]) w of a line, lo and hi its neighbours */
-static double flux(const double *lo, const double *hi, const double *g, idx i, double a, double w)
+INLINE double flux(const double *lo, const double *hi, const double *g, idx i, double a, double w)
 {
     return ((a * lo[i] - a * hi[i]) * g[i]) * w;
 }
@@ -39,7 +60,7 @@ static double flux(const double *lo, const double *hi, const double *g, idx i, d
 /* s[i] += the adjoint difference at position pos of an axis of count lines
  * stride apart, of the fluxes of v at weights g on the two lines it reads;
  * v and g point at the line at position 0 */
-static void add_adjoint(double *restrict s, const double *restrict v, const double *restrict g,
+INLINE void add_adjoint(double *restrict s, const double *restrict v, const double *restrict g,
                         idx pos, idx count, idx stride, double a, double w, idx nx)
 {
     idx m0 = pos == 0 ? 0 : pos == count - 1 ? count - 2 : pos - 1;
@@ -87,14 +108,49 @@ void tv_root(const double *restrict v, idx nz, idx ny, idx nx, double wx, double
         }
 }
 
+/* add_adjoint's difference at a position two or more lines from either end
+ * of its axis, where no neighbour is clipped: x points at the position's
+ * line in v, gr at the same line in g */
+INLINE double across(const double *restrict x, const double *restrict gr, idx i, idx stride,
+                     double a, double w)
+{
+    return flux(x - 2 * stride, x, gr - stride, i, a, w) -
+           flux(x, x + 2 * stride, gr + stride, i, a, w);
+}
+
+/* o = b + the rest of apply_l's sums on a row two or more rows and planes
+ * from every end, or without b (NULL) the sums alone, from the row's x
+ * fluxes in line: at each node the x adjoint, the y then the z difference
+ * added, times cell_volume, in one loop */
+INLINE void interior_row(const double *restrict x, const double *restrict gr,
+                         const double *restrict line, idx nx, idx plane, double ay, double wy,
+                         double az, double wz, double cell_volume, const double *b, double *o)
+{
+#define NODE(t, i)                                                                             \
+    do {                                                                                       \
+        double u = (((t) + across(x, gr, i, nx, ay, wy)) + across(x, gr, i, plane, az, wz)) *   \
+                   cell_volume;                                                                \
+        o[i] = b ? b[i] + u : u;                                                               \
+    } while (0)
+    NODE((0.0 - line[0]) - line[1], 0);
+    for (idx i = 1; i < nx - 1; i++)
+        NODE(line[i - 1] - line[i + 1], i);
+    NODE(line[nx - 2] + line[nx - 1], nx - 1);
+#undef NODE
+}
+
 /* out = cell_volume * sum_a D_a^T (w_a ((D_a v) g)), the diffusion operator
  * at weights g of tv.apply_weights, each D_a v a difference of (-w_a) v.
  * At g = 1/root this is the TV gradient.  With base (not NULL) the result
  * is added to it, out = base + cell_volume * (...) node by node, and base
  * may be out itself.  One pass over the rows: a row's x fluxes go to the
  * first row of line, and the y and z fluxes its adjoint reads are formed
- * where they are added, each from v and g.  With a base the row's sum waits
- * in the second row of line, which holds two rows of nx */
+ * where they are added, each from v and g.  A row two or more rows and
+ * planes from every end does the rest in one loop over its nodes: x
+ * adjoint, y and z differences, scaling and base.  Any other row sums in
+ * place, in out or, with a base, in the second row of line, which holds
+ * two rows of nx */
+CLONED
 void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny, idx nx,
              double wx, double wy, double wz, double cell_volume, double *restrict line,
              const double *base, double *out)
@@ -111,6 +167,15 @@ void apply_l(const double *restrict v, const double *restrict g, idx nz, idx ny,
             for (idx i = 1; i < nx - 1; i++)
                 line[i] = ((ax * x[i - 1] - ax * x[i + 1]) * gr[i]) * wx;
             line[nx - 1] = ((ax * x[nx - 2] - ax * x[nx - 1]) * gr[nx - 1]) * wx;
+            if (j >= 2 && j < ny - 2 && k >= 2 && k < nz - 2) {
+                /* two calls, so that each clone's loop knows whether b is NULL */
+                if (base)
+                    interior_row(x, gr, line, nx, plane, ay, wy, az, wz, cell_volume,
+                                 base + row, o);
+                else
+                    interior_row(x, gr, line, nx, plane, ay, wy, az, wz, cell_volume, NULL, o);
+                continue;
+            }
             s[0] = (0.0 - line[0]) - line[1];
             for (idx i = 1; i < nx - 1; i++)
                 s[i] = line[i - 1] - line[i + 1];
@@ -208,6 +273,7 @@ void csr_canonical(double *restrict data, int32_t *restrict indices, int32_t *re
 
 /* One conjugate-gradient step, s += p * a and r -= hp * a, as numpy's
  * in-place ops on the products; s, r, p and hp are cgne's four buffers */
+CLONED
 void cg_step(double *restrict s, double *restrict r, const double *restrict p,
              const double *restrict hp, double a, idx n)
 {
@@ -218,6 +284,7 @@ void cg_step(double *restrict s, double *restrict r, const double *restrict p,
 }
 
 /* The next conjugate direction, p = p * c + r, as numpy's p *= c; p += r */
+CLONED
 void cg_direction(double *restrict p, const double *restrict r, double c, idx n)
 {
     for (idx i = 0; i < n; i++)

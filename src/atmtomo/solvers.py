@@ -8,7 +8,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import _kernel
+from . import _kernel, tv
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
 from .tv import apply_weights, smoothing_weights
@@ -469,6 +469,8 @@ def ldfp(
     max-iter.  The result's inner_solves holds cgne's InnerSolveStats of each
     outer step.  Each CG product, T^T T v with L(alpha gamma) v then added
     into it, is written into cgne's buffer, so a CG iteration allocates no field.
+    The kept calls of apply_normal and apply_weights are dropped as the solve
+    returns or raises, so its weights and CG vectors do not outlive it.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -481,19 +483,25 @@ def ldfp(
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
-    for iteration in range(1, max_iterations + 1):
-        weights = smoothing_weights(phi, grid, beta)
-        weights *= alpha
+    try:
+        for iteration in range(1, max_iterations + 1):
+            weights = smoothing_weights(phi, grid, beta)
+            weights *= alpha
 
-        def apply_h(v, out):
-            op.apply_normal(v, out=out)
-            apply_weights(weights, grid, v, out=out)
+            def apply_h(v, out):
+                op.apply_normal(v, out=out)
+                apply_weights(weights, grid, v, out=out)
 
-        step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
-        inner_solves.append(stats)
-        phi = phi + step
-        value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
-        grad_norm = float(np.linalg.norm(grad))
-        recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
+            step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
+            inner_solves.append(stats)
+            phi = phi + step
+            value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
+            grad_norm = float(np.linalg.norm(grad))
+            recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
+    finally:
+        # the kept products hold the last weights, direction and product
+        # buffer, three fields that must not outlive the solve
+        tv._BINDING.clear()
+        op._normal.clear()
 
     return recorder.finish(phi, len(inner_solves), "max-iter", inner_solves)

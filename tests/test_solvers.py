@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -667,6 +668,39 @@ def test_a_cg_iteration_of_ldfp_allocates_no_field(monkeypatch):
     assert [stats.iterations for stats in result.inner_solves] == [20, 20]
     assert len(rises) == 38
     assert max(rises) < 8 * n
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises"])
+def test_ldfp_keeps_no_field_once_it_ends(ending, monkeypatch):
+    # the kept calls of apply_weights and apply_normal hold the last outer
+    # step's weights, direction and product buffer; ldfp drops them as it
+    # returns or raises, so those fields die with the solve
+    obj, _ = _ldfp_scene("odd grid")
+    made = []
+
+    def watched_weights(*args):
+        weights = smoothing_weights(*args)
+        made.append(weakref.ref(weights))
+        return weights
+
+    def stop(record):
+        if ending == "raises" and record.iteration == 2:
+            raise _Stop
+
+    monkeypatch.setattr(atmtomo.solvers, "smoothing_weights", watched_weights)
+    if ending == "returns":
+        ldfp(obj, np.zeros(obj.grid.n_nodes), max_iterations=2, callback=stop)
+    else:
+        with pytest.raises(_Stop) as raised:
+            ldfp(obj, np.zeros(obj.grid.n_nodes), max_iterations=3, callback=stop)
+        # the traceback holds ldfp's frame and so its last weights
+        del raised
+    assert len(made) == 2
+    assert made[-1]() is None
 
 
 def test_ldfp_requires_tv_penalty(desk):

@@ -161,10 +161,17 @@ def test_shifted_slices_equal_sparse_products(dims, bounds, kind):
         assert grad.tobytes() == want_grad.tobytes()
 
 
+# (nx, ny, nz); the last four meet the bounds of apply_l's one-loop rows,
+# those two rows and two planes from every end: none, one such row and
+# plane, two rows, and rows of only their two end nodes
+_STENCIL_DIMS = [
+    (2, 2, 2), (4, 3, 5), (2, 5, 3), (3, 2, 2), (30, 30, 30), (60, 60, 30),
+    (5, 4, 4), (3, 5, 5), (4, 6, 5), (2, 5, 6),
+]
+
+
 @pytest.mark.parametrize("kind", ["random", "signed zeros", "constant", "integers"])
-@pytest.mark.parametrize(
-    "dims", [(2, 2, 2), (4, 3, 5), (2, 5, 3), (3, 2, 2), (30, 30, 30), (60, 60, 30)]
-)
+@pytest.mark.parametrize("dims", _STENCIL_DIMS)
 def test_compiled_stencil_is_bitwise_the_numpy_stencil(dims, kind, monkeypatch):
     if atmtomo.tv._STENCIL is None:
         pytest.skip("the compiled stencil did not build or load here")
@@ -182,8 +189,12 @@ def test_compiled_stencil_is_bitwise_the_numpy_stencil(dims, kind, monkeypatch):
         value, grad = tv_value_and_gradient(values, grid, 1e-2)
         weights = smoothing_weights(values, grid, 1e-2)
         applied = [apply_weights(weights, grid, u) for u in (values, r[::-1])]
+        # added into out, with the field as the vector and as the base
+        pairs = ((values, r), (r, values))
+        added = [apply_weights(weights, grid, u, out=b.copy()) for u, b in pairs]
         # tobytes tells -0.0 from 0.0, which array_equal does not
-        return [np.float64(value).tobytes()] + [a.tobytes() for a in (grad, weights, *applied)]
+        arrays = (grad, weights, *applied, *added)
+        return [np.float64(value).tobytes()] + [a.tobytes() for a in arrays]
 
     compiled = results()
     monkeypatch.setattr(atmtomo.tv, "_STENCIL", None)
@@ -236,7 +247,9 @@ def test_compiled_stencil_takes_only_what_it_can_bound(monkeypatch):
     assert not atmtomo.tv._compiled(grid)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (30, 30, 30)])
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2), (2, 3, 4), (30, 30, 30), (5, 4, 4), (3, 5, 5), (4, 6, 5)]
+)
 def test_apply_weights_adds_into_out_bitwise(dims, monkeypatch):
     # out + L v node by node, with signed zeros in out and in L v, called
     # afresh and repeated, and the same bits on both stencils
