@@ -4,8 +4,14 @@ The library holds the TV stencil of tv.py, its root and its diffusion apply
 (which at the field's own weights is TV's gradient, and which can add its
 result into a base), each one pass over the rows with a row or two of
 scratch the caller makes, the CSR products T, T^T and T^T T and the
-canonicalization of forward.py, and the fused vector updates of
-solvers.cgne.  It is cached under $XDG_CACHE_HOME/atmtomo
+canonicalization of forward.py, the fused vector updates of solvers.cgne,
+and the two passes over solvers.py's L-BFGS history block (the block's
+products with a few vectors, and a linear combination of its rows).  Those
+two split their columns into fixed chunks that the calling thread shares with
+one helper thread, which the library starts at the first such pass in a
+process that may run on two or more CPUs (os.sched_getaffinity, so taskset
+is the control); every sum runs in an order the chunks fix, so the bits do
+not depend on the CPU count.  It is cached under $XDG_CACHE_HOME/atmtomo
 (default ~/.cache/atmtomo), keyed by the source, the compiler command and the
 flags.  On x86-64 glibc, with a compiler that has target_clones, the
 diffusion apply and the CG updates carry an AVX2 clone and a baseline clone,
@@ -32,8 +38,9 @@ from importlib import resources
 import numpy as np
 
 # no contraction to FMA, which would change the bits; no -ffast-math, and no
-# -march: the source picks its AVX2 clones at load time, not at build time
-FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+# -march: the source picks its AVX2 clones at load time, not at build time;
+# -pthread for the helper thread of the L-BFGS history passes
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared", "-pthread")
 
 _P, _N, _D = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 _SIGNATURES = {
@@ -45,6 +52,8 @@ _SIGNATURES = {
     "csr_canonical": (_P, _P, _P, _N),
     "cg_step": (_P, _P, _P, _P, _D, _N),
     "cg_direction": (_P, _P, _D, _N),
+    "block_dots": (_P, _N, _P, _N, _N, _N, _P, _P),
+    "block_combine": (_P, _P, _N, _N, _N, _P),
 }
 
 

@@ -2,8 +2,10 @@
  * functions, the root sqrt(|grad|^2 + beta) and the diffusion apply that is
  * also TV's gradient, each one pass over the field's rows with a row or two
  * of scratch; the ray transform's row-compressed (CSR) arrays of forward.py
- * as four more; and the two vector updates of solvers.cgne.  No kernel
- * allocates: the caller makes what scratch one needs.
+ * as four more; the two vector updates of solvers.cgne; and the two passes
+ * over the L-BFGS history block of solvers.py, its rows' products with a few
+ * vectors and a linear combination of its rows.  No kernel allocates: the
+ * caller makes what scratch one needs.
  *
  * Each kernel performs the operations of its numpy reference in their order,
  * so the results are bitwise equal; build without floating-point
@@ -27,11 +29,26 @@
  * library needs no -march and runs on any x86-64.  The clones give the same
  * bits: each vector lane rounds each sum and product as scalar code does,
  * and AVX2 brings no FMA.  Any other platform or compiler builds the
- * baseline kernels alone.
+ * baseline kernels alone.  The history passes' inner loops have clones too.
+ *
+ * Threads: the history passes split their columns into fixed chunks, which
+ * the calling thread and one helper thread share, and every sum they form
+ * adds its terms in an order fixed by the chunks; so their bits are the same
+ * on one CPU or more.  The helper starts at the first pass of two or more
+ * chunks in a process that may run on two or more CPUs; no other kernel
+ * uses it.
  */
+#define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 typedef ptrdiff_t idx;
 
@@ -289,4 +306,295 @@ void cg_direction(double *restrict p, const double *restrict r, double c, idx n)
 {
     for (idx i = 0; i < n; i++)
         p[i] = p[i] * c + r[i];
+}
+
+/* The L-BFGS history passes of solvers.py.  A pass splits its columns into
+ * chunks of a width the caller gives, and the calling thread and one helper
+ * thread claim the chunks from a counter; every result is a sum in a fixed
+ * order over those chunks, so its bits do not depend on which thread took
+ * which chunk, nor on whether the helper took any. */
+struct pass {
+    void (*run)(const struct pass *, idx); /* does one chunk */
+    const double *const *rows;             /* row pointers: nrows vectors of n */
+    const double *const *vectors;          /* block_dots: nvectors more */
+    const double *coefficients;            /* block_combine: one per row */
+    idx nrows, nvectors, n, width;
+    double *partials, *out;
+};
+
+/* One helper thread per process, started at the first pass of two or more
+ * chunks when the process may run on two or more CPUs.  A caller that finds
+ * another caller's pass in progress (busy) runs its own chunks alone, and so
+ * does a forked child until it starts its own helper (owner is the process
+ * the helper runs in).  A job is open while gate is 2 seq, seq its number;
+ * the helper joins it by moving gate to 2 seq + 1, and the caller closes it
+ * by moving gate to 0 once every chunk is claimed, then waits for a joined
+ * helper to finish the chunk it holds (left = seq).  After a job the helper
+ * spins for HELPER_SPIN_NS, then sleeps on wake until the next one: an
+ * L-BFGS iteration on a 30^3 grid opens its three passes 0.1-1 ms apart,
+ * and a sleeping helper takes about 50 us to wake.  Both spin loops yield
+ * the CPU on each turn, so a thread the scheduler placed on the spinner's
+ * CPU still runs. */
+#define HELPER_SPIN_NS 1000000L
+
+static struct {
+    atomic_int busy;
+    pid_t owner;
+    int running;
+    long seq;
+    const struct pass *job;
+    idx count;
+    atomic_long gate, left;
+    atomic_llong next;
+    atomic_int sleeping;
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+#ifdef __linux__
+    cpu_set_t cpus; /* the CPUs the process may run on */
+    int cpu;        /* the caller's, when it opened the job */
+#endif
+} pool;
+
+static long elapsed_ns(const struct timespec *since)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (now.tv_sec - since->tv_sec) * 1000000000L + (now.tv_nsec - since->tv_nsec);
+}
+
+/* the gate of a job the helper has not seen, or 0 */
+static long new_job(long seen)
+{
+    long gate = atomic_load(&pool.gate);
+    return gate && gate % 2 == 0 && gate / 2 != seen ? gate : 0;
+}
+
+/* A woken thread may be placed on its waker's CPU, where the two would take
+ * turns on one CPU; so the helper moves to the process's other CPUs when it
+ * finds itself on the caller's */
+static void keep_apart(void)
+{
+#ifdef __linux__
+    int cpu = sched_getcpu();
+    if (cpu < 0 || cpu != pool.cpu)
+        return;
+    cpu_set_t others = pool.cpus;
+    CPU_CLR(cpu, &others);
+    if (CPU_COUNT(&others))
+        pthread_setaffinity_np(pthread_self(), sizeof others, &others);
+#endif
+}
+
+static void *helper(void *unused)
+{
+    (void)unused;
+    long seen = 0;
+    for (;;) {
+        struct timespec since;
+        clock_gettime(CLOCK_MONOTONIC, &since);
+        long gate;
+        while (!(gate = new_job(seen)) && elapsed_ns(&since) < HELPER_SPIN_NS)
+            sched_yield();
+        if (!gate) {
+            pthread_mutex_lock(&pool.lock);
+            atomic_store(&pool.sleeping, 1);
+            while (!(gate = new_job(seen)))
+                pthread_cond_wait(&pool.wake, &pool.lock);
+            atomic_store(&pool.sleeping, 0);
+            pthread_mutex_unlock(&pool.lock);
+        }
+        seen = gate / 2;
+        if (!atomic_compare_exchange_strong(&pool.gate, &gate, gate + 1))
+            continue; /* closed before the helper could join */
+        keep_apart();
+        const struct pass *job = pool.job;
+        idx count = pool.count;
+        for (idx c; (c = (idx)atomic_fetch_add(&pool.next, 1)) < count;)
+            job->run(job, c);
+        atomic_store_explicit(&pool.left, seen, memory_order_release);
+    }
+    return NULL;
+}
+
+/* whether the helper runs in this process, starting it if this process has
+ * not tried yet; the caller holds busy */
+static int helper_running(void)
+{
+    pid_t pid = getpid();
+    if (pool.owner == pid)
+        return pool.running;
+    pool.owner = pid;
+    pool.running = 0;
+#ifdef __linux__
+    if (sched_getaffinity(0, sizeof pool.cpus, &pool.cpus) != 0 || CPU_COUNT(&pool.cpus) < 2)
+        return 0;
+#else
+    if (sysconf(_SC_NPROCESSORS_ONLN) < 2)
+        return 0;
+#endif
+    atomic_store(&pool.gate, 0);
+    atomic_store(&pool.sleeping, 0);
+    if (pthread_mutex_init(&pool.lock, NULL) || pthread_cond_init(&pool.wake, NULL))
+        return 0;
+    /* the helper takes no signal: they stay with the threads that handle them */
+    pthread_attr_t attr;
+    sigset_t all, old;
+    pthread_t thread;
+    if (pthread_attr_init(&attr))
+        return 0;
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pool.running = pthread_create(&thread, &attr, helper, NULL) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+    return pool.running;
+}
+
+/* chunks [0, count) of job, on this thread and the helper when it can */
+static void run_pass(const struct pass *job, idx count)
+{
+    int free_ = 0;
+    int held = count >= 2 && atomic_compare_exchange_strong(&pool.busy, &free_, 1);
+    if (!held || !helper_running()) {
+        for (idx c = 0; c < count; c++)
+            job->run(job, c);
+        if (held)
+            atomic_store(&pool.busy, 0);
+        return;
+    }
+    long seq = ++pool.seq;
+#ifdef __linux__
+    pool.cpu = sched_getcpu();
+#endif
+    pool.job = job;
+    pool.count = count;
+    atomic_store_explicit(&pool.next, 0, memory_order_relaxed);
+    atomic_store(&pool.gate, 2 * seq);
+    if (atomic_load(&pool.sleeping)) {
+        pthread_mutex_lock(&pool.lock);
+        pthread_cond_signal(&pool.wake);
+        pthread_mutex_unlock(&pool.lock);
+    }
+    for (idx c; (c = (idx)atomic_fetch_add(&pool.next, 1)) < count;)
+        job->run(job, c);
+    if (atomic_exchange(&pool.gate, 0) == 2 * seq + 1)
+        while (atomic_load_explicit(&pool.left, memory_order_acquire) != seq)
+            sched_yield();
+    atomic_store(&pool.busy, 0);
+}
+
+/* four doubles in one vector (two SSE2 registers, or one AVX2); each lane
+ * rounds each sum and product as scalar code does.  AT(p) is the quad at
+ * any double's address p, to load or store */
+typedef double quad __attribute__((vector_size(32)));
+typedef double quad_at __attribute__((vector_size(32), aligned(8), may_alias));
+#define AT(p) (*(quad_at *)(p))
+
+/* the sum of 8 lanes, the lanes lo then hi, ((l0 + l1) + (l2 + l3)) +
+ * ((l4 + l5) + (l6 + l7)), after the len % 8 entries from i on (a[i] b[i],
+ * ...) are added to lanes 0, 1, ... in order */
+static inline double lanes_sum(const quad *lo, const quad *hi, const double *a, const double *b,
+                               idx i, idx len)
+{
+    double l[8];
+    memcpy(l, lo, sizeof *lo);
+    memcpy(l + 4, hi, sizeof *hi);
+    for (int t = 0; i < len; i++, t++)
+        l[t] += a[i] * b[i];
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
+/* a . b and a . x over len entries, each in 8 lanes from +0.0: entry i goes
+ * to lane i % 8, in increasing i, and the lanes are then summed (lanes_sum) */
+CLONED
+static void chunk_dots(const double *restrict a, const double *restrict b,
+                       const double *restrict x, idx len, double *ab, double *ax)
+{
+    quad b0 = {0.0, 0.0, 0.0, 0.0}, b1 = b0, x0 = b0, x1 = b0;
+    idx i = 0;
+    for (; i + 8 <= len; i += 8) {
+        quad a0 = AT(a + i), a1 = AT(a + i + 4);
+        b0 += a0 * AT(b + i);
+        b1 += a1 * AT(b + i + 4);
+        if (x) {
+            x0 += a0 * AT(x + i);
+            x1 += a1 * AT(x + i + 4);
+        }
+    }
+    *ab = lanes_sum(&b0, &b1, a, b, i, len);
+    if (x)
+        *ax = lanes_sum(&x0, &x1, a, x, i, len);
+}
+
+static void dots_chunk(const struct pass *p, idx c)
+{
+    idx start = c * p->width, len = p->n - start < p->width ? p->n - start : p->width;
+    idx k = p->nvectors;
+    double *partial = p->partials + c * p->nrows * k;
+    for (idx r = 0; r < p->nrows; r++) {
+        const double *row = p->rows[r] + start;
+        for (idx j = 0; j < k; j += 2) {
+            const double *x = j + 1 < k ? p->vectors[j + 1] + start : NULL;
+            chunk_dots(row, p->vectors[j] + start, x, len, partial + r * k + j,
+                       partial + r * k + j + 1);
+        }
+    }
+}
+
+/* out[r * nvectors + j] = rows[r] . vectors[j] for every pair: chunk_dot
+ * over each chunk of width columns, then the chunks' partials summed in
+ * chunk order; partials holds nrows * nvectors per chunk */
+void block_dots(const double *const *rows, idx nrows, const double *const *vectors,
+                idx nvectors, idx n, idx width, double *restrict partials, double *restrict out)
+{
+    struct pass p = {dots_chunk, rows, vectors, NULL, nrows, nvectors, n, width, partials, out};
+    idx count = (n + width - 1) / width, size = nrows * nvectors;
+    run_pass(&p, count);
+    for (idx k = 0; k < size; k++) {
+        double sum = partials[k];
+        for (idx c = 1; c < count; c++)
+            sum += partials[c * size + k];
+        out[k] = sum;
+    }
+}
+
+/* columns [start, end) of block_combine, eight at a time down the rows */
+CLONED
+static void combine_columns(const double *const *rows, const double *coefficients, idx nrows,
+                            idx start, idx end, double *restrict out)
+{
+    idx i = start;
+    for (; i + 8 <= end; i += 8) {
+        quad c = {coefficients[0], coefficients[0], coefficients[0], coefficients[0]};
+        quad o0 = c * AT(rows[0] + i), o1 = c * AT(rows[0] + i + 4);
+        for (idx r = 1; r < nrows; r++) {
+            quad cr = {coefficients[r], coefficients[r], coefficients[r], coefficients[r]};
+            o0 += cr * AT(rows[r] + i);
+            o1 += cr * AT(rows[r] + i + 4);
+        }
+        AT(out + i) = o0;
+        AT(out + i + 4) = o1;
+    }
+    for (; i < end; i++) {
+        double o = coefficients[0] * rows[0][i];
+        for (idx r = 1; r < nrows; r++)
+            o += coefficients[r] * rows[r][i];
+        out[i] = o;
+    }
+}
+
+static void combine_chunk(const struct pass *p, idx c)
+{
+    idx start = c * p->width, end = p->n - start < p->width ? p->n : start + p->width;
+    combine_columns(p->rows, p->coefficients, p->nrows, start, end, p->out);
+}
+
+/* out = sum_r coefficients[r] rows[r], each column summed in row order from
+ * coefficients[0] rows[0]; out must not overlap a row */
+void block_combine(const double *const *rows, const double *coefficients, idx nrows, idx n,
+                   idx width, double *out)
+{
+    struct pass p = {combine_chunk, rows, NULL, coefficients, nrows, 0, n, width, NULL, out};
+    run_pass(&p, (n + width - 1) / width);
 }

@@ -13,7 +13,7 @@ from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
 from .tv import apply_weights, smoothing_weights
 
-# the compiled CG updates, or None when they did not build or load
+# the compiled CG updates and history passes, or None when they did not build or load
 _KERNEL = _kernel.shared()
 
 # an accepted step this small, five times in a row, means the iterates froze
@@ -29,9 +29,9 @@ _SHRINK = 0.25
 _GROW = 2.0
 # a pair with y.s <= this times |s||y| carries no usable curvature
 _CURVATURE_THRESHOLD = 1e-12
-# column panels of the L-BFGS history block: a direction's products read each
-# panel once, while it sits in cache
-_PANEL = 8192
+# columns per chunk of the L-BFGS history passes: the compiled passes share a
+# pass's chunks between two threads, and _dots sums over them in a fixed order
+_CHUNK = 1024
 
 
 def _check_max_iterations(max_iterations: int) -> None:
@@ -62,13 +62,130 @@ class LbfgsOptions:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
+def _vector(a, n: int | None = None) -> np.ndarray:
+    """a as a C-contiguous float64 vector, of n entries when n is given."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 1 or (n is not None and a.size != n):
+        length = "" if n is None else f" of {n} entries"
+        raise ValueError(f"expected a vector{length}, got shape {a.shape}")
+    return a
+
+
+def _numpy_dots(rows, vectors) -> np.ndarray:
+    """rows[r] . vectors[j] for every pair, in block_dots' order, with numpy.
+
+    Each dot sums over chunks of _CHUNK columns: in a chunk, entry i goes to
+    lane i % 8 of 8 lanes that start from +0.0 and add in increasing i, and
+    the lanes sum as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)); the
+    chunks' sums then add in chunk order.  numpy's reduce over an outer axis
+    and its accumulate add in index order, and the zero products that pad the
+    last chunk change no lane, since no lane is ever -0.0.  Like the kernel,
+    it warns of no overflow or inf - inf.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    chunks = -(-n // _CHUNK)
+    products = np.zeros((len(rows), chunks * _CHUNK))
+    out = np.empty((len(rows), len(vectors)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, vector in enumerate(vectors):
+            np.multiply(rows, vector, out=products[:, :n])
+            lanes = np.add.reduce(
+                products.reshape(len(rows), chunks, _CHUNK // 8, 8), axis=2, initial=0.0
+            )
+            pairs = lanes[..., 0::2] + lanes[..., 1::2]
+            quads = pairs[..., 0::2] + pairs[..., 1::2]
+            out[:, j] = np.add.accumulate(quads[..., 0] + quads[..., 1], axis=1)[:, -1]
+    return out
+
+
+def _numpy_combine(first, block, coefficients) -> np.ndarray:
+    """coefficients[0] first + coefficients[1 + r] block[r] summed in row order, with numpy."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply(first, coefficients[0])
+        work = np.empty_like(out)
+        for row, c in zip(block, coefficients[1:]):
+            out += np.multiply(row, c, out=work)
+    return out
+
+
+def _rows_at(block: np.ndarray) -> np.ndarray:
+    """The addresses of a C-contiguous 2-D array's rows."""
+    return block.ctypes.data + block.strides[0] * np.arange(len(block), dtype=np.uintp)
+
+
+def _dots(rows, vectors) -> np.ndarray:
+    """rows[r] . vectors[j] for every pair, as a (len(rows), len(vectors)) array.
+
+    rows is a C-contiguous float64 2-D array, or a sequence of vectors, and
+    vectors a sequence of vectors of as many entries.  The sums follow
+    _numpy_dots' order, which the compiled block_dots keeps on one thread
+    or two.
+    """
+    block = isinstance(rows, np.ndarray)
+    if block and not (rows.ndim == 2 and rows.dtype == np.float64 and rows.flags.c_contiguous):
+        raise ValueError("rows must be a C-contiguous float64 2-D array or a sequence of vectors")
+    n = rows.shape[1] if block else len(rows[0])
+    if not block:
+        rows = [_vector(row, n) for row in rows]
+    vectors = [_vector(vector, n) for vector in vectors]
+    if _KERNEL is None:
+        return _numpy_dots(rows, vectors)
+    if block:
+        rows_at = _rows_at(rows)
+    else:
+        rows_at = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
+    vectors_at = np.array([vector.ctypes.data for vector in vectors], dtype=np.uintp)
+    out = np.empty((len(rows_at), len(vectors_at)))
+    partials = np.empty(out.size * -(-n // _CHUNK))
+    _KERNEL.block_dots(
+        rows_at.ctypes.data,
+        len(rows_at),
+        vectors_at.ctypes.data,
+        len(vectors_at),
+        n,
+        _CHUNK,
+        partials.ctypes.data,
+        out.ctypes.data,
+    )
+    return out
+
+
+def _combine(first, block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """coefficients[0] first + sum_r coefficients[1 + r] block[r], summed in row order.
+
+    block is a C-contiguous float64 2-D array of rows as long as first.
+    """
+    first = _vector(first, block.shape[1])
+    if _KERNEL is None:
+        return _numpy_combine(first, block, coefficients)
+    rows_at = np.empty(len(block) + 1, dtype=np.uintp)
+    rows_at[0] = first.ctypes.data
+    rows_at[1:] = _rows_at(block)
+    coefficients = np.ascontiguousarray(coefficients, dtype=np.float64)
+    out = np.empty_like(first)
+    _KERNEL.block_combine(
+        rows_at.ctypes.data,
+        coefficients.ctypes.data,
+        len(rows_at),
+        first.size,
+        _CHUNK,
+        out.ctypes.data,
+    )
+    return out
+
+
 class LbfgsHistory:
     """Curvature-filtered ring of the newest (step s, gradient change y) pairs.
 
-    The pairs share one (2 * memory + 1, n) block: slot i holds s in row
-    2i + 1 and y in row 2i + 2, and row 0 takes the gradient of each
-    direction.  Beside it sit the tables s_i.y_j and y_i.y_j; a pushed slot's
-    column is filled in by the next direction, which reads the block anyway.
+    The pairs share one (2 * memory, n) block: slot i holds y in row 2i and
+    s in row 2i + 1, so a direction adds each pair's y term before its s
+    term (on a quadratic in one variable the g and y terms then cancel
+    exactly, and the s term is the whole Newton step).  Beside it sit the
+    tables s_i.y_j and y_i.y_j; a pushed slot's column is filled in by the
+    next direction, which reads the block anyway.  Every product over the
+    block, and the push's curvature test, is a _dots, so its bits do not
+    depend on the thread count.
     """
 
     def __init__(self, memory: int = 10):
@@ -87,16 +204,18 @@ class LbfgsHistory:
 
     def push(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
-        sy = float(s @ y)
-        bound = _CURVATURE_THRESHOLD * float(np.linalg.norm(s) * np.linalg.norm(y))
+        s = _vector(s, None if self._block is None else self._block.shape[1])
+        y = _vector(y, s.size)
+        (ss, sy), (_, yy) = _dots((s, y), (s, y))
+        bound = _CURVATURE_THRESHOLD * (math.sqrt(ss) * math.sqrt(yy))
         # a NaN curvature is not above the bound either
         if not sy > bound:
             return False
         if self._block is None:
-            self._block = np.empty((2 * self._memory + 1, s.size))
+            self._block = np.empty((2 * self._memory, s.size))
         slot = self._next
+        self._block[2 * slot] = y
         self._block[2 * slot + 1] = s
-        self._block[2 * slot + 2] = y
         if slot not in self._pending:
             self._pending.append(slot)
         self._next = (slot + 1) % self._memory
@@ -111,29 +230,23 @@ class LbfgsHistory:
     def pairs(self):
         """Copies of the stored (s, y, 1/(y.s)), oldest first."""
         copies = [
-            (self._block[2 * i + 1].copy(), self._block[2 * i + 2].copy())
+            (self._block[2 * i + 1].copy(), self._block[2 * i].copy())
             for i in self._slots().tolist()
         ]
         return tuple((s, y, 1.0 / float(s @ y)) for s, y in copies)
 
     def _products(self, gradient: np.ndarray) -> np.ndarray:
-        """Products of gradient with the rows in use: g, then s_i and y_i by slot.
+        """Products of gradient with the rows in use: y_i and s_i by slot.
 
-        The same pass over the block's column panels fills in the table columns
-        of the slots pushed since the last call, from their y rows themselves:
-        S^T y taken as the difference of two directions' S^T g cancels when
-        |y| << |g|.
+        The same pass over the block fills in the table columns of the slots
+        pushed since the last call, from their y rows themselves: S^T y taken
+        as the difference of two directions' S^T g cancels when |y| << |g|.
         """
-        block = self._block[: 2 * self._count + 1]
-        block[0] = gradient
-        rows = [0] + [2 * slot + 2 for slot in self._pending]
-        products = np.zeros((len(block), len(rows)))
-        for start in range(0, block.shape[1], _PANEL):
-            panel = block[:, start : start + _PANEL]
-            products += panel @ panel[rows].T
+        pending = [self._block[2 * slot] for slot in self._pending]
+        products = _dots(self._block[: 2 * self._count], [gradient, *pending])
         for slot, column in zip(self._pending, products.T[1:]):
             self._sy[: self._count, slot] = column[1::2]
-            self._yy[: self._count, slot] = self._yy[slot, : self._count] = column[2::2]
+            self._yy[: self._count, slot] = self._yy[slot, : self._count] = column[0::2]
         self._pending.clear()
         return products[:, 0]
 
@@ -151,14 +264,14 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
         H g = gamma g + S u - gamma Y p,   p = R^-1 S^T g,
         u = R^-T (D p + gamma (Y^T Y p - Y^T g)),
 
-    so the block is read twice, once for its products with g and once to
-    sum its rows, whatever the memory.
+    so the block is read twice, once for its products with g (_dots) and
+    once to sum its rows (_combine), whatever the memory.
     """
     if not len(history):
         return -gradient
     slots = history._slots()
     products = history._products(gradient)
-    sg, yg = products[1::2][slots], products[2::2][slots]
+    yg, sg = products[0::2][slots], products[1::2][slots]
     table = np.ix_(slots, slots)
     sy, yy = history._sy[table], history._yy[table]
     gamma = sy[-1, -1] / yy[-1, -1]
@@ -166,11 +279,11 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
     r = np.triu(sy)
     p = np.linalg.solve(r, sg)
     u = np.linalg.solve(r.T, np.diag(sy) * p + gamma * (yy @ p - yg))
-    coefficients = np.empty(len(products))
+    coefficients = np.empty(len(products) + 1)
     coefficients[0] = -gamma
-    coefficients[1::2][slots] = -u
-    coefficients[2::2][slots] = gamma * p
-    return coefficients @ history._block[: len(products)]
+    coefficients[1::2][slots] = gamma * p
+    coefficients[2::2][slots] = -u
+    return _combine(gradient, history._block[: len(products)], coefficients)
 
 
 @dataclass(frozen=True)

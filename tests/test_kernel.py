@@ -1,12 +1,21 @@
-"""The compiled kernels: their build cache, their failure paths and their packaging."""
+"""The compiled kernels: their build cache, their failure paths, their packaging,
+and the L-BFGS history passes on one thread or two."""
 
+import os
 import re
 import shutil
+import signal
 import stat
+import subprocess
+import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import atmtomo.forward
@@ -158,3 +167,279 @@ def test_cli_output_is_the_same_without_the_compiled_stencil(tmp_path, monkeypat
         shutil.rmtree(out)
     assert runs[0] == runs[1]
     assert any(name.endswith(".fld") for name in runs[0][1])
+
+
+# the L-BFGS history passes: block_dots and block_combine against their numpy twins
+
+CHUNK = atmtomo.solvers._CHUNK
+
+
+def _same(a, b) -> bool:
+    """Equal bits, except that any NaN matches any NaN (its payload is the FPU's choice)."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _spec_dot(a, b) -> float:
+    """a . b in the documented order, one scalar at a time."""
+    partials = []
+    for start in range(0, len(a), CHUNK):
+        lanes = [0.0] * 8
+        for i in range(start, min(len(a), start + CHUNK)):
+            lanes[(i - start) % 8] += float(a[i]) * float(b[i])
+        l0, l1, l2, l3, l4, l5, l6, l7 = lanes
+        partials.append(((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)))
+    total = partials[0]
+    for partial in partials[1:]:
+        total += partial
+    return total
+
+
+def _rough(rng, shape):
+    # magnitudes over 16 decades, so that any other order of the sums shows
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, CHUNK + 1, 2 * CHUNK + 9])
+def test_numpy_dots_add_in_the_documented_order(n):
+    rng = np.random.default_rng(n)
+    rows, vectors = _rough(rng, (3, n)), list(_rough(rng, (2, n)))
+    got = atmtomo.solvers._numpy_dots(rows, vectors)
+    want = [[_spec_dot(row, vector) for vector in vectors] for row in rows]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+SIZES = [1, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 27000]
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("memory", [1, 3, 10, 40])
+def test_history_passes_match_their_numpy_twins(n, memory):
+    rng = np.random.default_rng(n + memory)
+    block = _rough(rng, (2 * memory, n))
+    gradient = _rough(rng, n)
+    # signed zeros in the rows, the vectors and the coefficients
+    block[:, ::5] = -0.0
+    gradient[::7] = -0.0
+    for vectors in ([gradient], [gradient, block[-1]]):
+        got = atmtomo.solvers._dots(block, vectors)
+        assert got.tobytes() == atmtomo.solvers._numpy_dots(block, vectors).tobytes()
+    coefficients = _rough(rng, 2 * memory + 1)
+    coefficients[1::4] = -0.0
+    got = atmtomo.solvers._combine(gradient, block, coefficients)
+    assert got.tobytes() == atmtomo.solvers._numpy_combine(gradient, block, coefficients).tobytes()
+    # a zero row: every product is a signed zero, every sum +0.0 or -0.0 as numpy's
+    zeros = np.full((1, n), -0.0)
+    got = atmtomo.solvers._dots(zeros, [zeros[0]])
+    assert _same(got, atmtomo.solvers._numpy_dots(zeros, [zeros[0]]))
+    assert _same(
+        atmtomo.solvers._combine(zeros[0], zeros, [-1.0, 1.0]),
+        atmtomo.solvers._numpy_combine(zeros[0], zeros, [-1.0, 1.0]),
+    )
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [9, CHUNK + 1, 27000])
+def test_history_passes_propagate_inf_and_nan(n):
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((6, n))
+    block[1, n // 2] = np.inf
+    block[2, 0] = np.nan
+    block[3, -1] = -np.inf
+    block[4, n // 3] = np.inf
+    block[4, n // 2] = -np.inf
+    gradient = rng.standard_normal(n)
+    got = atmtomo.solvers._dots(block, [gradient, block[0]])
+    want = atmtomo.solvers._numpy_dots(block, [gradient, block[0]])
+    assert _same(got, want)
+    assert np.isnan(got[2]).all() and np.isinf(got[1]).all() and np.isinf(got[3]).all()
+    assert np.isfinite(got[0]).all() and not np.isfinite(got[4]).any()
+    coefficients = np.linspace(-1.0, 1.0, 7)
+    got = atmtomo.solvers._combine(gradient, block, coefficients)
+    assert _same(got, atmtomo.solvers._numpy_combine(gradient, block, coefficients))
+    assert np.isnan(got[0]) and not np.isfinite(got[[n // 3, n // 2, -1]]).any()
+    assert np.isfinite(got[1 : n // 3]).all()
+
+
+def test_history_passes_check_their_inputs():
+    block = np.zeros((2, 5))
+    with pytest.raises(ValueError):
+        atmtomo.solvers._dots(block, [np.zeros(4)])
+    with pytest.raises(ValueError):
+        atmtomo.solvers._dots(np.zeros((5, 2)).T, [np.zeros(5)])
+    with pytest.raises(ValueError):
+        atmtomo.solvers._combine(np.zeros(4), block, np.zeros(3))
+    history = atmtomo.solvers.LbfgsHistory(2)
+    assert history.push(np.ones(5), np.ones(5))
+    for s, y in ((np.ones(4), np.ones(4)), (np.ones(5), np.ones(4))):
+        with pytest.raises(ValueError):
+            history.push(s, y)
+
+
+@needs_kernel
+def test_history_passes_from_many_threads_at_once():
+    # the compiled passes release the GIL: one caller holds the helper, the
+    # others run their chunks inline, and every result keeps its bits
+    rng = np.random.default_rng(3)
+    block, gradient = rng.standard_normal((20, 3 * CHUNK + 5)), rng.standard_normal(3 * CHUNK + 5)
+    coefficients = rng.standard_normal(21)
+    want = (
+        atmtomo.solvers._numpy_dots(block, [gradient, block[3]]).tobytes(),
+        atmtomo.solvers._numpy_combine(gradient, block, coefficients).tobytes(),
+    )
+    wrong = []
+
+    def work():
+        for _ in range(50):
+            got = (
+                atmtomo.solvers._dots(block, [gradient, block[3]]).tobytes(),
+                atmtomo.solvers._combine(gradient, block, coefficients).tobytes(),
+            )
+            if got != want:
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+# a 50-iteration L-BFGS solve on a scaled quadratic with 27000 unknowns,
+# pinned to the CPUs given: prints the records, the last direction and the
+# number of threads the process gained
+SOLVE = r"""
+import dataclasses, hashlib, os, sys
+os.sched_setaffinity(0, [int(c) for c in sys.argv[1].split(",")])
+import numpy as np
+from atmtomo.solvers import LbfgsHistory, LbfgsOptions, lbfgs_trust_region, two_loop_direction
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+before = threads()
+rng = np.random.default_rng(11)
+n = 27000
+diag, target = rng.uniform(1.0, 100.0, n), rng.standard_normal(n)
+
+class Quadratic:
+    def eval(self, x):
+        shifted = x - target
+        return 0.5 * float(shifted @ (diag * shifted)), diag * shifted
+
+options = LbfgsOptions(memory=10, max_iterations=50, grad_tol=0.0)
+result = lbfgs_trust_region(Quadratic(), np.zeros(n), options)
+history = LbfgsHistory(5)
+for _ in range(7):
+    s = rng.standard_normal(n)
+    history.push(s, diag * s)
+d = two_loop_direction(history, rng.standard_normal(n))
+records = [dataclasses.replace(r, seconds=0.0) for r in result.records]
+digest = hashlib.sha256(repr(records).encode())
+digest.update(result.field.tobytes())
+direction = hashlib.sha256(d.tobytes()).hexdigest()
+print(digest.hexdigest(), direction, result.termination, threads() - before)
+"""
+
+
+def _cpus():
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+two_cpus = pytest.mark.skipif(
+    len(_cpus()) < 2 or not Path("/proc/self/task").is_dir(), reason="needs two CPUs and /proc"
+)
+
+
+def _run(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(atmtomo.solvers.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@needs_kernel
+@two_cpus
+def test_lbfgs_records_are_the_same_on_one_cpu_and_two():
+    one = _run(SOLVE, str(_cpus()[0]))
+    two = _run(SOLVE, ",".join(map(str, _cpus()[:2])))
+    assert one[:3] == two[:3]
+    # the helper ran on two CPUs only, so both paths were taken
+    assert (one[3], two[3]) == ("0", "1")
+
+
+@needs_kernel
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_computes_the_same_direction():
+    rng = np.random.default_rng(5)
+    n = 4 * CHUNK
+    history = atmtomo.solvers.LbfgsHistory(4)
+    for _ in range(6):
+        s = rng.standard_normal(n)
+        assert history.push(s, 2.0 * s + rng.standard_normal(n) * 0.1)
+    gradient = rng.standard_normal(n)
+    # the parent's helper is running (on two or more CPUs) when it forks
+    want = atmtomo.solvers.two_loop_direction(history, gradient).tobytes()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns on fork in a process with a thread
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            with os.fdopen(write, "wb") as out:
+                out.write(atmtomo.solvers.two_loop_direction(history, gradient).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not return")
+        time.sleep(0.01)
+    with os.fdopen(read, "rb") as got:
+        assert got.read() == want
+
+
+# an LDFP solve on the default scene, then an L-BFGS solve: prints the
+# threads the process gained after each
+LDFP_THEN_LBFGS = r"""
+import os
+import numpy as np
+from atmtomo import (
+    Objective, add_noise, assemble_operator, make_grid, place_network, take_rays, true_profile,
+)
+from atmtomo.solvers import LbfgsOptions, lbfgs_trust_region, ldfp
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+before = threads()
+grid = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
+op = assemble_operator(take_rays(place_network(grid, 15, 30, seed=7), 450))
+data, _ = add_noise(op.apply(true_profile(grid).values), 0.001, seed=42)
+objective = Objective(op, data, alpha=1e-13, grid=grid, beta=1e-2)
+ldfp(objective, np.zeros(grid.n_nodes), max_iterations=2)
+after_ldfp = threads()
+lbfgs_trust_region(objective, np.zeros(grid.n_nodes), LbfgsOptions(max_iterations=3))
+print(after_ldfp - before, threads() - before)
+"""
+
+
+@needs_kernel
+@two_cpus
+def test_ldfp_starts_no_thread():
+    assert _run(LDFP_THEN_LBFGS) == ["0", "1"]
