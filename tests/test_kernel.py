@@ -316,7 +316,10 @@ def test_history_passes_from_many_threads_at_once():
 
 # a 50-iteration L-BFGS solve on a scaled quadratic with 27000 unknowns,
 # pinned to the CPUs given: prints the records, the last direction and the
-# number of threads the process gained
+# number of threads the process gained.  _run gives BLAS one thread: OpenBLAS
+# splits a dot or norm of over 10000 entries across the CPUs it finds, so the
+# solver's own `@` and norms (outside the history kernels) would reorder
+# their sums with the CPU count.
 SOLVE = r"""
 import dataclasses, hashlib, os, sys
 os.sched_setaffinity(0, [int(c) for c in sys.argv[1].split(",")])
@@ -361,7 +364,11 @@ two_cpus = pytest.mark.skipif(
 
 
 def _run(code, *args):
-    env = dict(os.environ, PYTHONPATH=str(Path(atmtomo.solvers.__file__).parents[1]))
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(atmtomo.solvers.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS="1",
+    )
     done = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
     )
