@@ -11,7 +11,9 @@ two split their columns into fixed chunks that the calling thread shares with
 one helper thread, which the library starts at the first such pass in a
 process that may run on two or more CPUs (os.sched_getaffinity, so taskset
 is the control); every sum runs in an order the chunks fix, so the bits do
-not depend on the CPU count.  It is cached under $XDG_CACHE_HOME/atmtomo
+not depend on the CPU count.  Between passes the helper spins for 1 ms
+before it sleeps, unless the process already ran another thread when the
+helper started (a threaded BLAS's pool, say): then it sleeps at once.  It is cached under $XDG_CACHE_HOME/atmtomo
 (default ~/.cache/atmtomo), keyed by the source, the compiler command and the
 flags.  On x86-64 glibc, with a compiler that has target_clones, the
 diffusion apply and the CG updates carry an AVX2 clone and a baseline clone,

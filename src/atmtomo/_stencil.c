@@ -35,8 +35,9 @@
  * the calling thread and one helper thread share, and every sum they form
  * adds its terms in an order fixed by the chunks; so their bits are the same
  * on one CPU or more.  The helper starts at the first pass of two or more
- * chunks in a process that may run on two or more CPUs; no other kernel
- * uses it.
+ * chunks in a process that may run on two or more CPUs, and waits for the
+ * next pass spinning only when it started as the process's second thread;
+ * no other kernel uses it.
  */
 #define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
@@ -46,6 +47,7 @@
 #include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 #include <time.h>
 #include <unistd.h>
@@ -334,13 +336,17 @@ struct pass {
  * L-BFGS iteration on a 30^3 grid opens its three passes 0.1-1 ms apart,
  * and a sleeping helper takes about 50 us to wake.  Both spin loops yield
  * the CPU on each turn, so a thread the scheduler placed on the spinner's
- * CPU still runs. */
+ * CPU still runs.  A helper that starts beside another thread sleeps at
+ * once after each job instead (spin_ns 0): a threaded BLAS keeps its own
+ * threads spinning on the CPUs between its calls, and a third thread
+ * spinning on two CPUs stalled the caller for milliseconds. */
 #define HELPER_SPIN_NS 1000000L
 
 static struct {
     atomic_int busy;
     pid_t owner;
     int running;
+    long spin_ns; /* HELPER_SPIN_NS, or 0 beside another thread */
     long seq;
     const struct pass *job;
     idx count;
@@ -393,7 +399,7 @@ static void *helper(void *unused)
         struct timespec since;
         clock_gettime(CLOCK_MONOTONIC, &since);
         long gate;
-        while (!(gate = new_job(seen)) && elapsed_ns(&since) < HELPER_SPIN_NS)
+        while (!(gate = new_job(seen)) && elapsed_ns(&since) < pool.spin_ns)
             sched_yield();
         if (!gate) {
             pthread_mutex_lock(&pool.lock);
@@ -416,6 +422,23 @@ static void *helper(void *unused)
     return NULL;
 }
 
+/* the threads of this process, or 0 when it cannot tell */
+static long process_threads(void)
+{
+    long threads = 0;
+#ifdef __linux__
+    FILE *status = fopen("/proc/self/status", "r");
+    char line[256];
+    if (!status)
+        return 0;
+    while (fgets(line, sizeof line, status))
+        if (sscanf(line, "Threads: %ld", &threads) == 1)
+            break;
+    fclose(status);
+#endif
+    return threads;
+}
+
 /* whether the helper runs in this process, starting it if this process has
  * not tried yet; the caller holds busy */
 static int helper_running(void)
@@ -432,6 +455,7 @@ static int helper_running(void)
     if (sysconf(_SC_NPROCESSORS_ONLN) < 2)
         return 0;
 #endif
+    pool.spin_ns = process_threads() > 1 ? 0 : HELPER_SPIN_NS;
     atomic_store(&pool.gate, 0);
     atomic_store(&pool.sleeping, 0);
     if (pthread_mutex_init(&pool.lock, NULL) || pthread_cond_init(&pool.wake, NULL))
@@ -544,7 +568,7 @@ static void dots_chunk(const struct pass *p, idx c)
 
 /* out[r * nvectors + j] = rows[r] . vectors[j] for every pair: chunk_dot
  * over each chunk of width columns, then the chunks' partials summed in
- * chunk order; partials holds nrows * nvectors per chunk */
+ * chunk order (+0.0 when n is 0); partials holds nrows * nvectors per chunk */
 void block_dots(const double *const *rows, idx nrows, const double *const *vectors,
                 idx nvectors, idx n, idx width, double *restrict partials, double *restrict out)
 {
@@ -552,7 +576,7 @@ void block_dots(const double *const *rows, idx nrows, const double *const *vecto
     idx count = (n + width - 1) / width, size = nrows * nvectors;
     run_pass(&p, count);
     for (idx k = 0; k < size; k++) {
-        double sum = partials[k];
+        double sum = count ? partials[k] : 0.0;
         for (idx c = 1; c < count; c++)
             sum += partials[c * size + k];
         out[k] = sum;

@@ -84,6 +84,8 @@ def _numpy_dots(rows, vectors) -> np.ndarray:
     """
     rows = np.asarray(rows)
     n = rows.shape[1]
+    if n == 0:
+        return np.zeros((len(rows), len(vectors)))
     chunks = -(-n // _CHUNK)
     products = np.zeros((len(rows), chunks * _CHUNK))
     out = np.empty((len(rows), len(vectors)))
@@ -175,6 +177,86 @@ def _combine(first, block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Passes:
+    """A history block's passes, through _dots and _combine: the numpy path."""
+
+    def __init__(self, block: np.ndarray):
+        self._block = block
+
+    def pair(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """[[s.s, s.y], [y.s, y.y]], as _dots((s, y), (s, y)) sums them."""
+        return _dots((s, y), (s, y))
+
+    def products(self, nrows: int, gradient: np.ndarray, pending: list) -> np.ndarray:
+        """_dots of the first nrows rows with gradient and the rows numbered in pending."""
+        return _dots(self._block[:nrows], [gradient, *(self._block[r] for r in pending)])
+
+    def combine(self, gradient: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """_combine of gradient and the first len(coefficients) - 1 rows."""
+        return _combine(gradient, self._block[: len(coefficients) - 1], coefficients)
+
+
+class _BoundPasses(_Passes):
+    """The same passes compiled, with the addresses of the block and scratch taken once.
+
+    _dots and _combine take the address of every array they are handed
+    (ndarray.ctypes.data, about 1.5-2 us each, seven in a _dots); here each
+    pass takes only those of the gradient, the pushed pair or the new
+    direction.  Callers hand C-contiguous float64 vectors of the block's
+    length, coefficients for at most every row, and pending rows numbered
+    below the block's length, distinct and even; each result is a new array.
+    """
+
+    def __init__(self, block: np.ndarray):
+        super().__init__(block)
+        rows, self._n = block.shape
+        # the combination's rows: the gradient, then the block's; rows[1:] are the products'
+        self._rows = np.empty(rows + 1, dtype=np.uintp)
+        self._rows[1:] = _rows_at(block)
+        # the products' vectors: the gradient and at most one y row per slot
+        self._vectors = np.empty(rows // 2 + 1, dtype=np.uintp)
+        self._pair = np.empty(2, dtype=np.uintp)
+        self._out = np.empty(rows * len(self._vectors))
+        self._partials = np.empty(self._out.size * -(-self._n // _CHUNK))
+        self._rows_at, self._vectors_at, self._pair_at, self._out_at, self._partials_at = (
+            a.ctypes.data for a in (self._rows, self._vectors, self._pair, self._out, self._partials)
+        )
+
+    def __reduce__(self):
+        # a copy binds the copied block: the addresses here are this one's
+        return type(self), (self._block,)
+
+    def _block_dots(self, rows_at: int, nrows: int, vectors_at: int, nvectors: int):
+        _KERNEL.block_dots(
+            rows_at, nrows, vectors_at, nvectors, self._n, _CHUNK, self._partials_at, self._out_at
+        )
+        return self._out[: nrows * nvectors].reshape(nrows, nvectors).copy()
+
+    def pair(self, s, y):
+        self._pair[0], self._pair[1] = s.ctypes.data, y.ctypes.data
+        return self._block_dots(self._pair_at, 2, self._pair_at, 2)
+
+    def products(self, nrows, gradient, pending):
+        self._vectors[0] = gradient.ctypes.data
+        self._vectors[1 : 1 + len(pending)] = self._rows[1:][pending]
+        return self._block_dots(
+            self._rows_at + self._rows.itemsize, nrows, self._vectors_at, 1 + len(pending)
+        )
+
+    def combine(self, gradient, coefficients):
+        self._rows[0] = gradient.ctypes.data
+        out = np.empty(self._n)
+        _KERNEL.block_combine(
+            self._rows_at,
+            coefficients.ctypes.data,
+            len(coefficients),
+            self._n,
+            _CHUNK,
+            out.ctypes.data,
+        )
+        return out
+
+
 class LbfgsHistory:
     """Curvature-filtered ring of the newest (step s, gradient change y) pairs.
 
@@ -184,8 +266,9 @@ class LbfgsHistory:
     exactly, and the s term is the whole Newton step).  Beside it sit the
     tables s_i.y_j and y_i.y_j; a pushed slot's column is filled in by the
     next direction, which reads the block anyway.  Every product over the
-    block, and the push's curvature test, is a _dots, so its bits do not
-    depend on the thread count.
+    block, and the push's curvature test, sums as _dots does, and the
+    direction as _combine does (_Passes, compiled in _BoundPasses), so their
+    bits do not depend on the thread count.
     """
 
     def __init__(self, memory: int = 10):
@@ -193,6 +276,7 @@ class LbfgsHistory:
             raise ValueError(f"memory must be >= 1, got {memory}")
         self._memory = memory
         self._block = None
+        self._passes = None
         self._sy = np.zeros((memory, memory))
         self._yy = np.zeros((memory, memory))
         self._count = 0
@@ -206,13 +290,15 @@ class LbfgsHistory:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
         s = _vector(s, None if self._block is None else self._block.shape[1])
         y = _vector(y, s.size)
-        (ss, sy), (_, yy) = _dots((s, y), (s, y))
+        products = _dots((s, y), (s, y)) if self._passes is None else self._passes.pair(s, y)
+        (ss, sy), (_, yy) = products.tolist()
         bound = _CURVATURE_THRESHOLD * (math.sqrt(ss) * math.sqrt(yy))
         # a NaN curvature is not above the bound either
         if not sy > bound:
             return False
         if self._block is None:
             self._block = np.empty((2 * self._memory, s.size))
+            self._passes = (_Passes if _KERNEL is None else _BoundPasses)(self._block)
         slot = self._next
         self._block[2 * slot] = y
         self._block[2 * slot + 1] = s
@@ -242,8 +328,8 @@ class LbfgsHistory:
         pushed since the last call, from their y rows themselves: S^T y taken
         as the difference of two directions' S^T g cancels when |y| << |g|.
         """
-        pending = [self._block[2 * slot] for slot in self._pending]
-        products = _dots(self._block[: 2 * self._count], [gradient, *pending])
+        pending = [2 * slot for slot in self._pending]
+        products = self._passes.products(2 * self._count, gradient, pending)
         for slot, column in zip(self._pending, products.T[1:]):
             self._sy[: self._count, slot] = column[1::2]
             self._yy[: self._count, slot] = self._yy[slot, : self._count] = column[0::2]
@@ -269,6 +355,7 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
     """
     if not len(history):
         return -gradient
+    gradient = _vector(gradient, history._block.shape[1])
     slots = history._slots()
     products = history._products(gradient)
     yg, sg = products[0::2][slots], products[1::2][slots]
@@ -283,7 +370,7 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
     coefficients[0] = -gamma
     coefficients[1::2][slots] = gamma * p
     coefficients[2::2][slots] = -u
-    return _combine(gradient, history._block[: len(products)], coefficients)
+    return history._passes.combine(gradient, coefficients)
 
 
 @dataclass(frozen=True)

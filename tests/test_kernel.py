@@ -1,7 +1,9 @@
 """The compiled kernels: their build cache, their failure paths, their packaging,
 and the L-BFGS history passes on one thread or two."""
 
+import copy
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -276,6 +278,29 @@ def test_history_passes_check_their_inputs():
     for s, y in ((np.ones(4), np.ones(4)), (np.ones(5), np.ones(4))):
         with pytest.raises(ValueError):
             history.push(s, y)
+    # vectors of no entries: every product is +0.0, and an empty pair is refused
+    empty = np.zeros((2, 0))
+    for dots in (atmtomo.solvers._dots, atmtomo.solvers._numpy_dots):
+        for rows in (empty, list(empty)):
+            assert dots(rows, [empty[0]]).tobytes() == np.zeros((2, 1)).tobytes()
+    assert not atmtomo.solvers.LbfgsHistory(2).push(np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))])
+def test_a_copied_history_passes_over_its_own_block(clone):
+    rng = np.random.default_rng(8)
+    n = 3 * CHUNK + 5
+    history = atmtomo.solvers.LbfgsHistory(3)
+    for _ in range(4):
+        s = rng.standard_normal(n)
+        assert history.push(s, 2.0 * s + rng.standard_normal(n) * 0.1)
+    gradient = rng.standard_normal(n)
+    twin = clone(history)
+    want = atmtomo.solvers.two_loop_direction(history, gradient).tobytes()
+    s = rng.standard_normal(n)
+    assert history.push(s, 3.0 * s)
+    history._block[:] = np.nan
+    assert atmtomo.solvers.two_loop_direction(twin, gradient).tobytes() == want
 
 
 @needs_kernel
@@ -424,7 +449,9 @@ def test_a_forked_child_computes_the_same_direction():
 # an LDFP solve on the default scene, then an L-BFGS solve: prints the
 # threads the process gained after each
 LDFP_THEN_LBFGS = r"""
+import copy
 import os
+import pickle
 import numpy as np
 from atmtomo import (
     Objective, add_noise, assemble_operator, make_grid, place_network, take_rays, true_profile,
