@@ -13,11 +13,14 @@ process that may run on two or more CPUs (os.sched_getaffinity, so taskset
 is the control); every sum runs in an order the chunks fix, so the bits do
 not depend on the CPU count.  Between passes the helper spins for 1 ms
 before it sleeps, unless the process already ran another thread when the
-helper started (a threaded BLAS's pool, say): then it sleeps at once.  It is cached under $XDG_CACHE_HOME/atmtomo
-(default ~/.cache/atmtomo), keyed by the source, the compiler command and the
-flags.  On x86-64 glibc, with a compiler that has target_clones, the
-diffusion apply and the CG updates carry an AVX2 clone and a baseline clone,
-and the dynamic loader picks one when the library loads, so a cached library
+helper started (a threaded BLAS's pool, say): then it sleeps at once.
+
+The library is cached under $XDG_CACHE_HOME/atmtomo (default
+~/.cache/atmtomo), keyed by the source, the compiler command and the flags.
+On x86-64 glibc, with a compiler that has target_clones, the diffusion
+apply, the CG updates and the inner loops of the history passes carry an
+AVX2 clone and a baseline clone, and the dynamic loader picks one when the
+library loads, so a cached library
 runs on any x86-64; elsewhere the library holds the baseline kernels alone.
 Both clones give the same bits.  Without a compiler, or on any failure to
 build or load, load() returns None and the three modules run their numpy
