@@ -30,7 +30,8 @@ _GROW = 2.0
 # a pair with y.s <= this times |s||y| carries no usable curvature
 _CURVATURE_THRESHOLD = 1e-12
 # columns per chunk of the L-BFGS history passes: the compiled passes share a
-# pass's chunks between two threads, and _dots sums over them in a fixed order
+# pass's chunks between two threads, and every product sums over them in
+# _numpy_dots' fixed order
 _CHUNK = 1024
 
 
@@ -111,108 +112,28 @@ def _numpy_combine(first, block, coefficients) -> np.ndarray:
     return out
 
 
-def _rows_at(block: np.ndarray) -> np.ndarray:
-    """The addresses of a C-contiguous 2-D array's rows."""
-    return block.ctypes.data + block.strides[0] * np.arange(len(block), dtype=np.uintp)
-
-
-def _dots(rows, vectors) -> np.ndarray:
-    """rows[r] . vectors[j] for every pair, as a (len(rows), len(vectors)) array.
-
-    rows is a C-contiguous float64 2-D array, or a sequence of vectors, and
-    vectors a sequence of vectors of as many entries.  The sums follow
-    _numpy_dots' order, which the compiled block_dots keeps on one thread
-    or two.
-    """
-    block = isinstance(rows, np.ndarray)
-    if block and not (rows.ndim == 2 and rows.dtype == np.float64 and rows.flags.c_contiguous):
-        raise ValueError("rows must be a C-contiguous float64 2-D array or a sequence of vectors")
-    n = rows.shape[1] if block else len(rows[0])
-    if not block:
-        rows = [_vector(row, n) for row in rows]
-    vectors = [_vector(vector, n) for vector in vectors]
-    if _KERNEL is None:
-        return _numpy_dots(rows, vectors)
-    if block:
-        rows_at = _rows_at(rows)
-    else:
-        rows_at = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
-    vectors_at = np.array([vector.ctypes.data for vector in vectors], dtype=np.uintp)
-    out = np.empty((len(rows_at), len(vectors_at)))
-    partials = np.empty(out.size * -(-n // _CHUNK))
-    _KERNEL.block_dots(
-        rows_at.ctypes.data,
-        len(rows_at),
-        vectors_at.ctypes.data,
-        len(vectors_at),
-        n,
-        _CHUNK,
-        partials.ctypes.data,
-        out.ctypes.data,
-    )
-    return out
-
-
-def _combine(first, block: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """coefficients[0] first + sum_r coefficients[1 + r] block[r], summed in row order.
-
-    block is a C-contiguous float64 2-D array of rows as long as first.
-    """
-    first = _vector(first, block.shape[1])
-    if _KERNEL is None:
-        return _numpy_combine(first, block, coefficients)
-    rows_at = np.empty(len(block) + 1, dtype=np.uintp)
-    rows_at[0] = first.ctypes.data
-    rows_at[1:] = _rows_at(block)
-    coefficients = np.ascontiguousarray(coefficients, dtype=np.float64)
-    out = np.empty_like(first)
-    _KERNEL.block_combine(
-        rows_at.ctypes.data,
-        coefficients.ctypes.data,
-        len(rows_at),
-        first.size,
-        _CHUNK,
-        out.ctypes.data,
-    )
-    return out
-
-
 class _Passes:
-    """A history block's passes, through _dots and _combine: the numpy path."""
+    """A history block's two passes, and push's products of its pair.
+
+    Compiled, the addresses of the block's rows and of the products' scratch
+    are taken once, so each pass takes only those of the gradient, the
+    pushed pair or the new direction (ndarray.ctypes.data, about 1.5-2 us
+    each); without the kernels each pass is its numpy twin.  The block holds
+    a y row and an s row per slot.  Callers hand C-contiguous float64
+    vectors of the block's length, coefficients for at most every row, and
+    pending rows numbered below the block's length, distinct and even; each
+    result is a new array.  The scratch is the instance's own, so threads
+    may share a block but not its _Passes.
+    """
 
     def __init__(self, block: np.ndarray):
         self._block = block
-
-    def pair(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """[[s.s, s.y], [y.s, y.y]], as _dots((s, y), (s, y)) sums them."""
-        return _dots((s, y), (s, y))
-
-    def products(self, nrows: int, gradient: np.ndarray, pending: list) -> np.ndarray:
-        """_dots of the first nrows rows with gradient and the rows numbered in pending."""
-        return _dots(self._block[:nrows], [gradient, *(self._block[r] for r in pending)])
-
-    def combine(self, gradient: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """_combine of gradient and the first len(coefficients) - 1 rows."""
-        return _combine(gradient, self._block[: len(coefficients) - 1], coefficients)
-
-
-class _BoundPasses(_Passes):
-    """The same passes compiled, with the addresses of the block and scratch taken once.
-
-    _dots and _combine take the address of every array they are handed
-    (ndarray.ctypes.data, about 1.5-2 us each, seven in a _dots); here each
-    pass takes only those of the gradient, the pushed pair or the new
-    direction.  Callers hand C-contiguous float64 vectors of the block's
-    length, coefficients for at most every row, and pending rows numbered
-    below the block's length, distinct and even; each result is a new array.
-    """
-
-    def __init__(self, block: np.ndarray):
-        super().__init__(block)
+        if _KERNEL is None:
+            return
         rows, self._n = block.shape
         # the combination's rows: the gradient, then the block's; rows[1:] are the products'
         self._rows = np.empty(rows + 1, dtype=np.uintp)
-        self._rows[1:] = _rows_at(block)
+        self._rows[1:] = block.ctypes.data + block.strides[0] * np.arange(rows, dtype=np.uintp)
         # the products' vectors: the gradient and at most one y row per slot
         self._vectors = np.empty(rows // 2 + 1, dtype=np.uintp)
         self._pair = np.empty(2, dtype=np.uintp)
@@ -232,18 +153,27 @@ class _BoundPasses(_Passes):
         )
         return self._out[: nrows * nvectors].reshape(nrows, nvectors).copy()
 
-    def pair(self, s, y):
+    def pair(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """[[s.s, s.y], [y.s, y.y]]."""
+        if _KERNEL is None:
+            return _numpy_dots((s, y), (s, y))
         self._pair[0], self._pair[1] = s.ctypes.data, y.ctypes.data
         return self._block_dots(self._pair_at, 2, self._pair_at, 2)
 
-    def products(self, nrows, gradient, pending):
+    def products(self, nrows: int, gradient: np.ndarray, pending: list) -> np.ndarray:
+        """The first nrows rows' products with gradient and with the rows numbered in pending."""
+        if _KERNEL is None:
+            return _numpy_dots(self._block[:nrows], [gradient, *(self._block[r] for r in pending)])
         self._vectors[0] = gradient.ctypes.data
         self._vectors[1 : 1 + len(pending)] = self._rows[1:][pending]
         return self._block_dots(
             self._rows_at + self._rows.itemsize, nrows, self._vectors_at, 1 + len(pending)
         )
 
-    def combine(self, gradient, coefficients):
+    def combine(self, gradient: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """coefficients[0] gradient + coefficients[1 + r] block[r] summed in row order."""
+        if _KERNEL is None:
+            return _numpy_combine(gradient, self._block[: len(coefficients) - 1], coefficients)
         self._rows[0] = gradient.ctypes.data
         out = np.empty(self._n)
         _KERNEL.block_combine(
@@ -266,9 +196,9 @@ class LbfgsHistory:
     exactly, and the s term is the whole Newton step).  Beside it sit the
     tables s_i.y_j and y_i.y_j; a pushed slot's column is filled in by the
     next direction, which reads the block anyway.  Every product over the
-    block, and the push's curvature test, sums as _dots does, and the
-    direction as _combine does (_Passes, compiled in _BoundPasses), so their
-    bits do not depend on the thread count.
+    block, and the push's curvature test, sums as _numpy_dots does, and the
+    direction as _numpy_combine does (through _Passes, compiled or not), so
+    their bits do not depend on the thread count.
     """
 
     def __init__(self, memory: int = 10):
@@ -290,15 +220,15 @@ class LbfgsHistory:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
         s = _vector(s, None if self._block is None else self._block.shape[1])
         y = _vector(y, s.size)
-        products = _dots((s, y), (s, y)) if self._passes is None else self._passes.pair(s, y)
-        (ss, sy), (_, yy) = products.tolist()
+        # the first pair fixes the length, stored or not
+        if self._block is None:
+            self._block = np.empty((2 * self._memory, s.size))
+            self._passes = _Passes(self._block)
+        (ss, sy), (_, yy) = self._passes.pair(s, y).tolist()
         bound = _CURVATURE_THRESHOLD * (math.sqrt(ss) * math.sqrt(yy))
         # a NaN curvature is not above the bound either
         if not sy > bound:
             return False
-        if self._block is None:
-            self._block = np.empty((2 * self._memory, s.size))
-            self._passes = (_Passes if _KERNEL is None else _BoundPasses)(self._block)
         slot = self._next
         self._block[2 * slot] = y
         self._block[2 * slot + 1] = s
@@ -350,8 +280,8 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
         H g = gamma g + S u - gamma Y p,   p = R^-1 S^T g,
         u = R^-T (D p + gamma (Y^T Y p - Y^T g)),
 
-    so the block is read twice, once for its products with g (_dots) and
-    once to sum its rows (_combine), whatever the memory.
+    so the block is read twice, once for its products with g and once to sum
+    its rows (_Passes.products and _Passes.combine), whatever the memory.
     """
     if not len(history):
         return -gradient

@@ -174,6 +174,8 @@ def test_cli_output_is_the_same_without_the_compiled_stencil(tmp_path, monkeypat
 # the L-BFGS history passes: block_dots and block_combine against their numpy twins
 
 CHUNK = atmtomo.solvers._CHUNK
+Passes = atmtomo.solvers._Passes
+numpy_dots, numpy_combine = atmtomo.solvers._numpy_dots, atmtomo.solvers._numpy_combine
 
 
 def _same(a, b) -> bool:
@@ -207,7 +209,7 @@ def _rough(rng, shape):
 def test_numpy_dots_add_in_the_documented_order(n):
     rng = np.random.default_rng(n)
     rows, vectors = _rough(rng, (3, n)), list(_rough(rng, (2, n)))
-    got = atmtomo.solvers._numpy_dots(rows, vectors)
+    got = numpy_dots(rows, vectors)
     want = [[_spec_dot(row, vector) for vector in vectors] for row in rows]
     assert got.tobytes() == np.array(want).tobytes()
 
@@ -225,20 +227,26 @@ def test_history_passes_match_their_numpy_twins(n, memory):
     # signed zeros in the rows, the vectors and the coefficients
     block[:, ::5] = -0.0
     gradient[::7] = -0.0
-    for vectors in ([gradient], [gradient, block[-1]]):
-        got = atmtomo.solvers._dots(block, vectors)
-        assert got.tobytes() == atmtomo.solvers._numpy_dots(block, vectors).tobytes()
+    passes = Passes(block)
+    for pending in ([], [2 * memory - 2]):
+        got = passes.products(2 * memory, gradient, pending)
+        want = numpy_dots(block, [gradient, *block[pending]])
+        assert got.tobytes() == want.tobytes()
+    pair = (gradient, block[-1])
+    assert passes.pair(*pair).tobytes() == numpy_dots(pair, pair).tobytes()
     coefficients = _rough(rng, 2 * memory + 1)
     coefficients[1::4] = -0.0
-    got = atmtomo.solvers._combine(gradient, block, coefficients)
-    assert got.tobytes() == atmtomo.solvers._numpy_combine(gradient, block, coefficients).tobytes()
-    # a zero row: every product is a signed zero, every sum +0.0 or -0.0 as numpy's
-    zeros = np.full((1, n), -0.0)
-    got = atmtomo.solvers._dots(zeros, [zeros[0]])
-    assert _same(got, atmtomo.solvers._numpy_dots(zeros, [zeros[0]]))
+    got = passes.combine(gradient, coefficients)
+    assert got.tobytes() == numpy_combine(gradient, block, coefficients).tobytes()
+    # zero rows: every product is a signed zero, every sum +0.0 or -0.0 as numpy's
+    zeros = np.full((2, n), -0.0)
+    zeros[1] = 0.0
+    passes = Passes(zeros)
+    assert _same(passes.products(2, zeros[0], [0]), numpy_dots(zeros, [zeros[0], zeros[0]]))
+    assert _same(passes.pair(*zeros), numpy_dots(zeros, zeros))
+    coefficients = np.array([-1.0, 1.0, -1.0])
     assert _same(
-        atmtomo.solvers._combine(zeros[0], zeros, [-1.0, 1.0]),
-        atmtomo.solvers._numpy_combine(zeros[0], zeros, [-1.0, 1.0]),
+        passes.combine(zeros[0], coefficients), numpy_combine(zeros[0], zeros, coefficients)
     )
 
 
@@ -253,37 +261,54 @@ def test_history_passes_propagate_inf_and_nan(n):
     block[4, n // 3] = np.inf
     block[4, n // 2] = -np.inf
     gradient = rng.standard_normal(n)
-    got = atmtomo.solvers._dots(block, [gradient, block[0]])
-    want = atmtomo.solvers._numpy_dots(block, [gradient, block[0]])
+    passes = Passes(block)
+    got = passes.products(6, gradient, [0])
+    want = numpy_dots(block, [gradient, block[0]])
     assert _same(got, want)
     assert np.isnan(got[2]).all() and np.isinf(got[1]).all() and np.isinf(got[3]).all()
     assert np.isfinite(got[0]).all() and not np.isfinite(got[4]).any()
+    for pair in ((block[1], block[3]), (gradient, block[2]), (block[4], block[4])):
+        got = passes.pair(*pair)
+        assert _same(got, numpy_dots(pair, pair)) and not np.isfinite(got).all()
     coefficients = np.linspace(-1.0, 1.0, 7)
-    got = atmtomo.solvers._combine(gradient, block, coefficients)
-    assert _same(got, atmtomo.solvers._numpy_combine(gradient, block, coefficients))
+    got = passes.combine(gradient, coefficients)
+    assert _same(got, numpy_combine(gradient, block, coefficients))
     assert np.isnan(got[0]) and not np.isfinite(got[[n // 3, n // 2, -1]]).any()
     assert np.isfinite(got[1 : n // 3]).all()
 
 
 def test_history_passes_check_their_inputs():
-    block = np.zeros((2, 5))
-    with pytest.raises(ValueError):
-        atmtomo.solvers._dots(block, [np.zeros(4)])
-    with pytest.raises(ValueError):
-        atmtomo.solvers._dots(np.zeros((5, 2)).T, [np.zeros(5)])
-    with pytest.raises(ValueError):
-        atmtomo.solvers._combine(np.zeros(4), block, np.zeros(3))
     history = atmtomo.solvers.LbfgsHistory(2)
     assert history.push(np.ones(5), np.ones(5))
     for s, y in ((np.ones(4), np.ones(4)), (np.ones(5), np.ones(4))):
         with pytest.raises(ValueError):
             history.push(s, y)
-    # vectors of no entries: every product is +0.0, and an empty pair is refused
+    # vectors of no entries: every product is +0.0, on either path
     empty = np.zeros((2, 0))
-    for dots in (atmtomo.solvers._dots, atmtomo.solvers._numpy_dots):
-        for rows in (empty, list(empty)):
-            assert dots(rows, [empty[0]]).tobytes() == np.zeros((2, 1)).tobytes()
-    assert not atmtomo.solvers.LbfgsHistory(2).push(np.array([]), np.array([]))
+    zeros = np.zeros((2, 2)).tobytes()
+    assert Passes(empty).products(2, empty[0], [0]).tobytes() == zeros
+    assert Passes(empty).pair(empty[0], empty[1]).tobytes() == zeros
+    assert numpy_dots(empty, list(empty)).tobytes() == zeros
+    assert numpy_dots(list(empty), list(empty)).tobytes() == zeros
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_a_refused_first_pair_fixes_the_history_length(path, monkeypatch):
+    if path == "numpy":
+        helpers.without_kernels(monkeypatch)
+    elif atmtomo.solvers._KERNEL is None:
+        pytest.skip("the compiled kernels did not build or load here")
+    history = atmtomo.solvers.LbfgsHistory(2)
+    assert not history.push(np.ones(5), -np.ones(5))
+    with pytest.raises(ValueError):
+        history.push(np.ones(4), np.ones(4))
+    assert history.push(np.ones(5), np.ones(5)) and len(history) == 1
+    # an empty pair has no curvature: refused, and it fixes the length at 0
+    empty = atmtomo.solvers.LbfgsHistory(2)
+    assert not empty.push(np.array([]), np.array([]))
+    assert len(empty) == 0
+    with pytest.raises(ValueError):
+        empty.push(np.ones(1), np.ones(1))
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))])
@@ -306,21 +331,24 @@ def test_a_copied_history_passes_over_its_own_block(clone):
 @needs_kernel
 def test_history_passes_from_many_threads_at_once():
     # the compiled passes release the GIL: one caller holds the helper, the
-    # others run their chunks inline, and every result keeps its bits
+    # others run their chunks inline, and every result keeps its bits; each
+    # thread passes over the shared block through its own _Passes, whose
+    # scratch is its own
     rng = np.random.default_rng(3)
     block, gradient = rng.standard_normal((20, 3 * CHUNK + 5)), rng.standard_normal(3 * CHUNK + 5)
     coefficients = rng.standard_normal(21)
     want = (
-        atmtomo.solvers._numpy_dots(block, [gradient, block[3]]).tobytes(),
-        atmtomo.solvers._numpy_combine(gradient, block, coefficients).tobytes(),
+        numpy_dots(block, [gradient, block[2]]).tobytes(),
+        numpy_combine(gradient, block, coefficients).tobytes(),
     )
     wrong = []
 
     def work():
+        passes = Passes(block)
         for _ in range(50):
             got = (
-                atmtomo.solvers._dots(block, [gradient, block[3]]).tobytes(),
-                atmtomo.solvers._combine(gradient, block, coefficients).tobytes(),
+                passes.products(20, gradient, [2]).tobytes(),
+                passes.combine(gradient, coefficients).tobytes(),
             )
             if got != want:
                 wrong.append(got)
