@@ -20,11 +20,15 @@ The library is cached under $XDG_CACHE_HOME/atmtomo (default
 On x86-64 glibc, with a compiler that has target_clones, the diffusion
 apply, the CG updates and the inner loops of the history passes carry an
 AVX2 clone and a baseline clone, and the dynamic loader picks one when the
-library loads, so a cached library
-runs on any x86-64; elsewhere the library holds the baseline kernels alone.
-Both clones give the same bits.  Without a compiler, or on any failure to
-build or load, load() returns None and the three modules run their numpy
-code, which gives the same bits.
+library loads, so a cached library runs on any x86-64; elsewhere the library
+holds the baseline kernels alone.  Both clones give the same bits.  Without
+a compiler, or on any failure to build or load, load() returns None and the
+three modules run their numpy code, which gives the same bits.
+
+The kernels check nothing.  Every vector one reads passes vector(): the
+caller's own array if it is a float64, 1-D, C-contiguous vector of the right
+length, else a copy.  check_out() vets an output, and a Binding keeps the last
+call of a loop with weak references to the arrays it keys on.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import operator
 import os
 import shlex
 import subprocess
 import sysconfig
 import tempfile
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -62,6 +66,17 @@ _SIGNATURES = {
 }
 
 
+def vector(a, n: int | None = None, what: str = "vector", counted: str = "entries") -> np.ndarray:
+    """a as a float64, 1-D, C-contiguous vector, of n entries if n is given: a itself
+    if it already is one (kept calls key on that identity), else a checked copy."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{what} must be a vector, got shape {a.shape}")
+    if n is not None and a.size != n:
+        raise ValueError(f"{what} length {a.shape} does not match {counted} {n}")
+    return np.ascontiguousarray(a)
+
+
 def check_out(out, n: int, *inputs) -> None:
     """That out can take a kernel's n results while it reads inputs."""
     if not (
@@ -77,40 +92,27 @@ def check_out(out, n: int, *inputs) -> None:
 
 
 class Binding:
-    """A compiled call bound to the arrays it was last made with.
+    """A compiled call kept with weak references to the arrays it was made with.
 
     A loop that hands a kernel the same arrays on every call pays for their
     checks and pointers (a.ctypes.data, 1.3-2.1 us each) once: get() returns
-    the bound call while every key is the very object it was bound with.
-    The entry holds those objects and the scratch the call was made with,
-    so their buffers, and the pointers the call carries, stay valid; bind
-    only arrays the call reads or writes in place, never a checked copy,
-    and scratch made for this call alone.  One tuple holds key, call and
-    scratch, so a concurrent bind never pairs one call's key with another's
-    pointers.
+    the call while every key is alive and the very object passed in.  It keeps
+    no key alive, and numpy resizes no weakly referenced array, so a live
+    key's buffer is the one the call points at.  Bind only the caller's own
+    arrays, no checked copy.  One tuple holds keys, call and the call's own
+    scratch, so a concurrent bind never mixes two calls.
     """
 
-    __slots__ = ("_entry",)
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop the bound call and the arrays and scratch it holds."""
-        self._entry = ((), None, ())
+    _entry = ((), None, ())
 
     def get(self, *key):
-        bound, call, _ = self._entry
-        if len(bound) == len(key) and all(map(operator.is_, bound, key)):
-            return call
-        return None
+        refs, call, _ = self._entry
+        # a dead reference gives None, which must not match a None key
+        live = len(refs) == len(key) and all(k is not None and r() is k for r, k in zip(refs, key))
+        return call if live else None
 
     def bind(self, key: tuple, call, *scratch) -> None:
-        self._entry = (key, call, scratch)
-
-    def __reduce__(self):
-        # a copy starts unbound: the call carries this entry's pointers
-        return Binding, ()
+        self._entry = (tuple(map(weakref.ref, key)), call, scratch)
 
 
 def compiler_command() -> list[str]:

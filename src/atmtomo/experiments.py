@@ -434,6 +434,13 @@ def _solve_combo(config, grid, op, f_delta, truth, solver, penalty):
     )
 
 
+def _seconds_per_iteration(result) -> float:
+    """The median time between successive records (a stall that hits a few
+    iterations moves it little), or the solve's time if it took no step."""
+    gaps = np.diff([record.seconds for record in result.records])
+    return float(np.median(gaps)) if gaps.size else result.seconds
+
+
 def run_benchmark(config: ExperimentConfig, progress=None) -> dict:
     """Time LDFP against trust-region L-BFGS on one identical problem instance.
 
@@ -474,7 +481,7 @@ def run_benchmark(config: ExperimentConfig, progress=None) -> dict:
             "iterations": result.iterations,
             "termination": result.termination,
             "total_seconds": result.seconds,
-            "seconds_per_iteration": result.seconds / max(1, result.iterations),
+            "seconds_per_iteration": _seconds_per_iteration(result),
             "final_relative_error": result.records[-1].relative_error,
             "final_discrepancy": result.records[-1].discrepancy,
             **_split_errors(result.field, truth, seen),

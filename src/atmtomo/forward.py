@@ -178,17 +178,9 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def _field(self, values) -> np.ndarray:
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (self.n_cols,):
-            raise ValueError(
-                f"field length {values.shape} does not match operator columns {self.n_cols}"
-            )
-        return values
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Forward map: per-ray weighted sums of nodal values."""
-        values = self._field(values)
+        values = _kernel.vector(values, self.n_cols, "field", "operator columns")
         if _KERNEL is None:
             m = self.matrix
             terms = m.data * np.take(values, m.indices)
@@ -199,11 +191,7 @@ class SparseOperator:
 
     def apply_adjoint(self, residual: np.ndarray) -> np.ndarray:
         """Adjoint map: spread per-ray values back onto their nodes."""
-        residual = np.ascontiguousarray(residual, dtype=float)
-        if residual.shape != (self.n_rows,):
-            raise ValueError(
-                f"residual length {residual.shape} does not match operator rows {self.n_rows}"
-            )
+        residual = _kernel.vector(residual, self.n_rows, "residual", "operator rows")
         if _KERNEL is None:
             m = self.matrix
             terms = m.data * np.take(residual, self._row_ids)
@@ -219,15 +207,15 @@ class SparseOperator:
         each ray's sum as soon as it is formed.  out, if given, receives the
         result and is returned: a writable float64 C-contiguous array of one
         entry per column that does not overlap values.  The operator keeps
-        its last call on out, so a loop passing the same values and out again
-        repeats it without checks or pointer lookups.
+        its last call on out, holding values and out weakly, so a loop passing
+        the same two arrays again repeats it without checks or pointer lookups.
         """
         if out is not None:
             call = self._normal.get(_KERNEL, values, out)
             if call is not None:
                 call()
                 return out
-        checked = self._field(values)
+        checked = _kernel.vector(values, self.n_cols, "field", "operator columns")
         # only a call on the caller's arrays, no checked copy, may be repeated
         bind = out is not None and checked is values
         if out is None:

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 
+from . import _kernel
 from .forward import SparseOperator
 from .geometry import Grid3
 from .tv import _check_beta, tv_value_and_gradient
@@ -34,11 +35,7 @@ class Objective:
         penalty: str = "tv",
         beta: float = 1e-2,
     ):
-        data = np.asarray(data, dtype=float)
-        if data.shape != (operator.n_rows,):
-            raise ValueError(
-                f"data length {data.shape} does not match operator rows {operator.n_rows}"
-            )
+        data = _kernel.vector(data, operator.n_rows, "data", "operator rows")
         if grid.n_nodes != operator.n_cols:
             raise ValueError(
                 f"grid has {grid.n_nodes} nodes but operator has {operator.n_cols} columns"

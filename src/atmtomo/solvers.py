@@ -8,7 +8,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import _kernel, tv
+from . import _kernel
 from .diagnostics import ConvergenceRecord, _values_of
 from .phantom import Field
 from .tv import apply_weights, smoothing_weights
@@ -63,15 +63,6 @@ class LbfgsOptions:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
-def _vector(a, n: int | None = None) -> np.ndarray:
-    """a as a C-contiguous float64 vector, of n entries when n is given."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 1 or (n is not None and a.size != n):
-        length = "" if n is None else f" of {n} entries"
-        raise ValueError(f"expected a vector{length}, got shape {a.shape}")
-    return a
-
-
 def _numpy_dots(rows, vectors) -> np.ndarray:
     """rows[r] . vectors[j] for every pair, in block_dots' order, with numpy.
 
@@ -118,19 +109,23 @@ class _Passes:
     Compiled, the addresses of the block's rows and of the products' scratch
     are taken once, so each pass takes only those of the gradient, the
     pushed pair or the new direction (ndarray.ctypes.data, about 1.5-2 us
-    each); without the kernels each pass is its numpy twin.  The block holds
-    a y row and an s row per slot.  Callers hand C-contiguous float64
-    vectors of the block's length, coefficients for at most every row, and
-    pending rows numbered below the block's length, distinct and even; each
-    result is a new array.  The scratch is the instance's own, so threads
-    may share a block but not its _Passes.
+    each); without the kernels each pass is its numpy twin.  The block, a y
+    and an s row per slot, must be C-contiguous float64 with an even row
+    count (the scratch is sized by it), on both paths.  Callers hand
+    _kernel.vector vectors of the block's length, coefficients for at most
+    every row, and pending rows numbered below the block's length, distinct
+    and even; each result is a new array.  The scratch is the instance's
+    own, so threads may share a block but not its _Passes.
     """
 
     def __init__(self, block: np.ndarray):
+        rows = block.shape[0] if isinstance(block, np.ndarray) and block.ndim == 2 else 0
+        if rows < 2 or rows % 2 or block.dtype != np.float64 or not block.flags.c_contiguous:
+            raise ValueError("the history block must be C-contiguous float64 with 2k rows, k >= 1")
         self._block = block
         if _KERNEL is None:
             return
-        rows, self._n = block.shape
+        self._n = block.shape[1]
         # the combination's rows: the gradient, then the block's; rows[1:] are the products'
         self._rows = np.empty(rows + 1, dtype=np.uintp)
         self._rows[1:] = block.ctypes.data + block.strides[0] * np.arange(rows, dtype=np.uintp)
@@ -218,8 +213,9 @@ class LbfgsHistory:
 
     def push(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Store the pair unless its curvature y.s is too small; returns stored?"""
-        s = _vector(s, None if self._block is None else self._block.shape[1])
-        y = _vector(y, s.size)
+        n = None if self._block is None else self._block.shape[1]
+        s = _kernel.vector(s, n, "s", "history entries")
+        y = _kernel.vector(y, s.size, "y", "s entries")
         # the first pair fixes the length, stored or not
         if self._block is None:
             self._block = np.empty((2 * self._memory, s.size))
@@ -285,7 +281,7 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
     """
     if not len(history):
         return -gradient
-    gradient = _vector(gradient, history._block.shape[1])
+    gradient = _kernel.vector(gradient, history._block.shape[1], "gradient", "history entries")
     slots = history._slots()
     products = history._products(gradient)
     yg, sg = products[0::2][slots], products[1::2][slots]
@@ -525,9 +521,7 @@ def cgne(apply_matrix, rhs, tol: float = 1e-8, max_iterations: int = 200, callba
     arrays on every iteration, updated in place, which is what apply_normal
     and apply_weights key their kept calls on.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim != 1:
-        raise ValueError(f"rhs must be a vector, got shape {rhs.shape}")
+    rhs = _kernel.vector(rhs, what="rhs")
     _check_cg_settings(tol, max_iterations)
     n = len(rhs)
     s = np.zeros(n)
@@ -599,8 +593,6 @@ def ldfp(
     max-iter.  The result's inner_solves holds cgne's InnerSolveStats of each
     outer step.  Each CG product, T^T T v with L(alpha gamma) v then added
     into it, is written into cgne's buffer, so a CG iteration allocates no field.
-    The kept calls of apply_normal and apply_weights are dropped as the solve
-    returns or raises, so its weights and CG vectors do not outlive it.
     """
     if getattr(objective, "penalty", None) != "tv":
         raise ValueError("lagged diffusivity needs the smoothed-tv penalty")
@@ -613,25 +605,19 @@ def ldfp(
     recorder = _Recorder(objective, truth, callback)
     phi, value, grad, grad_norm = recorder.start(phi0)
     inner_solves = []
-    try:
-        for iteration in range(1, max_iterations + 1):
-            weights = smoothing_weights(phi, grid, beta)
-            weights *= alpha
+    for iteration in range(1, max_iterations + 1):
+        weights = smoothing_weights(phi, grid, beta)
+        weights *= alpha
 
-            def apply_h(v, out):
-                op.apply_normal(v, out=out)
-                apply_weights(weights, grid, v, out=out)
+        def apply_h(v, out):
+            op.apply_normal(v, out=out)
+            apply_weights(weights, grid, v, out=out)
 
-            step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
-            inner_solves.append(stats)
-            phi = phi + step
-            value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
-            grad_norm = float(np.linalg.norm(grad))
-            recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
-    finally:
-        # the kept products hold the last weights, direction and product
-        # buffer, three fields that must not outlive the solve
-        tv._BINDING.clear()
-        op._normal.clear()
+        step, stats = cgne(apply_h, -grad, tol=inner_tol, max_iterations=inner_max_iterations)
+        inner_solves.append(stats)
+        phi = phi + step
+        value, grad = _checked_eval(objective, phi, f"at outer iteration {iteration}")
+        grad_norm = float(np.linalg.norm(grad))
+        recorder.push(iteration, phi, value, grad_norm, float(np.linalg.norm(step)))
 
     return recorder.finish(phi, len(inner_solves), "max-iter", inner_solves)

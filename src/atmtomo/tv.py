@@ -29,22 +29,16 @@ def _check_beta(beta: float) -> float:
 
 
 def _field(values, grid: Grid3, what: str) -> np.ndarray:
-    """The flat float vector values, one entry per grid node, as a (z, y, x) array.
-
-    It is copied if strided: both stencils step through its flat buffer.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_nodes,):
-        raise ValueError(f"{what} length {values.shape} does not match grid nodes {grid.n_nodes}")
-    return np.ascontiguousarray(values).reshape(grid.nz, grid.ny, grid.nx)
+    """The node vector values (_kernel.vector) as a (z, y, x) array."""
+    values = _kernel.vector(values, grid.n_nodes, what, "grid nodes")
+    return values.reshape(grid.nz, grid.ny, grid.nx)
 
 
 def _compiled(grid: Grid3) -> bool:
     """Whether the compiled stencil may take fields of this grid.
 
-    It checks no bounds itself: each axis must be at least 2 nodes long.  The
-    arrays it sees come from _field or np.empty_like of one, so they are
-    float64, C-contiguous and of the grid's shape.
+    It checks no bounds itself: each axis must be at least 2 nodes long.  Its
+    arrays come from _field or np.empty_like of one, of the grid's shape.
     """
     return _STENCIL is not None and min(grid.nz, grid.ny, grid.nx) >= 2
 
@@ -180,9 +174,9 @@ def apply_weights(gamma, grid: Grid3, vector, out=None):
     With out, L vector is added into it in place and out is returned,
     bitwise out + apply_weights(gamma, grid, vector): out must be a writable
     float64 C-contiguous array of grid.n_nodes entries that overlaps neither
-    gamma nor vector.  The last such call is kept, holding its three
-    arrays, so a loop passing the same gamma, vector and out again repeats
-    it without checks or pointer lookups.
+    gamma nor vector.  The last such call is kept, holding its three arrays
+    weakly, so a loop passing the same gamma, vector and out again repeats it
+    without checks or pointer lookups.
     """
     if out is not None:
         call = _BINDING.get(_STENCIL, grid, gamma, vector, out)

@@ -19,9 +19,10 @@ from atmtomo import (
     true_profile,
 )
 from atmtomo.cli import main
-from atmtomo.diagnostics import read_csv
+from atmtomo.diagnostics import ConvergenceRecord, read_csv
 from atmtomo.experiments import (
     ExperimentConfig,
+    _seconds_per_iteration,
     _split_errors,
     config_hash,
     default_config,
@@ -30,6 +31,7 @@ from atmtomo.experiments import (
     run_benchmark,
     run_sweep,
 )
+from atmtomo.solvers import SolveResult
 
 TINY_INI = """
 [grid]
@@ -512,11 +514,11 @@ def test_run_benchmark_report(tmp_path):
         assert summary["iterations"] == iters
         assert summary["termination"] == "max-iter"
         assert summary["total_seconds"] > 0.0
-        assert summary["seconds_per_iteration"] == pytest.approx(
-            summary["total_seconds"] / iters
-        )
         records = read_csv(tmp_path / "out" / f"benchmark_{side}.csv")
         assert len(records) == iters + 1
+        # the median time between successive records, not the solve's mean
+        gaps = np.diff([r.seconds for r in records])
+        assert summary["seconds_per_iteration"] == float(np.median(gaps)) > 0.0
         assert summary["final_relative_error"] == records[-1].relative_error
     assert report["speed_ratio_equal_iterations"] == pytest.approx(
         report["ldfp"]["seconds_per_iteration"] / report["lbfgs"]["seconds_per_iteration"]
@@ -584,21 +586,36 @@ def test_run_benchmark_matches_sweep_combination(tmp_path):
 
 
 def test_benchmark_single_iteration_ratio(tmp_path):
-    # one iteration each: the ratio degenerates to the raw cost ratio
+    # one iteration each: the ratio degenerates to the ratio of the one
+    # step each solver took, from its start record to its first
     config = replace(
         tiny_config(tmp_path / "out"),
         benchmark_lbfgs_iterations=1,
         benchmark_ldfp_iterations=1,
     )
     report = run_benchmark(config)
-    assert report["lbfgs"]["iterations"] == 1
-    assert report["ldfp"]["iterations"] == 1
-    assert report["speed_ratio_equal_iterations"] == pytest.approx(
-        report["ldfp"]["total_seconds"] / report["lbfgs"]["total_seconds"]
-    )
-    assert report["lbfgs_seconds_for_equal_iterations"] == pytest.approx(
-        report["lbfgs"]["total_seconds"]
-    )
+    step = {}
+    for solver in ("lbfgs", "ldfp"):
+        assert report[solver]["iterations"] == 1
+        start, first = read_csv(tmp_path / "out" / f"benchmark_{solver}.csv")
+        step[solver] = first.seconds - start.seconds
+        assert report[solver]["seconds_per_iteration"] == step[solver]
+    assert report["speed_ratio_equal_iterations"] == pytest.approx(step["ldfp"] / step["lbfgs"])
+    assert report["lbfgs_seconds_for_equal_iterations"] == pytest.approx(step["lbfgs"])
+
+
+def test_seconds_per_iteration_is_the_median_gap_between_records():
+    # one 1 s stall among 1 ms iterations moves the mean 100-fold, not the median
+    gaps = [1e-3] * 5 + [1.0] + [1e-3] * 4
+    seconds = np.concatenate(([0.0], np.cumsum(gaps)))
+    record = ConvergenceRecord(0, 1.0, 0.0, None, 1.0, 0.0, 0.0)
+    records = [replace(record, iteration=i, seconds=float(t)) for i, t in enumerate(seconds)]
+    result = SolveResult(None, len(gaps), "max-iter", records, seconds=float(seconds[-1]))
+    assert _seconds_per_iteration(result) == pytest.approx(1e-3, rel=1e-9)
+    assert result.seconds / result.iterations > 0.1
+    # a solve that took no step: its whole time, as one iteration
+    idle = SolveResult(None, 0, "max-iter", records[:1], seconds=0.25)
+    assert _seconds_per_iteration(idle) == 0.25
 
 
 def test_benchmark_timing_is_stable_for_identical_work(tmp_path):

@@ -1,5 +1,5 @@
 """The compiled kernels: their build cache, their failure paths, their packaging,
-and the L-BFGS history passes on one thread or two."""
+what they may be handed, and the L-BFGS history passes on one thread or two."""
 
 import copy
 import os
@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -24,7 +25,7 @@ import atmtomo.forward
 import atmtomo.solvers
 import atmtomo.tv
 import helpers
-from atmtomo import _kernel, read_csv
+from atmtomo import _kernel, make_grid, read_csv
 from atmtomo.cli import main
 
 needs_kernel = pytest.mark.skipif(
@@ -171,6 +172,64 @@ def test_cli_output_is_the_same_without_the_compiled_stencil(tmp_path, monkeypat
     assert any(name.endswith(".fld") for name in runs[0][1])
 
 
+# the boundary: what a kernel may read, and the calls kept for a loop
+
+
+def test_vector_is_the_callers_array_or_a_checked_copy():
+    # the kept calls key on the caller's array: a copy here would make every one miss
+    a = np.linspace(0.0, 1.0, 5)
+    assert _kernel.vector(a, 5, "field", "operator columns") is a
+    assert _kernel.vector(a) is a
+    for other in (a.astype(np.float32), np.linspace(0.0, 1.0, 10)[::2], a.tolist()):
+        copied = _kernel.vector(other, 5)
+        assert copied is not other and not np.may_share_memory(copied, other)
+        assert copied.dtype == np.float64 and copied.flags.c_contiguous
+        assert copied.tolist() == np.asarray(other, dtype=np.float64).tolist()
+    for not_a_vector in (a.reshape(5, 1), np.float64(1.0)):
+        with pytest.raises(ValueError, match="rhs must be a vector"):
+            _kernel.vector(not_a_vector, None, "rhs")
+    with pytest.raises(ValueError, match=r"field length \(4,\) does not match operator columns 5"):
+        _kernel.vector(a[:4], 5, "field", "operator columns")
+
+
+def test_a_binding_matches_only_the_live_keys_passed_in():
+    binding, call = _kernel.Binding(), object()
+    assert binding.get() is None
+    a, b = np.zeros(3), np.zeros(3)
+    binding.bind((a, b), call)
+    assert binding.get(a, b) is call
+    for other in ((b, a), (a, b.copy()), (a,), (a, b, a)):
+        assert binding.get(*other) is None
+    dead = weakref.ref(b)
+    del b, other
+    # the binding did not keep b alive, and its dead key matches no None
+    assert dead() is None
+    assert binding.get(a, None) is None
+
+
+@needs_kernel
+def test_a_kept_weights_call_holds_no_array_alive(monkeypatch):
+    grid = make_grid(5, 4, 6, (0.0, 1.0, 0.0, 1.0, 0.0, 15.0))
+    rng = np.random.default_rng(4)
+    v, gamma = rng.standard_normal(grid.n_nodes), rng.uniform(0.1, 1.0, grid.n_nodes)
+    out = np.zeros(grid.n_nodes)
+    applied, plain = [], atmtomo.tv._apply
+    monkeypatch.setattr(atmtomo.tv, "_apply", lambda *args: applied.append(1) or plain(*args))
+    for _ in range(2):
+        atmtomo.tv.apply_weights(gamma, grid, v, out=out)
+    assert len(applied) == 1
+    dead = weakref.ref(gamma)
+    del gamma
+    assert dead() is None
+    # new weights, made at once so that they may take the dead ones' id, are
+    # applied anew, not by the kept call
+    other = np.empty(grid.n_nodes)
+    other[:] = rng.uniform(2.0, 3.0, grid.n_nodes)
+    want = out + atmtomo.tv.apply_weights(other, grid, v)
+    assert atmtomo.tv.apply_weights(other, grid, v, out=out).tobytes() == want.tobytes()
+    assert len(applied) == 3
+
+
 # the L-BFGS history passes: block_dots and block_combine against their numpy twins
 
 CHUNK = atmtomo.solvers._CHUNK
@@ -290,6 +349,30 @@ def test_history_passes_check_their_inputs():
     assert Passes(empty).pair(empty[0], empty[1]).tobytes() == zeros
     assert numpy_dots(empty, list(empty)).tobytes() == zeros
     assert numpy_dots(list(empty), list(empty)).tobytes() == zeros
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_history_passes_refuse_a_block_the_kernels_cannot_take(path, monkeypatch):
+    # the compiled scratch is sized by the rows, a y and an s row per slot:
+    # a block of one row would let pair write four products into one entry
+    if path == "numpy":
+        helpers.without_kernels(monkeypatch)
+    elif atmtomo.solvers._KERNEL is None:
+        pytest.skip("the compiled kernels did not build or load here")
+    block = np.ones((4, 9))
+    bad = (
+        block[:1],
+        block[:3],
+        block.astype(np.float32),
+        np.asfortranarray(block),
+        block[:, ::2],
+        block[0],
+        block.tolist(),
+    )
+    for blocked in bad:
+        with pytest.raises(ValueError, match="history block"):
+            Passes(blocked)
+    assert Passes(block[:2]).pair(block[0], block[1]).tolist() == [[9.0, 9.0], [9.0, 9.0]]
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])

@@ -676,9 +676,9 @@ class _Stop(Exception):
 
 @pytest.mark.parametrize("ending", ["returns", "raises"])
 def test_ldfp_keeps_no_field_once_it_ends(ending, monkeypatch):
-    # the kept calls of apply_weights and apply_normal hold the last outer
-    # step's weights, direction and product buffer; ldfp drops them as it
-    # returns or raises, so those fields die with the solve
+    # the kept calls of apply_weights and apply_normal key on the last outer
+    # step's weights, direction and product buffer, and hold them weakly, so
+    # those fields die with the solve as it returns or raises
     obj, _ = _ldfp_scene("odd grid")
     made = []
 

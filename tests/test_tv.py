@@ -483,3 +483,21 @@ def test_diffusion_matches_dense_matrix():
     rng = np.random.default_rng(15)
     v = rng.standard_normal(f.grid.n_nodes)
     np.testing.assert_allclose(helpers.apply_L(f, v, 1e-2), dense @ v, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("stencil", ["compiled", "numpy"])
+def test_the_stencil_does_not_see_the_highest_mode(stencil, monkeypatch):
+    # a central difference, v[i+1] - v[i-1], reads two nodes of one parity:
+    # a field alternating along x has no interior gradient, so its weights
+    # are 1/sqrt(beta) away from the x ends, whose planes alone lift its TV
+    # above the floor sqrt(beta) per node
+    if stencil == "numpy":
+        helpers.without_kernels(monkeypatch)
+    elif atmtomo.tv._STENCIL is None:
+        pytest.skip("the compiled stencil did not build or load here")
+    grid = make_grid(30, 30, 30, (0, 1, 0, 1, 0, 15))
+    values = (-1.0) ** (np.arange(grid.n_nodes) % grid.nx)
+    weights = smoothing_weights(values, grid, 1e-2)
+    assert (weights[:, :, 1:-1] == 1.0 / math.sqrt(1e-2)).all()
+    assert (weights[:, :, [0, -1]] < 1.0).all()
+    assert tv_value_and_gradient(values, grid, 1e-2)[0] == pytest.approx(33.65, abs=5e-3)
