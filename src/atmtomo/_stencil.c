@@ -32,9 +32,9 @@
  * baseline kernels alone.  The history passes' inner loops have clones too.
  *
  * Threads: the history passes split their columns into fixed chunks, which
- * the calling thread and one helper thread share, and every sum they form
- * adds its terms in an order fixed by the chunks; so their bits are the same
- * on one CPU or more.  The helper starts at the first pass of two or more
+ * the calling thread takes from the front and one helper thread from the
+ * back, and every sum they form adds its terms in an order fixed by the
+ * chunks; so their bits are the same on one CPU or more.  The helper starts at the first pass of two or more
  * chunks in a process that may run on two or more CPUs, and waits for the
  * next pass spinning only when it started as the process's second thread;
  * no other kernel uses it.
@@ -311,10 +311,12 @@ void cg_direction(double *restrict p, const double *restrict r, double c, idx n)
 }
 
 /* The L-BFGS history passes of solvers.py.  A pass splits its columns into
- * chunks of a width the caller gives, and the calling thread and one helper
- * thread claim the chunks from a counter; every result is a sum in a fixed
- * order over those chunks, so its bits do not depend on which thread took
- * which chunk, nor on whether the helper took any. */
+ * chunks of a width the caller gives.  The calling thread claims chunks from
+ * the front and one helper thread from the back, through one count of the
+ * chunks claimed, so pass after pass each thread re-reads mostly the same
+ * columns, from its own cache.  Every result is a sum in a fixed order over
+ * the chunks, so its bits do not depend on which thread took which chunk,
+ * nor on whether the helper took any. */
 struct pass {
     void (*run)(const struct pass *, idx); /* does one chunk */
     const double *const *rows;             /* row pointers: nrows vectors of n */
@@ -351,7 +353,7 @@ static struct {
     const struct pass *job;
     idx count;
     atomic_long gate, left;
-    atomic_llong next;
+    atomic_llong claimed;
     atomic_int sleeping;
     pthread_mutex_t lock;
     pthread_cond_t wake;
@@ -415,8 +417,8 @@ static void *helper(void *unused)
         keep_apart();
         const struct pass *job = pool.job;
         idx count = pool.count;
-        for (idx c; (c = (idx)atomic_fetch_add(&pool.next, 1)) < count;)
-            job->run(job, c);
+        for (idx back = count - 1; atomic_fetch_add(&pool.claimed, 1) < count; back--)
+            job->run(job, back);
         atomic_store_explicit(&pool.left, seen, memory_order_release);
     }
     return NULL;
@@ -493,15 +495,15 @@ static void run_pass(const struct pass *job, idx count)
 #endif
     pool.job = job;
     pool.count = count;
-    atomic_store_explicit(&pool.next, 0, memory_order_relaxed);
+    atomic_store_explicit(&pool.claimed, 0, memory_order_relaxed);
     atomic_store(&pool.gate, 2 * seq);
     if (atomic_load(&pool.sleeping)) {
         pthread_mutex_lock(&pool.lock);
         pthread_cond_signal(&pool.wake);
         pthread_mutex_unlock(&pool.lock);
     }
-    for (idx c; (c = (idx)atomic_fetch_add(&pool.next, 1)) < count;)
-        job->run(job, c);
+    for (idx front = 0; atomic_fetch_add(&pool.claimed, 1) < count; front++)
+        job->run(job, front);
     if (atomic_exchange(&pool.gate, 0) == 2 * seq + 1)
         while (atomic_load_explicit(&pool.left, memory_order_acquire) != seq)
             sched_yield();
