@@ -62,7 +62,7 @@ _SIGNATURES = {
     "cg_step": (_P, _P, _P, _P, _D, _N),
     "cg_direction": (_P, _P, _D, _N),
     "block_dots": (_P, _N, _P, _N, _N, _N, _P, _P),
-    "block_combine": (_P, _P, _N, _N, _N, _P),
+    "lbfgs_direction": (_P, _P, _P, _N, _N, _N, _N, _N, _P, _N, _P, _P, _P, _P, _P),
 }
 
 

@@ -618,9 +618,70 @@ static void combine_chunk(const struct pass *p, idx c)
 
 /* out = sum_r coefficients[r] rows[r], each column summed in row order from
  * coefficients[0] rows[0]; out must not overlap a row */
-void block_combine(const double *const *rows, const double *coefficients, idx nrows, idx n,
-                   idx width, double *out)
+static void block_combine(const double *const *rows, const double *coefficients, idx nrows,
+                          idx n, idx width, double *out)
 {
     struct pass p = {combine_chunk, rows, NULL, coefficients, nrows, 0, n, width, NULL, out};
     run_pass(&p, (n + width - 1) / width);
+}
+
+/* The L-BFGS direction out = -H g of solvers.two_loop_direction, in compact
+ * form, as its numpy twin _numpy_direction forms it.  rows holds the
+ * gradient's address (set here) and then the block's 2 memory rows, slot i's
+ * y in row 2i and s in row 2i + 1; the count stored slots, oldest first, are
+ * (next - count + k) mod memory.  One products pass takes the first 2 count
+ * rows' products with g and with the y rows of the npending slots in
+ * pending, whose columns of the memory x memory tables sy (s_i . y_j) and yy
+ * then take those products.  Over the stored slots, R = triu(S^T Y):
+ * gamma = (s.y)/(y.y) of the newest pair, R p = S^T g solved from the last
+ * row up and R^T u = D p + gamma (Y^T Y p - Y^T g) from the first row down,
+ * each row's sum of known terms from +0.0 in increasing column, subtracted
+ * and then divided by R's diagonal, Y^T Y p summed the same way.  The combine
+ * pass then sums -gamma g, gamma p_k y_k and -u_k s_k in row order.  vectors
+ * holds memory + 1 addresses; work 2 memory (memory + 1) products, then p, u
+ * and the 2 memory + 1 coefficients; partials the products per chunk. */
+void lbfgs_direction(const double **rows, const double **vectors, const double *gradient, idx n,
+                     idx width, idx memory, idx count, idx next, const idx *pending,
+                     idx npending, double *restrict sy, double *restrict yy,
+                     double *restrict partials, double *restrict work, double *out)
+{
+    idx k = npending + 1, m = count;
+    double *products = work, *p = work + 2 * memory * (memory + 1), *u = p + memory;
+    double *coefficients = u + memory;
+    rows[0] = vectors[0] = gradient;
+    for (idx q = 0; q < npending; q++)
+        vectors[q + 1] = rows[1 + 2 * pending[q]];
+    block_dots(rows + 1, 2 * m, vectors, k, n, width, partials, products);
+    for (idx q = 0; q < npending; q++)
+        for (idx i = 0; i < m; i++) {
+            sy[i * memory + pending[q]] = products[(2 * i + 1) * k + q + 1];
+            yy[i * memory + pending[q]] = yy[pending[q] * memory + i] = products[2 * i * k + q + 1];
+        }
+#define SLOT(i) ((next - m + (i) + memory) % memory)
+#define R(i, j) sy[SLOT(i) * memory + SLOT(j)]
+    idx last = SLOT(m - 1);
+    double gamma = sy[last * memory + last] / yy[last * memory + last];
+    for (idx i = m - 1; i >= 0; i--) {
+        double sum = 0.0;
+        for (idx j = i + 1; j < m; j++)
+            sum += R(i, j) * p[j];
+        p[i] = (products[(2 * SLOT(i) + 1) * k] - sum) / R(i, i);
+    }
+    for (idx i = 0; i < m; i++) {
+        double yyp = 0.0, sum = 0.0;
+        for (idx j = 0; j < m; j++)
+            yyp += yy[SLOT(i) * memory + SLOT(j)] * p[j];
+        double v = R(i, i) * p[i] + gamma * (yyp - products[2 * SLOT(i) * k]);
+        for (idx j = 0; j < i; j++)
+            sum += R(j, i) * u[j];
+        u[i] = (v - sum) / R(i, i);
+    }
+    coefficients[0] = -gamma;
+    for (idx i = 0; i < m; i++) {
+        coefficients[1 + 2 * SLOT(i)] = gamma * p[i];
+        coefficients[2 + 2 * SLOT(i)] = -u[i];
+    }
+#undef R
+#undef SLOT
+    block_combine(rows, coefficients, 2 * m + 1, n, width, out);
 }

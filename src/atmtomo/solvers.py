@@ -103,19 +103,81 @@ def _numpy_combine(first, block, coefficients) -> np.ndarray:
     return out
 
 
-class _Passes:
-    """A history block's two passes, and push's products of its pair.
+def _divide(a: float, b: float) -> float:
+    """a / b as IEEE 754 and the kernels divide, where Python raises on a zero b."""
+    if b:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
-    Compiled, the addresses of the block's rows and of the products' scratch
-    are taken once, so each pass takes only those of the gradient, the
-    pushed pair or the new direction (ndarray.ctypes.data, about 1.5-2 us
-    each); without the kernels each pass is its numpy twin.  The block, a y
-    and an s row per slot, must be C-contiguous float64 with an even row
-    count (the scratch is sized by it), on both paths.  Callers hand
-    _kernel.vector vectors of the block's length, coefficients for at most
-    every row, and pending rows numbered below the block's length, distinct
-    and even; each result is a new array.  The scratch is the instance's
-    own, so threads may share a block but not its _Passes.
+
+def _coefficients(gradient_products: list, sy: list, yy: list, slots: list) -> list:
+    """lbfgs_direction's coefficients from the products with g and the tables, in Python floats.
+
+    Over the stored slots, oldest first: gamma = (s.y)/(y.y) of the newest
+    pair; R p = S^T g solved from the last row up and R^T u = D p +
+    gamma (Y^T Y p - Y^T g) from the first row down, each row's sum of known
+    terms from +0.0 in increasing column, subtracted and then divided by R's
+    diagonal; Y^T Y p summed the same way.  Python's float operations round
+    as the kernel's do.
+    """
+    m = len(slots)
+    r = [[sy[a][b] for b in slots] for a in slots]
+    gamma = _divide(r[-1][-1], yy[slots[-1]][slots[-1]])
+    p = [0.0] * m
+    for i in reversed(range(m)):
+        total = 0.0
+        for j in range(i + 1, m):
+            total += r[i][j] * p[j]
+        p[i] = _divide(gradient_products[2 * slots[i] + 1] - total, r[i][i])
+    u = [0.0] * m
+    for i in range(m):
+        yyp = total = 0.0
+        for j in range(m):
+            yyp += yy[slots[i]][slots[j]] * p[j]
+        v = r[i][i] * p[i] + gamma * (yyp - gradient_products[2 * slots[i]])
+        for j in range(i):
+            total += r[j][i] * u[j]
+        u[i] = _divide(v - total, r[i][i])
+    coefficients = [0.0] * (2 * m + 1)
+    coefficients[0] = -gamma
+    for slot, pk, uk in zip(slots, p, u):
+        coefficients[1 + 2 * slot] = gamma * pk
+        coefficients[2 + 2 * slot] = -uk
+    return coefficients
+
+
+def _numpy_direction(block, sy, yy, gradient, count: int, next_: int, pending) -> np.ndarray:
+    """lbfgs_direction with numpy and Python floats: the same operations in the same order.
+
+    The first 2 count rows' products with gradient and with the y rows of
+    the slots in pending, those slots' table columns filled in from them,
+    the small solves of _coefficients, and the combination.
+    """
+    rows = block[: 2 * count]
+    products = _numpy_dots(rows, [gradient, *(block[2 * slot] for slot in pending)])
+    for slot, column in zip(pending, products.T[1:]):
+        sy[:count, slot] = column[1::2]
+        yy[:count, slot] = yy[slot, :count] = column[0::2]
+    slots = [(next_ - count + k) % len(sy) for k in range(count)]
+    coefficients = _coefficients(products[:, 0].tolist(), sy.tolist(), yy.tolist(), slots)
+    return _numpy_combine(gradient, rows, coefficients)
+
+
+class _Passes:
+    """A history block, its tables s_i.y_j and y_i.y_j, and the direction's scratch.
+
+    Compiled, the addresses of the block's rows, the tables and the scratch
+    are taken once, so a direction or a push's products take only those of
+    the gradient or the pushed pair and of the result (ndarray.ctypes.data,
+    about 1.5-2 us each); without the kernels each is its numpy twin.  The
+    block, a y and an s row per slot, must be C-contiguous float64 with an
+    even row count (the tables and scratch are sized by it), on both paths.
+    Callers hand _kernel.vector vectors of the block's length, a count of
+    stored slots and a next slot as LbfgsHistory keeps them, and pending
+    slots below count, distinct; each result is a new array.  The scratch is
+    the instance's own, so threads may share a block but not its _Passes.
     """
 
     def __init__(self, block: np.ndarray):
@@ -123,6 +185,9 @@ class _Passes:
         if rows < 2 or rows % 2 or block.dtype != np.float64 or not block.flags.c_contiguous:
             raise ValueError("the history block must be C-contiguous float64 with 2k rows, k >= 1")
         self._block = block
+        memory = rows // 2
+        self.sy = np.zeros((memory, memory))
+        self.yy = np.zeros((memory, memory))
         if _KERNEL is None:
             return
         self._n = block.shape[1]
@@ -130,53 +195,58 @@ class _Passes:
         self._rows = np.empty(rows + 1, dtype=np.uintp)
         self._rows[1:] = block.ctypes.data + block.strides[0] * np.arange(rows, dtype=np.uintp)
         # the products' vectors: the gradient and at most one y row per slot
-        self._vectors = np.empty(rows // 2 + 1, dtype=np.uintp)
+        self._vectors = np.empty(memory + 1, dtype=np.uintp)
         self._pair = np.empty(2, dtype=np.uintp)
-        self._out = np.empty(rows * len(self._vectors))
-        self._partials = np.empty(self._out.size * -(-self._n // _CHUNK))
-        self._rows_at, self._vectors_at, self._pair_at, self._out_at, self._partials_at = (
-            a.ctypes.data for a in (self._rows, self._vectors, self._pair, self._out, self._partials)
+        self._pending = np.empty(memory, dtype=np.intp)
+        # the products, then p, u and the coefficients
+        products = rows * (memory + 1)
+        self._work = np.empty(products + 4 * memory + 1)
+        self._partials = np.empty(products * -(-self._n // _CHUNK))
+        self._rows_at, self._vectors_at, self._pair_at, self._pending_at = (
+            a.ctypes.data for a in (self._rows, self._vectors, self._pair, self._pending)
+        )
+        self._sy_at, self._yy_at, self._partials_at, self._work_at = (
+            a.ctypes.data for a in (self.sy, self.yy, self._partials, self._work)
         )
 
     def __reduce__(self):
-        # a copy binds the copied block: the addresses here are this one's
-        return type(self), (self._block,)
+        # a copy binds the copied block and tables: the addresses here are this one's
+        return type(self), (self._block,), (self.sy, self.yy)
 
-    def _block_dots(self, rows_at: int, nrows: int, vectors_at: int, nvectors: int):
-        _KERNEL.block_dots(
-            rows_at, nrows, vectors_at, nvectors, self._n, _CHUNK, self._partials_at, self._out_at
-        )
-        return self._out[: nrows * nvectors].reshape(nrows, nvectors).copy()
+    def __setstate__(self, tables):
+        self.sy[...], self.yy[...] = tables
 
     def pair(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[[s.s, s.y], [y.s, y.y]]."""
         if _KERNEL is None:
             return _numpy_dots((s, y), (s, y))
         self._pair[0], self._pair[1] = s.ctypes.data, y.ctypes.data
-        return self._block_dots(self._pair_at, 2, self._pair_at, 2)
-
-    def products(self, nrows: int, gradient: np.ndarray, pending: list) -> np.ndarray:
-        """The first nrows rows' products with gradient and with the rows numbered in pending."""
-        if _KERNEL is None:
-            return _numpy_dots(self._block[:nrows], [gradient, *(self._block[r] for r in pending)])
-        self._vectors[0] = gradient.ctypes.data
-        self._vectors[1 : 1 + len(pending)] = self._rows[1:][pending]
-        return self._block_dots(
-            self._rows_at + self._rows.itemsize, nrows, self._vectors_at, 1 + len(pending)
+        _KERNEL.block_dots(
+            self._pair_at, 2, self._pair_at, 2, self._n, _CHUNK, self._partials_at, self._work_at
         )
+        return self._work[:4].reshape(2, 2).copy()
 
-    def combine(self, gradient: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """coefficients[0] gradient + coefficients[1 + r] block[r] summed in row order."""
+    def direction(self, gradient: np.ndarray, count: int, next_: int, pending: list) -> np.ndarray:
+        """-H gradient over the count slots before next_, the pending slots' columns filled in."""
         if _KERNEL is None:
-            return _numpy_combine(gradient, self._block[: len(coefficients) - 1], coefficients)
-        self._rows[0] = gradient.ctypes.data
+            return _numpy_direction(self._block, self.sy, self.yy, gradient, count, next_, pending)
+        self._pending[: len(pending)] = pending
         out = np.empty(self._n)
-        _KERNEL.block_combine(
+        _KERNEL.lbfgs_direction(
             self._rows_at,
-            coefficients.ctypes.data,
-            len(coefficients),
+            self._vectors_at,
+            gradient.ctypes.data,
             self._n,
             _CHUNK,
+            len(self.sy),
+            count,
+            next_,
+            self._pending_at,
+            len(pending),
+            self._sy_at,
+            self._yy_at,
+            self._partials_at,
+            self._work_at,
             out.ctypes.data,
         )
         return out
@@ -190,10 +260,12 @@ class LbfgsHistory:
     term (on a quadratic in one variable the g and y terms then cancel
     exactly, and the s term is the whole Newton step).  Beside it sit the
     tables s_i.y_j and y_i.y_j; a pushed slot's column is filled in by the
-    next direction, which reads the block anyway.  Every product over the
-    block, and the push's curvature test, sums as _numpy_dots does, and the
-    direction as _numpy_combine does (through _Passes, compiled or not), so
-    their bits do not depend on the thread count.
+    next direction, from its y row itself in the pass that reads the block
+    anyway (S^T y taken as the difference of two directions' S^T g cancels
+    when |y| << |g|).  Every product over the block, and the push's
+    curvature test, sums as _numpy_dots does, and the direction as
+    _numpy_direction does (through _Passes, compiled or not), so their bits
+    do not depend on the thread count.
     """
 
     def __init__(self, memory: int = 10):
@@ -202,8 +274,6 @@ class LbfgsHistory:
         self._memory = memory
         self._block = None
         self._passes = None
-        self._sy = np.zeros((memory, memory))
-        self._yy = np.zeros((memory, memory))
         self._count = 0
         self._next = 0
         self._pending = []
@@ -234,36 +304,15 @@ class LbfgsHistory:
         self._count = min(self._count + 1, self._memory)
         return True
 
-    def _slots(self) -> np.ndarray:
-        """The stored slots, oldest first."""
-        return (self._next - self._count + np.arange(self._count)) % self._memory
-
     @property
     def pairs(self):
         """Copies of the stored (s, y, 1/(y.s)), oldest first."""
-        copies = [
-            (self._block[2 * i + 1].copy(), self._block[2 * i].copy())
-            for i in self._slots().tolist()
-        ]
+        slots = (self._next - self._count + np.arange(self._count)) % self._memory
+        copies = [(self._block[2 * i + 1].copy(), self._block[2 * i].copy()) for i in slots]
         return tuple((s, y, 1.0 / float(s @ y)) for s, y in copies)
 
-    def _products(self, gradient: np.ndarray) -> np.ndarray:
-        """Products of gradient with the rows in use: y_i and s_i by slot.
 
-        The same pass over the block fills in the table columns of the slots
-        pushed since the last call, from their y rows themselves: S^T y taken
-        as the difference of two directions' S^T g cancels when |y| << |g|.
-        """
-        pending = [2 * slot for slot in self._pending]
-        products = self._passes.products(2 * self._count, gradient, pending)
-        for slot, column in zip(self._pending, products.T[1:]):
-            self._sy[: self._count, slot] = column[1::2]
-            self._yy[: self._count, slot] = self._yy[slot, : self._count] = column[0::2]
-        self._pending.clear()
-        return products[:, 0]
-
-
-def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarray:
+def two_loop_direction(history: LbfgsHistory, gradient) -> np.ndarray:
     """Quasi-Newton direction -H*gradient, H the L-BFGS inverse Hessian.
 
     H is the matrix the two-loop recursion applies: the seed (s.y)/(y.y)
@@ -277,26 +326,16 @@ def two_loop_direction(history: LbfgsHistory, gradient: np.ndarray) -> np.ndarra
         u = R^-T (D p + gamma (Y^T Y p - Y^T g)),
 
     so the block is read twice, once for its products with g and once to sum
-    its rows (_Passes.products and _Passes.combine), whatever the memory.
+    its rows, whatever the memory: one compiled call (_Passes.direction)
+    makes both passes and the small solves between them.
     """
+    n = None if history._block is None else history._block.shape[1]
+    gradient = _kernel.vector(gradient, n, "gradient", "history entries")
     if not len(history):
         return -gradient
-    gradient = _kernel.vector(gradient, history._block.shape[1], "gradient", "history entries")
-    slots = history._slots()
-    products = history._products(gradient)
-    yg, sg = products[0::2][slots], products[1::2][slots]
-    table = np.ix_(slots, slots)
-    sy, yy = history._sy[table], history._yy[table]
-    gamma = sy[-1, -1] / yy[-1, -1]
-    # R's diagonal is each pair's y.s, which the curvature filter keeps positive
-    r = np.triu(sy)
-    p = np.linalg.solve(r, sg)
-    u = np.linalg.solve(r.T, np.diag(sy) * p + gamma * (yy @ p - yg))
-    coefficients = np.empty(len(products) + 1)
-    coefficients[0] = -gamma
-    coefficients[1::2][slots] = gamma * p
-    coefficients[2::2][slots] = -u
-    return history._passes.combine(gradient, coefficients)
+    d = history._passes.direction(gradient, history._count, history._next, history._pending)
+    history._pending.clear()
+    return d
 
 
 @dataclass(frozen=True)

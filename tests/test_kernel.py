@@ -230,12 +230,11 @@ def test_a_kept_weights_call_holds_no_array_alive(monkeypatch):
     assert len(applied) == 3
 
 
-# the L-BFGS history passes: block_dots and block_combine against their numpy twins
+# the L-BFGS history: push's products and the direction's one call against their numpy twins
 
 CHUNK = atmtomo.solvers._CHUNK
 Passes = atmtomo.solvers._Passes
-numpy_dots, numpy_combine = atmtomo.solvers._numpy_dots, atmtomo.solvers._numpy_combine
-
+numpy_dots, numpy_direction = atmtomo.solvers._numpy_dots, atmtomo.solvers._numpy_direction
 
 def _same(a, b) -> bool:
     """Equal bits, except that any NaN matches any NaN (its payload is the FPU's choice)."""
@@ -276,64 +275,75 @@ def test_numpy_dots_add_in_the_documented_order(n):
 SIZES = [1, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 27000]
 
 
+def _pairs_block(rng, memory, n):
+    """A history block of rough pairs y = d s, d > 0 over 8 decades: slot i's y in row 2i."""
+    s = _rough(rng, (memory, n))
+    block = np.empty((2 * memory, n))
+    block[0::2], block[1::2] = 10.0 ** rng.uniform(-4.0, 4.0, n) * s, s
+    return block
+
+
+def _same_directions(passes, gradient, count, next_, pending) -> bool:
+    """Whether passes' direction and its tables match the twin's, from the same tables."""
+    sy, yy = passes.sy.copy(), passes.yy.copy()
+    want = numpy_direction(passes._block, sy, yy, gradient, count, next_, pending)
+    got = passes.direction(gradient, count, next_, pending)
+    return _same(got, want) and _same(passes.sy, sy) and _same(passes.yy, yy)
+
+
+def _states(memory):
+    """(count, next, pending) of a history as it fills, then wraps with two slots pending."""
+    fill = [(count, count % memory, list(range(count))) for count in (1, memory // 2 + 1, memory)]
+    wraps = [(memory, k % memory, list(dict.fromkeys([(k - 2) % memory, (k - 1) % memory])))
+             for k in (1, memory // 2 + 1)]
+    return fill + wraps
+
+
 @needs_kernel
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("memory", [1, 3, 10, 40])
 def test_history_passes_match_their_numpy_twins(n, memory):
     rng = np.random.default_rng(n + memory)
-    block = _rough(rng, (2 * memory, n))
+    block = _pairs_block(rng, memory, n)
     gradient = _rough(rng, n)
-    # signed zeros in the rows, the vectors and the coefficients
-    block[:, ::5] = -0.0
+    # signed zeros in the rows and the gradient
+    block[:, 1::5] = -0.0
     gradient[::7] = -0.0
     passes = Passes(block)
-    for pending in ([], [2 * memory - 2]):
-        got = passes.products(2 * memory, gradient, pending)
-        want = numpy_dots(block, [gradient, *block[pending]])
-        assert got.tobytes() == want.tobytes()
+    # the tables carry over from state to state, as a history's do between directions
+    for count, next_, pending in _states(memory):
+        assert _same_directions(passes, gradient, count, next_, pending), (count, next_, pending)
+    assert np.isfinite(passes.direction(gradient, memory, 0, [])).all()
     pair = (gradient, block[-1])
     assert passes.pair(*pair).tobytes() == numpy_dots(pair, pair).tobytes()
-    coefficients = _rough(rng, 2 * memory + 1)
-    coefficients[1::4] = -0.0
-    got = passes.combine(gradient, coefficients)
-    assert got.tobytes() == numpy_combine(gradient, block, coefficients).tobytes()
-    # zero rows: every product is a signed zero, every sum +0.0 or -0.0 as numpy's
-    zeros = np.full((2, n), -0.0)
-    zeros[1] = 0.0
-    passes = Passes(zeros)
-    assert _same(passes.products(2, zeros[0], [0]), numpy_dots(zeros, [zeros[0], zeros[0]]))
-    assert _same(passes.pair(*zeros), numpy_dots(zeros, zeros))
-    coefficients = np.array([-1.0, 1.0, -1.0])
-    assert _same(
-        passes.combine(zeros[0], coefficients), numpy_combine(zeros[0], zeros, coefficients)
-    )
+    # a gradient of signed zeros: every coefficient and every sum a signed zero
+    zeros = np.full(n, -0.0)
+    assert _same_directions(passes, zeros, memory, 0, [])
+    assert not passes.direction(zeros, memory, 0, []).any()
+    # a block of zeros: 0/0 makes the whole direction NaN, on both paths
+    passes = Passes(np.zeros((2, n)))
+    assert _same_directions(passes, gradient, 1, 0, [0])
+    assert np.isnan(passes.direction(gradient, 1, 0, [])).all()
 
 
 @needs_kernel
 @pytest.mark.parametrize("n", [9, CHUNK + 1, 27000])
 def test_history_passes_propagate_inf_and_nan(n):
     rng = np.random.default_rng(n)
-    block = rng.standard_normal((6, n))
-    block[1, n // 2] = np.inf
-    block[2, 0] = np.nan
-    block[3, -1] = -np.inf
-    block[4, n // 3] = np.inf
-    block[4, n // 2] = -np.inf
-    gradient = rng.standard_normal(n)
-    passes = Passes(block)
-    got = passes.products(6, gradient, [0])
-    want = numpy_dots(block, [gradient, block[0]])
-    assert _same(got, want)
-    assert np.isnan(got[2]).all() and np.isinf(got[1]).all() and np.isinf(got[3]).all()
-    assert np.isfinite(got[0]).all() and not np.isfinite(got[4]).any()
-    for pair in ((block[1], block[3]), (gradient, block[2]), (block[4], block[4])):
-        got = passes.pair(*pair)
-        assert _same(got, numpy_dots(pair, pair)) and not np.isfinite(got).all()
-    coefficients = np.linspace(-1.0, 1.0, 7)
-    got = passes.combine(gradient, coefficients)
-    assert _same(got, numpy_combine(gradient, block, coefficients))
-    assert np.isnan(got[0]) and not np.isfinite(got[[n // 3, n // 2, -1]]).any()
-    assert np.isfinite(got[1 : n // 3]).all()
+    for row, column, value in ((1, n // 2, np.inf), (2, 0, np.nan), (3, -1, -np.inf)):
+        block = _pairs_block(rng, 3, n)
+        gradient = rng.standard_normal(n)
+        block[row, column] = value
+        passes = Passes(block)
+        assert _same_directions(passes, gradient, 3, 0, [0, 1, 2])
+        assert not np.isfinite(passes.direction(gradient, 3, 0, [])).all()
+        assert not np.isfinite(passes.sy).all() or not np.isfinite(passes.yy).all()
+        # a finite history and a non-finite gradient
+        passes = Passes(_pairs_block(rng, 3, n))
+        gradient[column] = value
+        assert _same_directions(passes, gradient, 3, 0, [0, 1, 2])
+        assert np.isfinite(passes.sy).all() and np.isfinite(passes.yy).all()
+        assert not np.isfinite(passes.direction(gradient, 3, 0, [])).all()
 
 
 def test_history_passes_check_their_inputs():
@@ -342,11 +352,19 @@ def test_history_passes_check_their_inputs():
     for s, y in ((np.ones(4), np.ones(4)), (np.ones(5), np.ones(4))):
         with pytest.raises(ValueError):
             history.push(s, y)
-    # vectors of no entries: every product is +0.0, on either path
+    for gradient in (np.ones(4), np.ones((5, 1))):
+        with pytest.raises(ValueError, match="gradient"):
+            atmtomo.solvers.two_loop_direction(history, gradient)
+    d = atmtomo.solvers.two_loop_direction(history, [1.0] * 5)
+    assert d.dtype == np.float64 and d.tolist() == [-1.0] * 5
+    # vectors of no entries: every product is +0.0, and the direction empty, on either path
     empty = np.zeros((2, 0))
     zeros = np.zeros((2, 2)).tobytes()
-    assert Passes(empty).products(2, empty[0], [0]).tobytes() == zeros
-    assert Passes(empty).pair(empty[0], empty[1]).tobytes() == zeros
+    passes = Passes(empty)
+    assert passes.pair(empty[0], empty[1]).tobytes() == zeros
+    assert passes.direction(empty[0], 1, 0, [0]).shape == (0,)
+    assert passes.sy.tobytes() == passes.yy.tobytes() == np.zeros((1, 1)).tobytes()
+    assert numpy_direction(empty, *np.zeros((2, 1, 1)), empty[0], 1, 0, [0]).shape == (0,)
     assert numpy_dots(empty, list(empty)).tobytes() == zeros
     assert numpy_dots(list(empty), list(empty)).tobytes() == zeros
 
@@ -413,26 +431,23 @@ def test_a_copied_history_passes_over_its_own_block(clone):
 
 @needs_kernel
 def test_history_passes_from_many_threads_at_once():
-    # the compiled passes release the GIL: one caller holds the helper, the
-    # others run their chunks inline, and every result keeps its bits; each
-    # thread passes over the shared block through its own _Passes, whose
-    # scratch is its own
+    # the compiled direction releases the GIL: one caller holds the helper,
+    # the others run their chunks inline, and every result keeps its bits;
+    # each thread passes over the shared block through its own _Passes,
+    # whose tables and scratch are its own
     rng = np.random.default_rng(3)
-    block, gradient = rng.standard_normal((20, 3 * CHUNK + 5)), rng.standard_normal(3 * CHUNK + 5)
-    coefficients = rng.standard_normal(21)
-    want = (
-        numpy_dots(block, [gradient, block[2]]).tobytes(),
-        numpy_combine(gradient, block, coefficients).tobytes(),
-    )
+    n = 3 * CHUNK + 5
+    block, gradient = _pairs_block(rng, 10, n), rng.standard_normal(n)
+    tables = np.zeros((2, 10, 10))
+    numpy_direction(block, *tables, gradient, 10, 4, list(range(10)))
+    want = numpy_direction(block, *tables, gradient, 10, 4, [2, 3]).tobytes()
     wrong = []
 
     def work():
         passes = Passes(block)
+        passes.direction(gradient, 10, 4, list(range(10)))
         for _ in range(50):
-            got = (
-                passes.products(20, gradient, [2]).tobytes(),
-                passes.combine(gradient, coefficients).tobytes(),
-            )
+            got = passes.direction(gradient, 10, 4, [2, 3]).tobytes()
             if got != want:
                 wrong.append(got)
 

@@ -70,6 +70,11 @@ def test_options_validation():
 def test_two_loop_empty_history_is_steepest_descent(rng):
     g = rng.standard_normal(7)
     np.testing.assert_array_equal(two_loop_direction(LbfgsHistory(), g), -g)
+    # the gradient passes the vector check before the empty history returns
+    d = two_loop_direction(LbfgsHistory(), [1.0, 2.0])
+    assert d.dtype == np.float64 and d.tolist() == [-1.0, -2.0]
+    with pytest.raises(ValueError, match="must be a vector"):
+        two_loop_direction(LbfgsHistory(), g.reshape(7, 1))
 
 
 def test_two_loop_single_pair_scalar_newton():
@@ -155,7 +160,8 @@ def test_rejected_pair_leaves_the_history_unchanged(rng):
     g = rng.standard_normal(n)
     two_loop_direction(history, g)  # fills in the pushed slots' table columns
     before = two_loop_direction(history, g)
-    tables = (history._sy.copy(), history._yy.copy())
+    passes = history._passes
+    tables = (passes.sy.copy(), passes.yy.copy())
     pairs = history.pairs
     s = rng.standard_normal(n)
     assert not history.push(s, -s)
@@ -163,7 +169,7 @@ def test_rejected_pair_leaves_the_history_unchanged(rng):
     for (s0, y0, rho0), (s1, y1, rho1) in zip(pairs, history.pairs, strict=True):
         assert s0.tobytes() == s1.tobytes() and y0.tobytes() == y1.tobytes() and rho0 == rho1
     assert two_loop_direction(history, g).tobytes() == before.tobytes()
-    assert all(np.array_equal(a, b) for a, b in zip(tables, (history._sy, history._yy)))
+    assert all(np.array_equal(a, b) for a, b in zip(tables, (passes.sy, passes.yy)))
     want = helpers.two_loop_oracle(history.pairs, g)
     assert np.linalg.norm(before - want) <= 1e-12 * np.linalg.norm(want)
 
