@@ -5,10 +5,13 @@ The library holds the TV stencil of tv.py, its root and its diffusion apply
 result into a base), each one pass over the rows with a row or two of
 scratch the caller makes, the CSR products T, T^T and T^T T and the
 canonicalization of forward.py, the fused vector updates of solvers.cgne,
-and the two passes over solvers.py's L-BFGS history block (the block's
-products with a few vectors, and a linear combination of its rows).  Those
-two split their columns into fixed chunks that the calling thread shares with
-one helper thread, which the library starts at the first such pass in a
+and solvers.py's L-BFGS direction in one call: a pass for the history
+block's products with the gradient and the newly pushed y rows, the small
+triangular solves of the compact form, and a pass that sums the block's
+rows (block_dots alone gives a push its products).  The passes split the
+columns into fixed chunks; the calling thread takes them from the front and
+one helper thread from the back, so each re-reads mostly its own columns from
+pass to pass.  The library starts the helper at the first such pass in a
 process that may run on two or more CPUs (os.sched_getaffinity, so taskset
 is the control); every sum runs in an order the chunks fix, so the bits do
 not depend on the CPU count.  Between passes the helper spins for 1 ms

@@ -2,10 +2,12 @@
  * functions, the root sqrt(|grad|^2 + beta) and the diffusion apply that is
  * also TV's gradient, each one pass over the field's rows with a row or two
  * of scratch; the ray transform's row-compressed (CSR) arrays of forward.py
- * as four more; the two vector updates of solvers.cgne; and the two passes
- * over the L-BFGS history block of solvers.py, its rows' products with a few
- * vectors and a linear combination of its rows.  No kernel allocates: the
- * caller makes what scratch one needs.
+ * as four more; the two vector updates of solvers.cgne; and the L-BFGS
+ * direction of solvers.py in one call, two passes over its history block
+ * (its rows' products with a few vectors, and a linear combination of its
+ * rows) with the small triangular solves between them, the first pass also
+ * alone for a push.  No kernel allocates: the caller makes what scratch one
+ * needs.
  *
  * Each kernel performs the operations of its numpy reference in their order,
  * so the results are bitwise equal; build without floating-point

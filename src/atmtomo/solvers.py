@@ -169,8 +169,8 @@ class _Passes:
     """A history block, its tables s_i.y_j and y_i.y_j, and the direction's scratch.
 
     Compiled, the addresses of the block's rows, the tables and the scratch
-    are taken once, so a direction or a push's products take only those of
-    the gradient or the pushed pair and of the result (ndarray.ctypes.data,
+    are taken once, so a direction takes only those of the gradient and the
+    result, and a push's products those of its pair (ndarray.ctypes.data,
     about 1.5-2 us each); without the kernels each is its numpy twin.  The
     block, a y and an s row per slot, must be C-contiguous float64 with an
     even row count (the tables and scratch are sized by it), on both paths.
@@ -210,7 +210,7 @@ class _Passes:
         )
 
     def __reduce__(self):
-        # a copy binds the copied block and tables: the addresses here are this one's
+        # a copy binds the copied block and fills its own tables: the addresses here are this one's
         return type(self), (self._block,), (self.sy, self.yy)
 
     def __setstate__(self, tables):
